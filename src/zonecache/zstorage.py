@@ -245,10 +245,14 @@ class ZoneStore:
         entry_empty = len(self.empty_zones)
         stop = self.gc_stop_zones
         # a victim whose migrations eat as much space as its reset frees makes
-        # zero net progress; bound the streak so misconfiguration (all victims
-        # fully valid, OP too small) fails loudly instead of spinning
+        # zero net progress, and the empty count can also see-saw without
+        # ever climbing (valid data plus write zones leave no room for the
+        # stop target); bound the victims since the last new high so
+        # misconfiguration (victims fully valid, OP too small) fails loudly
+        # instead of spinning
         regions_per_zone = self.device.config.zone_capacity // self.region_size
         stagnant_limit = max(self.zone_count, regions_per_zone) + 1
+        best = entry_empty
         stagnant = 0
         while len(self.empty_zones) < stop:
             try:
@@ -256,12 +260,15 @@ class ZoneStore:
             except errors.NoVictimAvailable:
                 raise errors.GcStalled(
                     "below low watermark with no victim available")
-            before = len(self.empty_zones)
             self._clean_zone(victim, drop_filter, stats)
-            stagnant = stagnant + 1 if len(self.empty_zones) <= before else 0
+            if len(self.empty_zones) > best:
+                best = len(self.empty_zones)
+                stagnant = 0
+            else:
+                stagnant += 1
             if stagnant > stagnant_limit:
                 raise errors.GcStalled(
-                    "cleaning reclaims no net space; victims are fully valid")
+                    "cleaning makes no net progress toward the stop watermark")
         self.gc_cycles += 1
         self.gc_log.append((entry_empty, len(self.empty_zones)))
         self.last_stats = stats

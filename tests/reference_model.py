@@ -422,7 +422,7 @@ class SchemeModel:
 
     def __init__(self, name, zones=8, zone_cap=32 * 1024, region=16 * 1024,
                  capacity=7, min_w=2, max_w=2, w_low=25.0, w_high=50.0,
-                 vop_ratio=1.0, page=2048, ppb=4, max_open=8):
+                 vop_ratio=1.0, page=2048, ppb=4, max_open=8, reorder=True):
         self.name = name
         self.kind = ("reg" if name.startswith("reg") else
                      "direct" if name == "zns-direct" else
@@ -439,7 +439,6 @@ class SchemeModel:
         else:
             self.store = ZoneModel(zones, zone_cap, region, min_w, max_w,
                                    w_low, w_high)
-            reorder = True
         self.cache = CacheModel(capacity, region, _POLICIES[name],
                                 vop_ratio, reorder, self.store)
 

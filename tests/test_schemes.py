@@ -101,6 +101,19 @@ def test_zcachelib_drops_instead_of_migrating():
     assert wa_factor(engine) == 1.0
 
 
+@pytest.mark.parametrize("name", ["zcachelib", "zns-middle-lru"])
+def test_gc_stalls_when_empty_count_only_seesaws(name):
+    # trigger 1 empty zone, stop target 3: six valid regions plus two write
+    # zones leave room for at most two, so cleaning swings the empty count
+    # 1 -> 2 -> 1 forever unless the stall bound counts from the best count
+    spec = tiny_spec(name, zone_count=5, zone_capacity=16 * KIB,
+                     region_size=8 * KIB, max_open_zones=5, w_low=10, w_high=50,
+                     cache_capacity_regions=6, vop_ratio=0.0)
+    script = make_script(0, ops=200, keys=30, get_ratio=0.5, size_max=8 * KIB)
+    with pytest.raises(errors.GcStalled):
+        drive(build(spec), script)
+
+
 def test_wa_factor_requires_a_flush_then_reads_one():
     engine = build(tiny_spec("zns-middle-lru"))
     with pytest.raises(errors.SimError):
