@@ -31,14 +31,6 @@ class CrossZoneRead(SimError):
     pass
 
 
-class ZoneBusy(SimError):
-    pass
-
-
-class ZoneNotOpen(SimError):
-    pass
-
-
 # --- page-mapped FTL ---
 
 class OutOfRange(SimError):

@@ -141,7 +141,7 @@ class _ZnsEngine:
         return self.store.gc_cycles
 
     def metrics(self) -> EngineMetrics:
-        snaps, counters = self.device.report()
+        counters = self.device.counters
         c = self.cache.stats()
         return EngineMetrics(
             hits=c.hit_count, misses=c.miss_count,

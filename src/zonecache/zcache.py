@@ -14,9 +14,12 @@ recency list that eviction policies operate on:
 Eviction is region-granular top-down (list tail), while the drop filter
 gives GC a bottom-up path: regions in a victim zone that the policy deems
 evictable are dropped in place instead of being migrated.
+
+The cache runs on one thread, and GC calls the drop filter between cache
+operations, so an eviction always completes before anything else sees the
+region: a region is BUFFERED, FLUSHED or FREE, never in between.
 """
 
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
@@ -37,16 +40,12 @@ class RegionStatus(Enum):
     FREE = "free"
     BUFFERED = "buffered"
     FLUSHED = "flushed"
-    EVICTING = "evicting"
-    EVICTED = "evicted"
 
 
 _ALLOWED = {
     RegionStatus.FREE: (RegionStatus.BUFFERED,),
     RegionStatus.BUFFERED: (RegionStatus.FLUSHED,),
-    RegionStatus.FLUSHED: (RegionStatus.EVICTING,),
-    RegionStatus.EVICTING: (RegionStatus.EVICTED,),
-    RegionStatus.EVICTED: (RegionStatus.FREE,),
+    RegionStatus.FLUSHED: (RegionStatus.FREE,),
 }
 
 
@@ -148,7 +147,6 @@ class RegionCache:
         self._buffered = None  # region id currently accepting items
         self.stats_counters = CacheStats()
         self.flushed_count = 0
-        self._lock = threading.RLock()
 
     def vaddr(self, rid) -> int:
         return rid * self.config.region_size
@@ -226,73 +224,68 @@ class RegionCache:
         if len(value) > self.config.region_size:
             raise errors.ItemTooLarge(
                 f"{len(value)} bytes exceeds region size {self.config.region_size}")
-        with self._lock:
-            if self._buffered is None:
-                self._alloc_buffer()
+        if self._buffered is None:
+            self._alloc_buffer()
+        region = self.regions[self._buffered]
+        if region.fill + len(value) > self.config.region_size:
+            self._flush()
+            self._alloc_buffer()
             region = self.regions[self._buffered]
-            if region.fill + len(value) > self.config.region_size:
-                self._flush()
-                self._alloc_buffer()
-                region = self.regions[self._buffered]
-            offset = region.fill
-            self._buffer[offset:offset + len(value)] = value
-            region.fill += len(value)
-            old = self.index.get(key)
-            if old is not None:
-                # superseded copy: drop the old region's live-item entry
-                self.regions[old[0]].keys.pop(key, None)
-            region.keys[key] = (offset, len(value))
-            self.index[key] = (region.id, offset, len(value))
-            self.stats_counters.inserted_bytes += len(value)
+        offset = region.fill
+        self._buffer[offset:offset + len(value)] = value
+        region.fill += len(value)
+        old = self.index.get(key)
+        if old is not None:
+            # superseded copy: drop the old region's live-item entry
+            self.regions[old[0]].keys.pop(key, None)
+        region.keys[key] = (offset, len(value))
+        self.index[key] = (region.id, offset, len(value))
+        self.stats_counters.inserted_bytes += len(value)
 
     def lookup(self, key):
-        with self._lock:
-            entry = self.index.get(key)
-            if entry is None:
-                self.stats_counters.miss_count += 1
-                return None
-            rid, offset, size = entry
-            region = self.regions[rid]
-            if region.status is RegionStatus.BUFFERED:
-                data = bytes(self._buffer[offset:offset + size])
-            elif region.status is RegionStatus.FLUSHED:
-                data = self.store.read_region(self.vaddr(rid), offset, size)
+        entry = self.index.get(key)
+        if entry is None:
+            self.stats_counters.miss_count += 1
+            return None
+        rid, offset, size = entry
+        region = self.regions[rid]
+        if region.status is RegionStatus.BUFFERED:
+            data = bytes(self._buffer[offset:offset + size])
+        elif region.status is RegionStatus.FLUSHED:
+            data = self.store.read_region(self.vaddr(rid), offset, size)
+        else:
+            self.stats_counters.miss_count += 1
+            return None
+        self.stats_counters.hit_count += 1
+        if self.config.policy is not Policy.FIFO \
+                and region.status is RegionStatus.FLUSHED:
+            if rid in self.vop:
+                self.vop.remove(rid)
+                self.main.push_head(rid)
+                self._rebalance()  # demotes main tail into vop head
             else:
-                self.stats_counters.miss_count += 1
-                return None
-            self.stats_counters.hit_count += 1
-            if self.config.policy is not Policy.FIFO \
-                    and region.status is RegionStatus.FLUSHED:
-                if rid in self.vop:
-                    self.vop.remove(rid)
-                    self.main.push_head(rid)
-                    self._rebalance()  # demotes main tail into vop head
-                else:
-                    self.main.move_to_head(rid)
-            return data
+                self.main.move_to_head(rid)
+        return data
 
     def evict_one(self) -> int:
         """Top-down eviction of the least valuable flushed region."""
-        with self._lock:
-            if self.config.policy is Policy.ZLRU and len(self.vop) > 0:
-                rid = self.vop.tail()
-            else:
-                rid = self.main.tail() if len(self.main) else self.vop.tail()
-            if rid is None:
-                raise errors.NothingToEvict("no flushed region to evict")
-            self._teardown(rid, invalidate=True)
-            self.stats_counters.evicted_region_count += 1
-            return rid
+        if self.config.policy is Policy.ZLRU and len(self.vop) > 0:
+            rid = self.vop.tail()
+        else:
+            rid = self.main.tail() if len(self.main) else self.vop.tail()
+        if rid is None:
+            raise errors.NothingToEvict("no flushed region to evict")
+        self._teardown(rid, invalidate=True)
+        self.stats_counters.evicted_region_count += 1
+        return rid
 
     def _teardown(self, rid, invalidate):
         region = self.regions[rid]
-        region.set_status(RegionStatus.EVICTING)
         for key in region.keys:
             del self.index[key]
         region.keys = {}
         if invalidate:
             self.store.invalidate_region(self.vaddr(rid))
-        region.set_status(RegionStatus.EVICTED)
         if rid in self.vop:
             self.vop.remove(rid)
         else:
@@ -305,27 +298,23 @@ class RegionCache:
     def zdrop_filter(self, region_virtual_address, victim_zone_id) -> DropVerb:
         """Bottom-up eviction decision for one region in a GC victim zone.
 
-        Wait while a top-down eviction of the region is mid-flight; skip
-        regions already gone or remapped since the victim snapshot; drop
-        evictable ones in place (the store unmaps after we return); migrate
-        the rest.
+        Skip regions already gone or remapped since the victim snapshot;
+        drop evictable ones in place (the store unmaps after we return);
+        migrate the rest.
         """
-        with self._lock:
-            rid = region_virtual_address // self.config.region_size
-            if not 0 <= rid < len(self.regions):
-                return DropVerb.SKIP
-            region = self.regions[rid]
-            if region.status is RegionStatus.EVICTING:
-                return DropVerb.WAIT
-            if region.status is not RegionStatus.FLUSHED:
-                return DropVerb.SKIP
-            if self.store.zone_of(region_virtual_address) != victim_zone_id:
-                return DropVerb.SKIP  # stale copy; current data lives elsewhere
-            if rid in self.vop or self.config.vop_ratio == 1.0:
-                self._teardown(rid, invalidate=False)
-                self.stats_counters.dropped_region_count += 1
-                return DropVerb.DROP
-            return DropVerb.MIGRATE
+        rid = region_virtual_address // self.config.region_size
+        if not 0 <= rid < len(self.regions):
+            return DropVerb.SKIP
+        region = self.regions[rid]
+        if region.status is not RegionStatus.FLUSHED:
+            return DropVerb.SKIP
+        if self.store.zone_of(region_virtual_address) != victim_zone_id:
+            return DropVerb.SKIP  # stale copy; current data lives elsewhere
+        if rid in self.vop or self.config.vop_ratio == 1.0:
+            self._teardown(rid, invalidate=False)
+            self.stats_counters.dropped_region_count += 1
+            return DropVerb.DROP
+        return DropVerb.MIGRATE
 
     def stats(self) -> CacheStats:
         c = self.stats_counters

@@ -3,12 +3,13 @@
 Zones are append-only: each zone accepts writes only at its write pointer
 and is cleaned as a whole by reset. Payloads are stored byte-faithfully so
 read-back and migration tests can compare actual buffers, not just sizes.
+
+Like every layer above it, the device is driven from one thread: each
+operation completes before the next starts, so none locks or retries.
 """
 
 import bisect
-import threading
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from . import errors
@@ -63,7 +64,7 @@ class DeviceCounters:
 
 class _Zone:
     __slots__ = ("id", "state", "write_pointer", "reset_count",
-                 "chunks", "chunk_starts", "readers")
+                 "chunks", "chunk_starts")
 
     def __init__(self, zone_id):
         self.id = zone_id
@@ -73,17 +74,15 @@ class _Zone:
         # appended payloads kept as-is; chunk_starts[i] is the zone offset of chunks[i]
         self.chunks = []
         self.chunk_starts = []
-        self.readers = 0
 
 
 class ZnsDevice:
-    """One emulated zoned device. All operations are atomic under one lock."""
+    """One emulated zoned device."""
 
     def __init__(self, config: DeviceConfig):
         config.validate()
         self.config = config
         self._zones = [_Zone(i) for i in range(config.zone_count)]
-        self._lock = threading.RLock()
         self.counters = DeviceCounters()
 
     # -- helpers -----------------------------------------------------------
@@ -105,33 +104,32 @@ class ZnsDevice:
         """Append payload at the zone's write pointer; returns the device-global
         physical address (zone_id * zone_capacity + previous write pointer)."""
         cap = self.config.zone_capacity
-        with self._lock:
-            zone = self._zone(zone_id)
-            if zone.state is ZoneState.FULL:
-                raise errors.ZoneNotWritable(f"zone {zone_id} is full")
-            if zone.write_pointer + len(payload) > cap:
-                raise errors.ZoneFull(
-                    f"zone {zone_id}: {len(payload)} bytes exceed remaining "
-                    f"{cap - zone.write_pointer}")
-            if len(payload) == 0:
-                return zone_id * cap + zone.write_pointer
-            if zone.state is ZoneState.EMPTY:
-                # first append opens the zone implicitly
-                if self.counters.open_zone_count >= self.config.max_open_zones:
-                    raise errors.MaxOpenZonesExceeded(
-                        f"opening zone {zone_id} would exceed "
-                        f"{self.config.max_open_zones} open zones")
-                zone.state = ZoneState.OPEN
-                self.counters.open_zone_count += 1
-            addr = zone_id * cap + zone.write_pointer
-            zone.chunk_starts.append(zone.write_pointer)
-            zone.chunks.append(bytes(payload))
-            zone.write_pointer += len(payload)
-            self.counters.total_appended_bytes += len(payload)
-            if zone.write_pointer == cap:
-                zone.state = ZoneState.FULL
-                self.counters.open_zone_count -= 1
-            return addr
+        zone = self._zone(zone_id)
+        if zone.state is ZoneState.FULL:
+            raise errors.ZoneNotWritable(f"zone {zone_id} is full")
+        if zone.write_pointer + len(payload) > cap:
+            raise errors.ZoneFull(
+                f"zone {zone_id}: {len(payload)} bytes exceed remaining "
+                f"{cap - zone.write_pointer}")
+        if len(payload) == 0:
+            return zone_id * cap + zone.write_pointer
+        if zone.state is ZoneState.EMPTY:
+            # first append opens the zone implicitly
+            if self.counters.open_zone_count >= self.config.max_open_zones:
+                raise errors.MaxOpenZonesExceeded(
+                    f"opening zone {zone_id} would exceed "
+                    f"{self.config.max_open_zones} open zones")
+            zone.state = ZoneState.OPEN
+            self.counters.open_zone_count += 1
+        addr = zone_id * cap + zone.write_pointer
+        zone.chunk_starts.append(zone.write_pointer)
+        zone.chunks.append(bytes(payload))
+        zone.write_pointer += len(payload)
+        self.counters.total_appended_bytes += len(payload)
+        if zone.write_pointer == cap:
+            zone.state = ZoneState.FULL
+            self.counters.open_zone_count -= 1
+        return addr
 
     def read(self, physical_address: int, length: int) -> bytes:
         cap = self.config.zone_capacity
@@ -139,19 +137,18 @@ class ZnsDevice:
             raise errors.OutOfRange("negative address or length")
         zone_id = physical_address // cap
         offset = physical_address % cap
-        with self._lock:
-            zone = self._zone(zone_id)
-            if offset + length > cap:
-                raise errors.CrossZoneRead(
-                    f"range [{offset}, {offset + length}) spans past zone {zone_id}")
-            if offset + length > zone.write_pointer:
-                raise errors.ReadBeyondWritePointer(
-                    f"zone {zone_id}: read up to {offset + length} but write "
-                    f"pointer is {zone.write_pointer}")
-            self.counters.total_read_bytes += length
-            if length == 0:
-                return b""
-            return self._slice(zone, offset, length)
+        zone = self._zone(zone_id)
+        if offset + length > cap:
+            raise errors.CrossZoneRead(
+                f"range [{offset}, {offset + length}) spans past zone {zone_id}")
+        if offset + length > zone.write_pointer:
+            raise errors.ReadBeyondWritePointer(
+                f"zone {zone_id}: read up to {offset + length} but write "
+                f"pointer is {zone.write_pointer}")
+        self.counters.total_read_bytes += length
+        if length == 0:
+            return b""
+        return self._slice(zone, offset, length)
 
     @staticmethod
     def _slice(zone, offset, length) -> bytes:
@@ -177,51 +174,26 @@ class ZnsDevice:
         return bytes(out)
 
     def reset(self, zone_id: int):
-        """Wipe the zone. Fails with ZoneBusy while shared readers are registered."""
-        with self._lock:
-            zone = self._zone(zone_id)
-            if zone.readers > 0:
-                raise errors.ZoneBusy(f"zone {zone_id} has {zone.readers} readers")
-            if zone.state is ZoneState.OPEN:
-                self.counters.open_zone_count -= 1
-            zone.state = ZoneState.EMPTY
-            zone.write_pointer = 0
-            zone.chunks = []
-            zone.chunk_starts = []
-            zone.reset_count += 1
-            self.counters.total_resets += 1
-
-    def finish(self, zone_id: int):
-        """Close an open zone early; the unwritten tail becomes unusable."""
-        with self._lock:
-            zone = self._zone(zone_id)
-            if zone.state is not ZoneState.OPEN:
-                raise errors.ZoneNotOpen(f"zone {zone_id} is {zone.state.value}")
-            zone.state = ZoneState.FULL
+        """Wipe the zone and return it to EMPTY."""
+        zone = self._zone(zone_id)
+        if zone.state is ZoneState.OPEN:
             self.counters.open_zone_count -= 1
-
-    @contextmanager
-    def shared_reader(self, zone_id: int):
-        """Registers a shared reader; reset of the zone is rejected meanwhile."""
-        with self._lock:
-            zone = self._zone(zone_id)
-            zone.readers += 1
-        try:
-            yield
-        finally:
-            with self._lock:
-                zone.readers -= 1
+        zone.state = ZoneState.EMPTY
+        zone.write_pointer = 0
+        zone.chunks = []
+        zone.chunk_starts = []
+        zone.reset_count += 1
+        self.counters.total_resets += 1
 
     def report(self):
         """Point-in-time snapshot of all zones plus the device counters."""
-        with self._lock:
-            snaps = [ZoneSnapshot(z.id, z.state, z.write_pointer, z.reset_count)
-                     for z in self._zones]
-            counters = DeviceCounters(
-                self.counters.total_appended_bytes,
-                self.counters.total_read_bytes,
-                self.counters.total_resets,
-                self.counters.open_zone_count)
+        snaps = [ZoneSnapshot(z.id, z.state, z.write_pointer, z.reset_count)
+                 for z in self._zones]
+        counters = DeviceCounters(
+            self.counters.total_appended_bytes,
+            self.counters.total_read_bytes,
+            self.counters.total_resets,
+            self.counters.open_zone_count)
         return snaps, counters
 
 

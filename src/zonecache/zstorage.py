@@ -11,11 +11,14 @@ falls below the low watermark and stops once the high watermark is reached.
 What happens to each valid region in a victim zone is decided by a caller
 supplied drop filter, so the cache layer owns policy while this layer owns
 mechanism.
+
+Everything runs on one thread: the scheme calls GC between cache
+operations, so a victim's regions cannot change state while it is cleaned
+and a zone is never read while it is reset.
 """
 
 import heapq
 import math
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -29,7 +32,6 @@ class DropVerb(Enum):
     MIGRATE = "migrate"
     DROP = "drop"
     SKIP = "skip"
-    WAIT = "wait"
 
 
 @dataclass
@@ -79,17 +81,13 @@ class GcStats:
     migrated_regions: int = 0
     dropped_regions: int = 0
     reclaimed_zones: int = 0
-    waits: int = 0
 
 
 class ZoneStore:
     """Owns zone grouping, the region map, and GC for one device."""
 
-    WAIT_RETRY_LIMIT = 100000
-
     def __init__(self, device, region_size: int, gc_config: GcConfig = None,
-                 min_write_zones: int = 4, max_write_zones: int = None,
-                 wait_fn=None):
+                 min_write_zones: int = 4, max_write_zones: int = None):
         cap = device.config.zone_capacity
         if region_size < 1 or cap % region_size != 0:
             raise errors.InvalidConfig(
@@ -106,7 +104,6 @@ class ZoneStore:
                 "need 1 <= min_write_zones <= max_write_zones <= max_open_zones")
         self.min_write_zones = min_write_zones
         self.max_write_zones = max_write_zones
-        self._wait_fn = wait_fn or (lambda: None)
 
         self.zone_count = device.config.zone_count
         self.empty_zones = list(range(self.zone_count))  # heap, lowest id first
@@ -123,8 +120,6 @@ class ZoneStore:
         self.migrated_bytes = 0
         self.gc_cycles = 0
         self.gc_log = []             # (empty count at entry, empty count at exit)
-        self.last_stats = None
-        self._lock = threading.RLock()
 
     # -- zone group bookkeeping ------------------------------------------------
 
@@ -199,10 +194,9 @@ class ZoneStore:
         if virtual_address % self.region_size != 0:
             raise errors.Misaligned("virtual address must be region-aligned")
         paddr = self._append_region(payload)  # data lands before metadata
-        with self._lock:
-            if virtual_address in self.forward:
-                self._unmap(virtual_address)
-            self._map(virtual_address, paddr)
+        if virtual_address in self.forward:
+            self._unmap(virtual_address)
+        self._map(virtual_address, paddr)
         self.cache_region_bytes += len(payload)
         return paddr
 
@@ -213,15 +207,12 @@ class ZoneStore:
             raise errors.UnmappedRegion(f"virtual address {virtual_address}")
         if length is None:
             length = self.region_size - offset
-        zone = paddr // self.device.config.zone_capacity
-        with self.device.shared_reader(zone):
-            return self.device.read(paddr + offset, length)
+        return self.device.read(paddr + offset, length)
 
     def invalidate_region(self, virtual_address: int):
-        with self._lock:
-            if virtual_address not in self.forward:
-                raise errors.UnmappedRegion(f"virtual address {virtual_address}")
-            self._unmap(virtual_address)
+        if virtual_address not in self.forward:
+            raise errors.UnmappedRegion(f"virtual address {virtual_address}")
+        self._unmap(virtual_address)
 
     # -- garbage collection ------------------------------------------------------
 
@@ -235,7 +226,7 @@ class ZoneStore:
         """One watermark-bounded cleaning pass.
 
         For every valid region in each victim (in append order) the drop
-        filter answers Migrate, Drop, Skip, or Wait. The victim is then reset
+        filter answers Migrate, Drop, or Skip. The victim is then reset
         and returned to the empty group. No-op unless the trigger watermark
         has been crossed.
         """
@@ -271,37 +262,25 @@ class ZoneStore:
                     "cleaning makes no net progress toward the stop watermark")
         self.gc_cycles += 1
         self.gc_log.append((entry_empty, len(self.empty_zones)))
-        self.last_stats = stats
         return stats
 
     def _clean_zone(self, victim, drop_filter, stats):
         snapshot = list(self.reverse[victim].items())  # append order
         for paddr, vaddr in snapshot:
             verb = drop_filter(vaddr, victim)
-            retries = 0
-            while verb is DropVerb.WAIT:
-                stats.waits += 1
-                retries += 1
-                if retries > self.WAIT_RETRY_LIMIT:
-                    raise errors.GcStalled(
-                        f"region {vaddr} stuck evicting during GC")
-                self._wait_fn()
-                verb = drop_filter(vaddr, victim)
             if verb is DropVerb.MIGRATE:
                 payload = self.device.read(paddr, self.region_size)
                 new_paddr = self._append_region(payload)
-                with self._lock:
-                    if self.forward.get(vaddr) == paddr:
-                        self._unmap(vaddr)
-                        self._map(vaddr, new_paddr)
-                    # else invalidated meanwhile; the fresh copy is dead weight
+                if self.forward.get(vaddr) == paddr:
+                    self._unmap(vaddr)
+                    self._map(vaddr, new_paddr)
+                # else unmapped since the snapshot; the fresh copy is dead weight
                 self.migrated_bytes += self.region_size
                 stats.migrated_bytes += self.region_size
                 stats.migrated_regions += 1
             elif verb is DropVerb.DROP:
-                with self._lock:
-                    if self.forward.get(vaddr) == paddr:
-                        self._unmap(vaddr)
+                if self.forward.get(vaddr) == paddr:
+                    self._unmap(vaddr)
                 stats.dropped_regions += 1
             elif verb is DropVerb.SKIP:
                 pass
@@ -310,12 +289,7 @@ class ZoneStore:
         if self.reverse[victim]:
             raise RuntimeError(
                 f"zone {victim} still holds mapped regions after cleaning")
-        while True:
-            try:
-                self.device.reset(victim)
-                break
-            except errors.ZoneBusy:
-                self._wait_fn()
+        self.device.reset(victim)
         self.read_zones.discard(victim)
         heapq.heappush(self.empty_zones, victim)
         stats.reclaimed_zones += 1
@@ -326,12 +300,7 @@ class ZoneStore:
         reclaimed = 0
         for zone in sorted(self.read_zones):
             if self.valid_bytes[zone] == 0:
-                while True:
-                    try:
-                        self.device.reset(zone)
-                        break
-                    except errors.ZoneBusy:
-                        self._wait_fn()
+                self.device.reset(zone)
                 self.read_zones.discard(zone)
                 heapq.heappush(self.empty_zones, zone)
                 reclaimed += 1

@@ -68,12 +68,11 @@ def test_config_validation():
 def test_region_status_walks_one_way():
     region = _Region(0)
     for status in (RegionStatus.BUFFERED, RegionStatus.FLUSHED,
-                   RegionStatus.EVICTING, RegionStatus.EVICTED,
                    RegionStatus.FREE):
         region.set_status(status)
     region.set_status(RegionStatus.BUFFERED)
     with pytest.raises(RuntimeError):
-        region.set_status(RegionStatus.EVICTING)  # must flush first
+        region.set_status(RegionStatus.FREE)  # must flush first
 
 
 # --- packing ------------------------------------------------------------------------
@@ -310,14 +309,6 @@ def test_zdrop_ratio_one_drops_even_main_regions():
     cache.main.push_head(rid)
     store.zone_script[cache.vaddr(rid)] = 3
     assert cache.zdrop_filter(cache.vaddr(rid), 3) is DropVerb.DROP
-
-
-def test_zdrop_waits_for_inflight_eviction():
-    cache, store = make_cache(capacity=8, vop_ratio=0.5, reorder=False)
-    flush_regions(cache, 2)
-    rid = cache.vop.tail()
-    cache.regions[rid].set_status(RegionStatus.EVICTING)
-    assert cache.zdrop_filter(cache.vaddr(rid), 0) is DropVerb.WAIT
 
 
 def test_zdrop_skips_stale_and_foreign_regions():

@@ -115,25 +115,6 @@ def test_open_zone_limit_enforced():
     assert dev.zone_state(2) is ZoneState.OPEN
 
 
-def test_finish_closes_open_zone_and_releases_slot():
-    dev = small_device(zone_count=4, max_open=1)
-    dev.append(0, b"a" * 4096)
-    dev.finish(0)
-    assert dev.zone_state(0) is ZoneState.FULL
-    dev.append(1, b"b")  # slot free again
-    with pytest.raises(errors.ZoneNotWritable):
-        dev.append(0, b"more")
-
-
-def test_finish_requires_open_zone():
-    dev = small_device()
-    with pytest.raises(errors.ZoneNotOpen):
-        dev.finish(0)
-    dev.append(0, b"x" * 64 * KIB)
-    with pytest.raises(errors.ZoneNotOpen):
-        dev.finish(0)  # already full
-
-
 # --- reads --------------------------------------------------------------------
 
 def test_read_roundtrip_single_append():
@@ -193,16 +174,6 @@ def test_reset_wipes_zone_and_allows_reuse():
     assert dev.read(addr2, 4) == b"new!"
 
 
-def test_reset_blocked_while_reader_registered():
-    dev = small_device()
-    dev.append(1, b"z" * 4096)
-    with dev.shared_reader(1):
-        with pytest.raises(errors.ZoneBusy):
-            dev.reset(1)
-    dev.reset(1)  # reader gone, fine now
-    assert dev.zone_state(1) is ZoneState.EMPTY
-
-
 def test_reset_open_zone_releases_open_slot():
     dev = small_device(zone_count=4, max_open=1)
     dev.append(0, b"a")
@@ -239,22 +210,19 @@ class DeviceMachine(RuleBasedStateMachine):
                                           zone_capacity=self.CAP,
                                           max_open_zones=self.MAX_OPEN))
         self.model = {z: bytearray() for z in range(self.ZONES)}
-        self.finished = set()
         self.counter = 0
 
     def _model_open(self):
-        return sum(1 for z, buf in self.model.items()
-                   if 0 < len(buf) < self.CAP and z not in self.finished)
+        return sum(1 for buf in self.model.values() if 0 < len(buf) < self.CAP)
 
     @rule(zone=st.integers(0, ZONES - 1), size=st.integers(1, 3 * KIB))
     def append(self, zone, size):
         self.counter += 1
         payload = bytes([self.counter % 256]) * size
         buf = self.model[zone]
-        full = len(buf) == self.CAP or zone in self.finished
+        full = len(buf) == self.CAP
         overflow = len(buf) + size > self.CAP
-        would_open = len(buf) == 0 and zone not in self.finished
-        blocked = would_open and self._model_open() >= self.MAX_OPEN
+        blocked = len(buf) == 0 and self._model_open() >= self.MAX_OPEN
         if full:
             with pytest.raises(errors.ZoneNotWritable):
                 self.dev.append(zone, payload)
@@ -273,17 +241,6 @@ class DeviceMachine(RuleBasedStateMachine):
     def reset(self, zone):
         self.dev.reset(zone)
         self.model[zone] = bytearray()
-        self.finished.discard(zone)
-
-    @rule(zone=st.integers(0, ZONES - 1))
-    def finish(self, zone):
-        buf = self.model[zone]
-        if 0 < len(buf) < self.CAP and zone not in self.finished:
-            self.dev.finish(zone)
-            self.finished.add(zone)
-        else:
-            with pytest.raises(errors.ZoneNotOpen):
-                self.dev.finish(zone)
 
     @rule(zone=st.integers(0, ZONES - 1), data=st.data())
     def read_back(self, zone, data):
@@ -303,7 +260,7 @@ class DeviceMachine(RuleBasedStateMachine):
             buf = self.model[z]
             assert self.dev.write_pointer(z) == len(buf)
             state = self.dev.zone_state(z)
-            if len(buf) == self.CAP or z in self.finished:
+            if len(buf) == self.CAP:
                 assert state is ZoneState.FULL
             elif len(buf) == 0:
                 assert state is ZoneState.EMPTY

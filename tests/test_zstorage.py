@@ -17,13 +17,12 @@ MIB = 1024 * KIB
 
 
 def make_store(zone_count=8, zone_capacity=64 * KIB, region_size=32 * KIB,
-               w_low=25.0, w_high=50.0, min_write=2, max_write=2, wait_fn=None):
+               w_low=25.0, w_high=50.0, min_write=2, max_write=2):
     dev = ZnsDevice(DeviceConfig(zone_count=zone_count,
                                  zone_capacity=zone_capacity,
                                  max_open_zones=zone_count))
     store = ZoneStore(dev, region_size, GcConfig(w_low, w_high),
-                      min_write_zones=min_write, max_write_zones=max_write,
-                      wait_fn=wait_fn)
+                      min_write_zones=min_write, max_write_zones=max_write)
     return dev, store
 
 
@@ -277,38 +276,6 @@ def test_gc_migration_keeps_victim_append_order():
 
     store.gc_cycle(spy)
     assert seen[:len(expected)] == expected
-
-
-def test_gc_wait_until_racing_eviction_resolves():
-    # the filter parks one region in Wait; each wait tick the test finishes
-    # the simulated eviction by invalidating it, after which the filter
-    # reports Skip and the cycle completes
-    state = {"pending": None, "waits": 0}
-
-    def wait_fn():
-        state["waits"] += 1
-        if state["pending"] is not None:
-            store.invalidate_region(state["pending"])
-            state["pending"] = None
-
-    dev, store = make_store(min_write=1, max_write=1, wait_fn=wait_fn)
-    # zones 0..5 retire half-valid; zone 0 (lowest id) is the first victim
-    kept = fill_read_zones(store, [(z, 1) for z in range(6)])
-    store.write_region(100 * 32 * KIB, payload(0))  # drop empties below trigger
-    assert store.gc_needed()
-    parked = kept[0][0]
-    state["pending"] = parked
-
-    def filt(vaddr, zone):
-        if vaddr == parked:
-            return DropVerb.WAIT if store.zone_of(vaddr) is not None else DropVerb.SKIP
-        return DropVerb.MIGRATE
-
-    stats = store.gc_cycle(filt)
-    assert stats.waits >= 1
-    assert state["waits"] >= 1
-    assert store.zone_of(parked) is None
-    assert len(store.empty_zones) >= store.gc_stop_zones
 
 
 def test_gc_stalls_without_victims():
