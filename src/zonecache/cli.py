@@ -44,7 +44,8 @@ def _build_parser():
     p_calc.add_argument("--t-gc", type=float, required=True,
                         help="GC reclaim rate (MiB/s)")
     p_calc.add_argument("--k", type=float, required=True,
-                        help="fraction of reclaimed space that is reusable")
+                        help="victim-invalidity skew: a GC victim's invalid "
+                             "ratio over the mean across zones (>= 1)")
 
     p_gen = sub.add_parser("gen-trace", help="write a synthetic trace file")
     p_gen.add_argument("--preset", required=True,
