@@ -13,8 +13,8 @@ supplied drop filter, so the cache layer owns policy while this layer owns
 mechanism.
 
 Everything runs on one thread: the scheme calls GC between cache
-operations, so a victim's regions cannot change state while it is cleaned
-and a zone is never read while it is reset.
+operations, so only the drop filter can change a victim's regions while
+it is cleaned, and no read overlaps a reset.
 """
 
 import heapq
@@ -235,12 +235,11 @@ class ZoneStore:
             return stats
         entry_empty = len(self.empty_zones)
         stop = self.gc_stop_zones
-        # a victim whose migrations eat as much space as its reset frees makes
-        # zero net progress, and the empty count can also see-saw without
-        # ever climbing (valid data plus write zones leave no room for the
-        # stop target); bound the victims since the last new high so
-        # misconfiguration (victims fully valid, OP too small) fails loudly
-        # instead of spinning
+        # cleaning can make no net progress: a victim's migrations eat the
+        # space its reset frees, or the empty count see-saws below a stop
+        # target that valid data plus write zones leave no room for; bound
+        # the victims since the count last reached a new high so such
+        # misconfiguration (OP too small) fails loudly instead of spinning
         regions_per_zone = self.device.config.zone_capacity // self.region_size
         stagnant_limit = max(self.zone_count, regions_per_zone) + 1
         best = entry_empty

@@ -30,9 +30,12 @@ GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 CONFIGS = [(name, {}) for name in SCHEME_NAMES] + [("zcachelib", {"vop_ratio": 0.5})]
 
 
-def golden_name(name, extra):
-    suffix = "".join(f"-{key}{value}" for key, value in sorted(extra.items()))
-    return f"{name}{suffix}.csv"
+def golden_stem(name, extra):
+    return name + "".join(f"-{key}{value}" for key, value in sorted(extra.items()))
+
+
+def golden_path(name, extra):
+    return os.path.join(GOLDEN_DIR, golden_stem(name, extra) + ".csv")
 
 
 def render(name, extra):
@@ -47,10 +50,9 @@ def render(name, extra):
 
 
 @pytest.mark.parametrize("name,extra", CONFIGS,
-                         ids=[golden_name(n, e)[:-4] for n, e in CONFIGS])
+                         ids=[golden_stem(n, e) for n, e in CONFIGS])
 def test_csv_matches_golden(name, extra):
-    with open(os.path.join(GOLDEN_DIR, golden_name(name, extra)),
-              newline="") as fh:
+    with open(golden_path(name, extra), newline="") as fh:
         want = fh.read()
     assert render(name, extra) == want
 
@@ -58,7 +60,7 @@ def test_csv_matches_golden(name, extra):
 if __name__ == "__main__":
     os.makedirs(GOLDEN_DIR, exist_ok=True)
     for name, extra in CONFIGS:
-        path = os.path.join(GOLDEN_DIR, golden_name(name, extra))
+        path = golden_path(name, extra)
         with open(path, "w", newline="") as fh:
             fh.write(render(name, extra))
         print(path)
