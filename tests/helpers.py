@@ -38,7 +38,12 @@ def make_script(seed, ops=400, keys=30, get_ratio=0.5, size_max=16 * KIB):
 
 
 def drive(engine, script):
-    """Runs the script with cache-fill on miss; returns the hit sequence."""
+    """Runs the script with cache-fill on miss; returns the hit sequence.
+
+    Every hit must return exactly the bytes last inserted for its key, so
+    a store that maps or copies pages wrongly fails here, not only on the
+    hit/miss sequence. A key always has one size within a script.
+    """
     hits = []
     for is_get, key, size in script:
         if is_get:
@@ -46,6 +51,8 @@ def drive(engine, script):
             hits.append(data is not None)
             if data is None:
                 engine.insert(key, value_bytes(key, size))
+            else:
+                assert data == value_bytes(key, size), f"corrupt hit on {key}"
         else:
             engine.insert(key, value_bytes(key, size))
         engine.tick_gc()
