@@ -5,9 +5,20 @@ logical page remapping, an active erase block filled append-style, greedy
 internal GC (victim = fewest valid pages, lowest block index on ties), and
 internal over-provisioning hidden from the host. GC runs inline during
 writes; there is no background thread.
+
+Storage is flat. Every physical page lives in one anonymous memory map,
+which the OS zero-fills on first touch, so building a large device costs
+nothing up front. The page maps are two integer arrays, -1 meaning
+unmapped: `mapping` (logical -> physical) and `reverse` (physical ->
+logical). A write is placed as runs: each run is the part that fits in
+the active erase block, stored with one slice copy and one slice
+assignment per map. GC still steps page by page, since only the valid
+pages of a victim move.
 """
 
 import heapq
+import mmap
+from array import array
 from dataclasses import dataclass
 
 from . import errors
@@ -52,12 +63,14 @@ class PageMappedFtl:
     def __init__(self, config: FtlConfig):
         config.validate()
         self.config = config
-        self.mapping = {}            # logical page -> physical page
-        self.reverse = {}            # physical page -> logical page (valid pages only)
-        self.page_data = {}          # physical page -> bytes (valid pages only)
+        pages = config.block_count * config.pages_per_block
+        self.media = memoryview(mmap.mmap(-1, config.total_bytes))
+        self.mapping = array("q", [-1]) * config.exported_pages  # logical -> physical
+        self.reverse = array("q", [-1]) * pages  # physical -> logical, valid pages only
         self.valid_counts = [0] * config.block_count
         self.free_blocks = list(range(config.block_count))
         heapq.heapify(self.free_blocks)
+        self.is_free = [True] * config.block_count
         self.active_block = None
         self.active_fill = 0         # pages consumed in the active block
         self.host_bytes_written = 0
@@ -77,6 +90,7 @@ class PageMappedFtl:
         if not self.free_blocks:
             raise errors.DeviceBusy("no free erase blocks remain")
         self.active_block = heapq.heappop(self.free_blocks)
+        self.is_free[self.active_block] = False
         self.active_fill = 0
 
     def _alloc_page(self) -> int:
@@ -86,35 +100,16 @@ class PageMappedFtl:
         self.active_fill += 1
         return ppage
 
-    def _place(self, lpage: int, data: bytes):
-        old = self.mapping.get(lpage)
-        ppage = self._alloc_page()
-        if old is not None:
-            # invalidate after allocating so GC never migrates the stale copy
-            self.valid_counts[old // self.config.pages_per_block] -= 1
-            del self.reverse[old]
-            del self.page_data[old]
-        self.mapping[lpage] = ppage
-        self.reverse[ppage] = lpage
-        self.page_data[ppage] = data
-        self.valid_counts[ppage // self.config.pages_per_block] += 1
-        self.nand_bytes_written += self.config.page_size
-
     def _select_victim(self):
-        best = None
-        for block in range(self.config.block_count):
-            if block == self.active_block:
-                continue
-            if block in self._free_set:
-                continue
-            count = self.valid_counts[block]
-            if best is None or count < self.valid_counts[best]:
-                best = block
-        return best
-
-    @property
-    def _free_set(self):
-        return set(self.free_blocks)
+        # free blocks and the active block score past any valid count;
+        # index() of the minimum breaks ties on the lowest block
+        ppb = self.config.pages_per_block
+        scores = [ppb + 1 if free else count
+                  for count, free in zip(self.valid_counts, self.is_free)]
+        if self.active_block is not None:
+            scores[self.active_block] = ppb + 1
+        best = min(scores)
+        return None if best > ppb else scores.index(best)
 
     def ftl_internal_gc(self) -> int:
         """Reclaim erase blocks until the free pool reaches the trigger level.
@@ -125,6 +120,8 @@ class PageMappedFtl:
             return 0
         self.gc_runs += 1
         ppb = self.config.pages_per_block
+        ps = self.config.page_size
+        media = self.media
         migrated = 0
         while self.free_block_count < self.config.gc_trigger_free_blocks:
             victim = self._select_victim()
@@ -132,22 +129,22 @@ class PageMappedFtl:
                 break  # nothing reclaimable: every candidate is fully valid
             base = victim * ppb
             for ppage in range(base, base + ppb):
-                lpage = self.reverse.get(ppage)
-                if lpage is None:
+                lpage = self.reverse[ppage]
+                if lpage < 0:
                     continue
-                data = self.page_data[ppage]
                 self.valid_counts[victim] -= 1
-                del self.reverse[ppage]
-                del self.page_data[ppage]
+                self.reverse[ppage] = -1
                 new_ppage = self._alloc_page()
+                dst = new_ppage * ps
+                media[dst:dst + ps] = media[ppage * ps:(ppage + 1) * ps]
                 self.mapping[lpage] = new_ppage
                 self.reverse[new_ppage] = lpage
-                self.page_data[new_ppage] = data
                 self.valid_counts[new_ppage // ppb] += 1
-                self.nand_bytes_written += self.config.page_size
-                self.migrated_bytes += self.config.page_size
+                self.nand_bytes_written += ps
+                self.migrated_bytes += ps
                 migrated += 1
             self.erase_count += 1
+            self.is_free[victim] = True
             heapq.heappush(self.free_blocks, victim)
         return migrated
 
@@ -159,20 +156,35 @@ class PageMappedFtl:
             raise errors.Misaligned("writes must be page-aligned in address and length")
         if logical_address < 0 or logical_address + len(payload) > self.config.exported_bytes:
             raise errors.OutOfRange("write outside exported capacity")
-        if len(payload) == 0:
-            return
-        first = logical_address // ps
         ppb = self.config.pages_per_block
         view = memoryview(payload)
-        for i in range(len(payload) // ps):
+        first = lpage = logical_address // ps
+        end = first + len(payload) // ps
+        while lpage < end:
             # GC fires only when a fresh erase block is about to be taken;
             # checking per page instead would evict victims mid-drain and
             # inflate WA even for strictly sequential overwrites
             if (self.active_block is None or self.active_fill == ppb) \
                     and self.free_block_count < self.config.gc_trigger_free_blocks:
                 self.ftl_internal_gc()
-            self._place(first + i, bytes(view[i * ps:(i + 1) * ps]))
-            self.host_bytes_written += ps
+            if self.active_block is None or self.active_fill == ppb:
+                self._take_active()  # GC may have left room in the active block
+            run = min(end - lpage, ppb - self.active_fill)
+            ppage = self.active_block * ppb + self.active_fill
+            self.active_fill += run
+            src = (lpage - first) * ps
+            self.media[ppage * ps:(ppage + run) * ps] = view[src:src + run * ps]
+            # invalidate after allocating so GC never migrates the stale copy
+            for old in self.mapping[lpage:lpage + run]:
+                if old >= 0:
+                    self.valid_counts[old // ppb] -= 1
+                    self.reverse[old] = -1
+            self.mapping[lpage:lpage + run] = array("q", range(ppage, ppage + run))
+            self.reverse[ppage:ppage + run] = array("q", range(lpage, lpage + run))
+            self.valid_counts[self.active_block] += run
+            self.nand_bytes_written += run * ps
+            self.host_bytes_written += run * ps
+            lpage += run
 
     def ftl_read(self, logical_address: int, length: int) -> bytes:
         ps = self.config.page_size
@@ -181,18 +193,15 @@ class PageMappedFtl:
             raise errors.OutOfRange("read outside exported capacity")
         if length == 0:
             return b""
-        out = bytearray()
-        pos = logical_address
-        remaining = length
-        while remaining > 0:
-            lpage = pos // ps
-            ppage = self.mapping.get(lpage)
-            if ppage is None:
-                raise errors.Unmapped(f"logical page {lpage} never written")
-            lo = pos % ps
-            take = min(remaining, ps - lo)
-            out += self.page_data[ppage][lo:lo + take]
-            pos += take
-            remaining -= take
+        first = logical_address // ps
+        ppages = self.mapping[first:(logical_address + length - 1) // ps + 1]
+        if -1 in ppages:
+            raise errors.Unmapped(
+                f"logical page {first + ppages.index(-1)} never written")
+        lo = logical_address % ps
         self.read_bytes += length
-        return bytes(out)
+        start = ppages[0]
+        if ppages == array("q", range(start, start + len(ppages))):
+            return bytes(self.media[start * ps + lo:start * ps + lo + length])
+        gathered = b"".join([self.media[p * ps:(p + 1) * ps] for p in ppages])
+        return gathered[lo:lo + length]

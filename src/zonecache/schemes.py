@@ -169,6 +169,8 @@ class _FtlRegionStore:
         self.cache_region_bytes = 0
 
     def write_region(self, vaddr, payload):
+        """The FTL copies the payload into its media, so the caller may
+        reuse its buffer."""
         self.ftl.ftl_write(vaddr, payload)
         self.cache_region_bytes += len(payload)
         return vaddr

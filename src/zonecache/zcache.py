@@ -208,8 +208,8 @@ class RegionCache:
     def _flush(self):
         rid = self._buffered
         region = self.regions[rid]
-        data = bytes(self._buffer)  # fixed-width write, tail padding included
-        self.store.write_region(self.vaddr(rid), data)
+        # fixed-width write, tail padding included; the store copies it
+        self.store.write_region(self.vaddr(rid), self._buffer)
         region.set_status(RegionStatus.FLUSHED)
         self.main.push_head(rid)
         self._rebalance()
@@ -310,7 +310,7 @@ class RegionCache:
             return DropVerb.SKIP
         if self.store.zone_of(region_virtual_address) != victim_zone_id:
             return DropVerb.SKIP  # stale copy; current data lives elsewhere
-        if rid in self.vop or self.config.vop_ratio == 1.0:
+        if rid in self.vop:
             self._teardown(rid, invalidate=False)
             self.stats_counters.dropped_region_count += 1
             return DropVerb.DROP

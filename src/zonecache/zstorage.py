@@ -106,6 +106,8 @@ class ZoneStore:
         self.max_write_zones = max_write_zones
 
         self.zone_count = device.config.zone_count
+        self.gc_trigger_zones = watermark_zones(self.gc_config.w_low, self.zone_count)
+        self.gc_stop_zones = watermark_zones(self.gc_config.w_high, self.zone_count)
         self.empty_zones = list(range(self.zone_count))  # heap, lowest id first
         heapq.heapify(self.empty_zones)
         self.write_zones = []        # rotation order
@@ -122,14 +124,6 @@ class ZoneStore:
         self.gc_log = []             # (empty count at entry, empty count at exit)
 
     # -- zone group bookkeeping ------------------------------------------------
-
-    @property
-    def gc_trigger_zones(self) -> int:
-        return watermark_zones(self.gc_config.w_low, self.zone_count)
-
-    @property
-    def gc_stop_zones(self) -> int:
-        return watermark_zones(self.gc_config.w_high, self.zone_count)
 
     def gc_needed(self) -> bool:
         return len(self.empty_zones) < self.gc_trigger_zones
@@ -188,6 +182,8 @@ class ZoneStore:
         return paddr // self.device.config.zone_capacity
 
     def write_region(self, virtual_address: int, payload) -> int:
+        """Append one region and map it. The device copies the payload, so
+        the caller may reuse its buffer."""
         if len(payload) != self.region_size:
             raise errors.SizeMismatch(
                 f"payload is {len(payload)} bytes, region size is {self.region_size}")

@@ -37,23 +37,33 @@ def make_script(seed, ops=400, keys=30, get_ratio=0.5, size_max=16 * KIB):
     return script
 
 
-def drive(engine, script):
-    """Runs the script with cache-fill on miss; returns the hit sequence.
+def step(engine, is_get, key, size):
+    """One scripted op with cache-fill on miss; returns the hit flag of a
+    get and None for a set.
 
     Every hit must return exactly the bytes last inserted for its key, so
     a store that maps or copies pages wrongly fails here, not only on the
     hit/miss sequence. A key always has one size within a script.
     """
-    hits = []
-    for is_get, key, size in script:
-        if is_get:
-            data = engine.lookup(key)
-            hits.append(data is not None)
-            if data is None:
-                engine.insert(key, value_bytes(key, size))
-            else:
-                assert data == value_bytes(key, size), f"corrupt hit on {key}"
-        else:
+    hit = None
+    if is_get:
+        data = engine.lookup(key)
+        hit = data is not None
+        if data is None:
             engine.insert(key, value_bytes(key, size))
-        engine.tick_gc()
+        else:
+            assert data == value_bytes(key, size), f"corrupt hit on {key}"
+    else:
+        engine.insert(key, value_bytes(key, size))
+    engine.tick_gc()
+    return hit
+
+
+def drive(engine, script):
+    """Runs the script through `step`; returns the hit sequence."""
+    hits = []
+    for op in script:
+        hit = step(engine, *op)
+        if hit is not None:
+            hits.append(hit)
     return hits

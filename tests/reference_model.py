@@ -11,6 +11,15 @@ import bisect
 import math
 
 
+class ModelError(Exception):
+    """The model cannot go on; `kind` names the engine error expected at
+    the same op (the class name in `zonecache.errors`)."""
+
+    def __init__(self, kind):
+        super().__init__(kind)
+        self.kind = kind
+
+
 # --- zoned backend -------------------------------------------------------------
 
 class ZoneModel:
@@ -48,7 +57,7 @@ class ZoneModel:
                and len(self.write) < self.max_w):
             self.write.append(self.empty.pop(0))
         if not self.write:
-            raise RuntimeError("model: no writable zone")
+            raise ModelError("NoWritableZone")
         idx = self.rr % len(self.write)
         self.rr = idx + 1
         return self.write[idx]
@@ -107,7 +116,13 @@ class ZoneModel:
         if not self.gc_needed():
             return
         entry = len(self.empty)
+        # victims since the empty count last reached a new high, bounded
+        limit = max(self.zones, self.zone_cap // self.region) + 1
+        best = entry
+        stagnant = 0
         while len(self.empty) < self.stop:
+            if not self.read:
+                raise ModelError("GcStalled")
             victim = min(self.read, key=lambda z: (self.valid[z], z))
             for paddr, vaddr in list(self.rev[victim]):
                 verb = decide(vaddr, victim)
@@ -128,6 +143,13 @@ class ZoneModel:
             self.resets += 1
             self.read.discard(victim)
             bisect.insort(self.empty, victim)
+            if len(self.empty) > best:
+                best = len(self.empty)
+                stagnant = 0
+            else:
+                stagnant += 1
+            if stagnant > limit:
+                raise ModelError("GcStalled")
         self.gc_cycles += 1
         self.gc_log.append((entry, len(self.empty)))
 
@@ -167,6 +189,8 @@ class FtlModel:
 
     def _alloc(self):
         if self.active is None or self.filled == self.ppb:
+            if not self.free:
+                raise ModelError("DeviceBusy")
             self.active = self.free.pop(0)
             self.filled = 0
         ppage = self.active * self.ppb + self.filled
@@ -377,7 +401,7 @@ class CacheModel:
         elif self.vop:
             rid = self.vop[-1]
         else:
-            raise RuntimeError("model: nothing to evict")
+            raise ModelError("NothingToEvict")
         self._teardown(rid, invalidate=True)
         self.evicted += 1
 
@@ -521,7 +545,8 @@ def engine_snapshot(engine, name):
     }
     if name.startswith("reg"):
         ftl = engine.ftl
-        snap.update({"page_map": dict(ftl.mapping),
+        snap.update({"page_map": {lpage: ppage for lpage, ppage
+                                  in enumerate(ftl.mapping) if ppage >= 0},
                      "free_blocks": sorted(ftl.free_blocks)})
     else:
         store = engine.store

@@ -3,15 +3,19 @@
 Hypothesis draws a scheme, a small geometry and an op script; the engine
 built by `build` and the brute-force `SchemeModel` replay the same script
 and must agree on the hit sequence and on every field of the observable
-state (`engine_snapshot` vs `model.snapshot()`). Examples are derandomised,
-so a run is reproducible and needs no example database.
+state (`engine_snapshot` vs `model.snapshot()`). When the engine fails at
+run time (GC stall, no writable zone, no free erase block) the model must
+fail at the same op with the matching error, after the same hits.
+Geometries that `build` rejects are skipped: the model does not validate
+its configuration. Examples are derandomised, so a run is reproducible
+and needs no example database.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import KIB, drive, make_script, tiny_spec
-from reference_model import SchemeModel, engine_snapshot
+from helpers import KIB, make_script, step, tiny_spec
+from reference_model import ModelError, SchemeModel, engine_snapshot
 from zonecache import build, errors
 from zonecache.schemes import SCHEME_NAMES
 
@@ -55,6 +59,20 @@ def cases(draw):
     return name, spec, model, script
 
 
+def replay(apply, script, error):
+    """Hits until the first `error`; returns (hits, failing op index or
+    None, the error)."""
+    hits = []
+    for index, op in enumerate(script):
+        try:
+            hit = apply(*op)
+        except error as exc:
+            return hits, index, exc
+        if hit is not None:
+            hits.append(hit)
+    return hits, None, None
+
+
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(case=cases())
 def test_engine_matches_reference_model(case):
@@ -62,12 +80,15 @@ def test_engine_matches_reference_model(case):
     script = make_script(**script_kwargs)
     try:
         engine = build(tiny_spec(name, **spec))
-        hits = drive(engine, script)
-    except errors.SimError:
-        # infeasible geometry (GC stall, no writable zone, FTL too small);
-        # the model has no stall bound and would loop forever on it
-        return
+    except (errors.IncompatibleSpec, errors.InvalidConfig):
+        return  # rejected geometry (FTL too small, erase blocks misfit)
+    hits, failed_at, exc = replay(
+        lambda *op: step(engine, *op), script, errors.SimError)
     model = SchemeModel(name, **model_kwargs)
-    assert hits == model.run(script)
-    real, want = engine_snapshot(engine, name), model.snapshot()
-    assert {key: real.get(key) for key in want} == want
+    want_hits, want_failed_at, want_exc = replay(model.apply, script, ModelError)
+    assert (failed_at, type(exc).__name__ if exc else None) \
+        == (want_failed_at, want_exc.kind if want_exc else None)
+    assert hits == want_hits
+    if failed_at is None:
+        real, want = engine_snapshot(engine, name), model.snapshot()
+        assert {key: real.get(key) for key in want} == want

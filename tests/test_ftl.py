@@ -130,7 +130,7 @@ def test_overwrite_remaps_to_new_physical_page():
     ftl.ftl_write(0, b"b" * PAGE)
     assert ftl.mapping[0] != first
     assert ftl.ftl_read(0, PAGE) == b"b" * PAGE
-    assert first not in ftl.reverse  # stale copy invalidated
+    assert ftl.reverse[first] == -1  # stale copy invalidated
 
 
 def test_write_alignment_and_range_checks():
@@ -154,6 +154,27 @@ def test_read_spans_pages_and_unaligned_offsets():
     assert ftl.ftl_read(0, 2 * PAGE) == payload
     assert ftl.ftl_read(1000, 5000) == payload[1000:6000]
     assert ftl.ftl_read(0, 0) == b""
+
+
+def test_read_gathers_physically_scattered_pages():
+    ftl = make_ftl()
+    extent = b"".join(bytes([tag]) * PAGE for tag in b"abc")
+    ftl.ftl_write(0, extent)
+    ftl.ftl_write(PAGE, b"B" * PAGE)           # middle page moves away
+    ppages = list(ftl.mapping[:3])
+    assert ppages[1] != ppages[0] + 1
+    want = b"a" * PAGE + b"B" * PAGE + b"c" * PAGE
+    assert ftl.ftl_read(0, 3 * PAGE) == want
+    assert ftl.ftl_read(100, 3 * PAGE - 200) == want[100:-100]
+
+
+def test_unmapped_names_first_unwritten_page():
+    ftl = make_ftl()
+    ftl.ftl_write(0, b"x" * 2 * PAGE)
+    ftl.ftl_write(3 * PAGE, b"y" * PAGE)
+    with pytest.raises(errors.Unmapped, match=r"logical page 2 never written"):
+        ftl.ftl_read(PAGE + 7, 4 * PAGE)
+    assert ftl.read_bytes == 0
 
 
 # --- greedy victim selection -------------------------------------------------------
@@ -226,6 +247,50 @@ def test_wa_identity_host_plus_migrated():
     lpns = [rng.randrange(pages) for _ in range(2 * pages)]
     ftl, _ = run_pattern(lpns)
     assert ftl.nand_bytes_written == ftl.host_bytes_written + ftl.migrated_bytes
+
+
+@pytest.mark.parametrize("seed,ppb", [(1, 4), (2, 8), (3, 16)])
+def test_multi_page_runs_match_oracle(seed, ppb):
+    # extents of 1 to 3 blocks at random page offsets cross block
+    # boundaries, and GC fires while a write is half placed
+    blocks = 24
+    ftl = make_ftl(ppb=ppb, blocks=blocks)
+    oracle = OracleFtl(ppb, blocks)
+    pages = ftl.config.exported_pages
+    rng = random.Random(seed)
+    shadow = {}
+    gc_mid_write = 0
+    for _ in range(12 * blocks):
+        count = rng.randint(1, 3 * ppb)
+        first = rng.randrange(pages - count + 1)
+        data = rng.randbytes(count * PAGE)
+        mid_block = ftl.active_block is not None and ftl.active_fill < ppb
+        runs_before = ftl.gc_runs
+        ftl.ftl_write(first * PAGE, data)
+        gc_mid_write += mid_block and ftl.gc_runs > runs_before
+        for i in range(count):
+            oracle.write(first + i)
+            shadow[first + i] = data[i * PAGE:(i + 1) * PAGE]
+    assert gc_mid_write > 0
+    assert ftl.host_bytes_written == oracle.host * PAGE
+    assert ftl.nand_bytes_written == oracle.nand * PAGE
+    assert ftl.migrated_bytes == oracle.migrated * PAGE
+    want_map = [-1] * pages
+    for lpn, (block, slot) in oracle.where.items():
+        want_map[lpn] = block * ppb + slot
+    assert list(ftl.mapping) == want_map
+    for lpn, ppage in enumerate(want_map):
+        if ppage >= 0:
+            assert ftl.reverse[ppage] == lpn
+    assert sum(1 for lpn in ftl.reverse if lpn >= 0) == len(shadow)
+    for lpn, data in shadow.items():
+        assert ftl.ftl_read(lpn * PAGE, PAGE) == data
+    for _ in range(50):
+        count = rng.randint(1, 3 * ppb)
+        first = rng.randrange(pages - count + 1)
+        if all(first + i in shadow for i in range(count)):
+            want = b"".join(shadow[first + i] for i in range(count))
+            assert ftl.ftl_read(first * PAGE + 5, count * PAGE - 9) == want[5:-4]
 
 
 # --- integrity and exhaustion ---------------------------------------------------------

@@ -12,10 +12,13 @@ Rewrite the files from the current code with:
 
     PYTHONPATH=src python tests/test_golden.py
 
+which prints each file's SHA-256 prefix beside its path.
+
 A change to any of them is a behaviour change and needs its reason in
 CHANGES.md.
 """
 
+import hashlib
 import os
 from dataclasses import replace
 
@@ -61,6 +64,7 @@ if __name__ == "__main__":
     os.makedirs(GOLDEN_DIR, exist_ok=True)
     for name, extra in CONFIGS:
         path = golden_path(name, extra)
+        text = render(name, extra)
         with open(path, "w", newline="") as fh:
-            fh.write(render(name, extra))
-        print(path)
+            fh.write(text)
+        print(hashlib.sha256(text.encode()).hexdigest()[:12], path)

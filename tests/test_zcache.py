@@ -299,16 +299,20 @@ def test_zdrop_migrates_main_region_when_ratio_below_one():
     assert cache.regions[rid].status is RegionStatus.FLUSHED
 
 
-def test_zdrop_ratio_one_drops_even_main_regions():
+def test_zdrop_ratio_one_drops_every_flushed_region():
+    # at ratio 1.0 a promotion into main is demoted straight back, so main
+    # stays empty and the vop membership test alone drops every region
     cache, store = make_cache(capacity=8, policy=Policy.ZLRU, vop_ratio=1.0,
                               reorder=False)
-    flush_regions(cache, 2)
-    rid = next(iter(cache.vop))
-    # force it into main to show the ratio-1.0 rule alone suffices
-    cache.vop.remove(rid)
-    cache.main.push_head(rid)
-    store.zone_script[cache.vaddr(rid)] = 3
-    assert cache.zdrop_filter(cache.vaddr(rid), 3) is DropVerb.DROP
+    keys = flush_regions(cache, 4)
+    for key in keys[:4]:
+        assert cache.lookup(key) is not None
+        assert len(cache.main) == 0
+    for rid in list(cache.vop):
+        store.zone_script[cache.vaddr(rid)] = 3
+        assert cache.zdrop_filter(cache.vaddr(rid), 3) is DropVerb.DROP
+    assert len(cache.vop) == 0
+    assert cache.stats().dropped_region_count == 4
 
 
 def test_zdrop_skips_stale_and_foreign_regions():
