@@ -299,6 +299,42 @@ def test_gc_stalls_when_every_victim_is_fully_valid():
         store.gc_cycle(migrate_all)
 
 
+def migrate_first_victims(store, n):
+    """A filter that migrates every region of the first n victims GC picks
+    and drops every region after that."""
+    victims = []
+    pick = store.select_victim
+
+    def counting_pick():
+        victims.append(pick())
+        return victims[-1]
+    store.select_victim = counting_pick
+
+    def decide(vaddr, zone):
+        return DropVerb.MIGRATE if len(victims) <= n else DropVerb.DROP
+    return decide
+
+
+@pytest.mark.parametrize("stagnant_victims, stalls", [(9, False), (10, True)])
+def test_gc_stall_bound_counts_stagnant_victims(stagnant_victims, stalls):
+    # migrating a fully valid victim frees no net zone; 8 zones of 2 regions
+    # allow max(8, 2) + 1 = 9 such victims, and GC recovers (each dropped
+    # victim frees a zone) only if dropping starts within that bound
+    dev, store = make_store()
+    vaddr = 0
+    while not store.gc_needed():
+        store.write_region(vaddr, payload(vaddr // store.region_size))
+        vaddr += store.region_size
+    decide = migrate_first_victims(store, stagnant_victims)
+    if stalls:
+        with pytest.raises(errors.GcStalled):
+            store.gc_cycle(decide)
+    else:
+        stats = store.gc_cycle(decide)
+        assert stats.migrated_regions == 2 * stagnant_victims
+        assert len(store.empty_zones) >= store.gc_stop_zones
+
+
 def test_gc_accounting_identity():
     dev, store = make_store()
     rng = random.Random(11)
