@@ -1,0 +1,45 @@
+"""The benchmark's span tracer (`perfbench/tracer.py`) patches the
+simulator by name: harness entry points, each layer's methods and the GC
+drop filter. A rename in `src/` that breaks `perfbench/run.py --trace 1`
+fails here instead, on a short run of every scheme.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from helpers import KIB, tiny_spec
+from zonecache import SCHEME_NAMES, harness
+from zonecache.harness import ExperimentConfig, render_csv
+from zonecache.workload import WorkloadSpec
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from tracer import Tracer, instrument  # noqa: E402
+
+
+def short_config(name):
+    workload = WorkloadSpec(name="t", get_ratio=0.5, key_space=30,
+                            op_count=600, seed=3, size_min=2 * KIB,
+                            size_max=16 * KIB)
+    return ExperimentConfig(scheme=tiny_spec(name), workload=workload,
+                            interval_ops=100, verify_hits=True)
+
+
+@pytest.mark.parametrize("name", SCHEME_NAMES)
+def test_traced_run_matches_untraced_run(name):
+    untraced = harness.run(short_config(name))
+    originals = (harness.build, harness.generate, harness.value_bytes)
+    tracer = Tracer()
+    instrument(harness, tracer)
+    try:
+        traced = harness.run(short_config(name))
+    finally:
+        tracer.restore()
+    assert (harness.build, harness.generate, harness.value_bytes) == originals
+    assert traced.corrupt_hits == 0
+    assert render_csv(traced) == render_csv(untraced)
+    layers = tracer.layer_metrics(1)
+    assert layers["zcache.lookup_calls"] > 0
+    if name == "zcachelib":
+        assert layers["zcache.drop_filter_calls"] > 0
