@@ -10,7 +10,7 @@ from .schemes import SCHEME_NAMES, SchemeSpec, build, wa_factor
 from .workload import (CacheOp, OpKind, WorkloadSpec, generate, preset_spec,
                        replay, value_bytes, write_trace)
 from .harness import (ExperimentConfig, MetricsReport, parse_config_file,
-                      parse_config_text, render_csv, run, simulate_time)
+                      parse_config_text, render_csv, run)
 
 __all__ = [
     "errors",
@@ -23,7 +23,7 @@ __all__ = [
     "CacheOp", "OpKind", "WorkloadSpec", "generate", "preset_spec",
     "replay", "value_bytes", "write_trace",
     "ExperimentConfig", "MetricsReport", "parse_config_file",
-    "parse_config_text", "render_csv", "run", "simulate_time",
+    "parse_config_text", "render_csv", "run",
 ]
 
 __version__ = "0.1.0"

@@ -244,18 +244,6 @@ def run(config: ExperimentConfig) -> MetricsReport:
     return report
 
 
-def simulate_time(engine, op_stream) -> float:
-    """Drive the ops through the engine charging the bandwidth budgets;
-    returns total simulated seconds."""
-    driver = _Driver(engine)
-    clock = _Clock(engine.write_bandwidth, engine.read_bandwidth)
-    for op in op_stream:
-        driver.step(op)
-    m = engine.metrics()
-    clock.advance(m.device_bytes_written, m.device_bytes_read)
-    return clock.seconds
-
-
 # --- config files -------------------------------------------------------------
 
 _SIZE_SUFFIXES = {"kib": 1024, "mib": 1024 ** 2, "gib": 1024 ** 3,
@@ -354,10 +342,7 @@ def config_from_values(values, base_dir=".") -> ExperimentConfig:
 
 
 def _workload_from_values(values, scheme: SchemeSpec) -> WorkloadSpec:
-    region = scheme.region_size
-    if region is None:
-        region = scheme.zone_capacity if scheme.name == "zns-direct" \
-            else 16 * 1024 * 1024
+    region = _schemes.default_region_size(scheme)
     sized = replace(scheme, region_size=region)
     cache_bytes = _schemes._capacity_regions(sized) * region
     preset = values.get("preset")

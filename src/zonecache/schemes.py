@@ -77,6 +77,14 @@ class EngineMetrics:
     gc_log: list = field(default_factory=list)
 
 
+def default_region_size(spec) -> int:
+    """Region size when the spec leaves it unset: the whole zone for
+    zns-direct, 16 MiB otherwise."""
+    if spec.region_size is not None:
+        return spec.region_size
+    return spec.zone_capacity if spec.name == "zns-direct" else 16 * MIB
+
+
 def _capacity_regions(spec) -> int:
     if spec.cache_capacity_regions is not None:
         return spec.cache_capacity_regions
@@ -91,7 +99,7 @@ def _capacity_regions(spec) -> int:
 class _ZnsEngine:
     """Common wiring for the three zoned schemes."""
 
-    def __init__(self, spec, drop_filter_kind):
+    def __init__(self, spec):
         device_cfg = DeviceConfig(spec.zone_count, spec.zone_capacity,
                                   spec.max_open_zones, spec.read_bandwidth,
                                   spec.write_bandwidth)
@@ -108,11 +116,11 @@ class _ZnsEngine:
             CacheConfig(_capacity_regions(spec), spec.region_size, vop,
                         policy, spec.reorder_enabled),
             self.store)
-        self.gc_free = drop_filter_kind == "none"
-        if drop_filter_kind == "cache":
+        self.gc_free = spec.name == "zns-direct"
+        if spec.name == "zcachelib":
             self._filter = self.cache.zdrop_filter
         else:
-            self._filter = lambda vaddr, zone: DropVerb.MIGRATE
+            self._filter = lambda vaddr: DropVerb.MIGRATE
 
     def insert(self, key, value):
         self.cache.insert(key, value)
@@ -252,20 +260,15 @@ def build(spec: SchemeSpec):
     if spec.name not in SCHEME_NAMES:
         raise errors.IncompatibleSpec(f"unknown scheme {spec.name!r}; "
                                       f"choose one of {', '.join(SCHEME_NAMES)}")
-    if spec.region_size is None:
-        default = spec.zone_capacity if spec.name == "zns-direct" else 16 * MIB
-        spec = replace(spec, region_size=default)
+    spec = replace(spec, region_size=default_region_size(spec))
     if spec.name == "zns-direct":
         if spec.region_size != spec.zone_capacity:
             raise errors.IncompatibleSpec(
                 "zns-direct requires region_size == zone_capacity")
         spec = replace(spec, min_write_zones=1)
-        return _ZnsEngine(spec, "none")
-    if spec.name == "zcachelib":
-        return _ZnsEngine(spec, "cache")
-    if spec.name in ("zns-middle-lru", "zns-middle-fifo"):
-        return _ZnsEngine(spec, "migrate")
-    return _RegEngine(spec)
+    if spec.name.startswith("reg-"):
+        return _RegEngine(spec)
+    return _ZnsEngine(spec)
 
 
 def wa_factor(engine) -> float:

@@ -251,11 +251,8 @@ class RegionCache:
         region = self.regions[rid]
         if region.status is RegionStatus.BUFFERED:
             data = bytes(self._buffer[offset:offset + size])
-        elif region.status is RegionStatus.FLUSHED:
+        else:  # teardown drops a region's keys, so the index holds no FREE one
             data = self.store.read_region(self.vaddr(rid), offset, size)
-        else:
-            self.stats_counters.miss_count += 1
-            return None
         self.stats_counters.hit_count += 1
         if self.config.policy is not Policy.FIFO \
                 and region.status is RegionStatus.FLUSHED:
@@ -295,21 +292,15 @@ class RegionCache:
         self.free_slots.append(rid)
         self._rebalance()
 
-    def zdrop_filter(self, region_virtual_address, victim_zone_id) -> DropVerb:
+    def zdrop_filter(self, region_virtual_address) -> DropVerb:
         """Bottom-up eviction decision for one region in a GC victim zone.
 
-        Skip regions already gone or remapped since the victim snapshot;
-        drop evictable ones in place (the store unmaps after we return);
-        migrate the rest.
+        The store asks only about regions mapped in the victim, and each
+        belongs to a FLUSHED cache region. Evictable (vop) regions are torn
+        down and dropped in place, and the store unmaps them after we
+        return; the rest migrate.
         """
         rid = region_virtual_address // self.config.region_size
-        if not 0 <= rid < len(self.regions):
-            return DropVerb.SKIP
-        region = self.regions[rid]
-        if region.status is not RegionStatus.FLUSHED:
-            return DropVerb.SKIP
-        if self.store.zone_of(region_virtual_address) != victim_zone_id:
-            return DropVerb.SKIP  # stale copy; current data lives elsewhere
         if rid in self.vop:
             self._teardown(rid, invalidate=False)
             self.stats_counters.dropped_region_count += 1

@@ -13,8 +13,10 @@ supplied drop filter, so the cache layer owns policy while this layer owns
 mechanism.
 
 Everything runs on one thread: the scheme calls GC between cache
-operations, so only the drop filter can change a victim's regions while
-it is cleaned, and no read overlaps a reset.
+operations, so no read overlaps a reset. Every region mapped in a victim
+belongs to a flushed cache region, lives in that victim, and stays mapped
+there until the drop filter answers; the filter only decides and never
+touches the map.
 """
 
 import heapq
@@ -31,7 +33,6 @@ MIB = 1024 * 1024
 class DropVerb(Enum):
     MIGRATE = "migrate"
     DROP = "drop"
-    SKIP = "skip"
 
 
 @dataclass
@@ -215,15 +216,14 @@ class ZoneStore:
     def select_victim(self) -> int:
         if not self.read_zones:
             raise errors.NoVictimAvailable("read zone group is empty")
-        cap = self.device.config.zone_capacity
-        return min(self.read_zones, key=lambda z: (self.valid_bytes[z] / cap, z))
+        return min(self.read_zones, key=lambda z: (self.valid_bytes[z], z))
 
     def gc_cycle(self, drop_filter) -> GcStats:
         """One watermark-bounded cleaning pass.
 
         For every valid region in each victim (in append order) the drop
-        filter answers Migrate, Drop, or Skip. The victim is then reset
-        and returned to the empty group. No-op unless the trigger watermark
+        filter answers Migrate or Drop. The victim is then reset and
+        returned to the empty group. No-op unless the trigger watermark
         has been crossed.
         """
         stats = GcStats()
@@ -262,23 +262,18 @@ class ZoneStore:
     def _clean_zone(self, victim, drop_filter, stats):
         snapshot = list(self.reverse[victim].items())  # append order
         for paddr, vaddr in snapshot:
-            verb = drop_filter(vaddr, victim)
+            verb = drop_filter(vaddr)
             if verb is DropVerb.MIGRATE:
                 payload = self.device.read(paddr, self.region_size)
                 new_paddr = self._append_region(payload)
-                if self.forward.get(vaddr) == paddr:
-                    self._unmap(vaddr)
-                    self._map(vaddr, new_paddr)
-                # else unmapped since the snapshot; the fresh copy is dead weight
+                self._unmap(vaddr)
+                self._map(vaddr, new_paddr)
                 self.migrated_bytes += self.region_size
                 stats.migrated_bytes += self.region_size
                 stats.migrated_regions += 1
             elif verb is DropVerb.DROP:
-                if self.forward.get(vaddr) == paddr:
-                    self._unmap(vaddr)
+                self._unmap(vaddr)
                 stats.dropped_regions += 1
-            elif verb is DropVerb.SKIP:
-                pass
             else:
                 raise errors.InvalidConfig(f"drop filter returned {verb!r}")
         if self.reverse[victim]:

@@ -7,9 +7,9 @@ from helpers import KIB, MIB, tiny_spec
 from zonecache import errors
 from zonecache.harness import (CSV_HEADER, ExperimentConfig, _Clock, _Driver,
                                parse_config_file, parse_config_text,
-                               parse_size, render_csv, run, simulate_time)
+                               parse_size, render_csv, run)
 from zonecache.schemes import build
-from zonecache.workload import WorkloadSpec, generate, value_bytes
+from zonecache.workload import WorkloadSpec
 
 STAGE_ORDER = {"filling": 0, "evicting": 1, "stable": 2}
 
@@ -39,12 +39,9 @@ def test_clock_read_channel_can_dominate():
 
 
 def test_simulate_time_matches_counter_arithmetic():
-    engine = build(tiny_spec("zns-middle-lru"))
-    ops = list(generate(WorkloadSpec(name="t", get_ratio=0.5, key_space=30,
-                                     op_count=400, seed=2, size_min=2 * KIB,
-                                     size_max=16 * KIB)))
-    seconds = simulate_time(engine, ops)
-    m = engine.metrics()
+    report = run(tiny_config(ops=400, seed=2))
+    seconds = report.summary.total_sim_seconds
+    m, engine = report.final_metrics, report.engine
     assert seconds >= m.device_bytes_written / engine.write_bandwidth
     assert seconds >= m.device_bytes_read / engine.read_bandwidth
     assert seconds > 0

@@ -280,8 +280,7 @@ def test_zdrop_drops_vop_region_in_victim_zone():
     flush_regions(cache, 4)
     rid = cache.vop.tail()
     key = f"r{rid}"
-    store.zone_script[cache.vaddr(rid)] = 9
-    verb = cache.zdrop_filter(cache.vaddr(rid), victim_zone_id=9)
+    verb = cache.zdrop_filter(cache.vaddr(rid))
     assert verb is DropVerb.DROP
     assert cache.lookup(key) is None                 # true eviction
     assert cache.regions[rid].status is RegionStatus.FREE
@@ -294,8 +293,7 @@ def test_zdrop_migrates_main_region_when_ratio_below_one():
                               reorder=False)
     flush_regions(cache, 4)
     rid = next(iter(cache.main))
-    store.zone_script[cache.vaddr(rid)] = 9
-    assert cache.zdrop_filter(cache.vaddr(rid), 9) is DropVerb.MIGRATE
+    assert cache.zdrop_filter(cache.vaddr(rid)) is DropVerb.MIGRATE
     assert cache.regions[rid].status is RegionStatus.FLUSHED
 
 
@@ -309,21 +307,9 @@ def test_zdrop_ratio_one_drops_every_flushed_region():
         assert cache.lookup(key) is not None
         assert len(cache.main) == 0
     for rid in list(cache.vop):
-        store.zone_script[cache.vaddr(rid)] = 3
-        assert cache.zdrop_filter(cache.vaddr(rid), 3) is DropVerb.DROP
+        assert cache.zdrop_filter(cache.vaddr(rid)) is DropVerb.DROP
     assert len(cache.vop) == 0
     assert cache.stats().dropped_region_count == 4
-
-
-def test_zdrop_skips_stale_and_foreign_regions():
-    cache, store = make_cache(capacity=8, vop_ratio=0.5, reorder=False)
-    flush_regions(cache, 2)
-    rid = cache.vop.tail()
-    store.zone_script[cache.vaddr(rid)] = 5
-    assert cache.zdrop_filter(cache.vaddr(rid), 6) is DropVerb.SKIP  # moved zone
-    assert cache.zdrop_filter(99 * RS, 6) is DropVerb.SKIP           # no such slot
-    free_rid = cache.free_slots[-1]
-    assert cache.zdrop_filter(cache.vaddr(free_rid), 6) is DropVerb.SKIP
 
 
 # --- structural invariants under churn -----------------------------------------------------------

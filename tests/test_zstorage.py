@@ -194,11 +194,11 @@ def test_store_exposes_trigger_and_stop_counts():
 
 # --- gc cycles ----------------------------------------------------------------------
 
-def migrate_all(vaddr, zone):
+def migrate_all(vaddr):
     return DropVerb.MIGRATE
 
 
-def drop_all(vaddr, zone):
+def drop_all(vaddr):
     return DropVerb.DROP
 
 
@@ -270,7 +270,7 @@ def test_gc_migration_keeps_victim_append_order():
     expected = list(store.reverse[victim].values())
     seen = []
 
-    def spy(vaddr, zone):
+    def spy(vaddr):
         seen.append(vaddr)
         return DropVerb.MIGRATE
 
@@ -310,7 +310,7 @@ def migrate_first_victims(store, n):
         return victims[-1]
     store.select_victim = counting_pick
 
-    def decide(vaddr, zone):
+    def decide(vaddr):
         return DropVerb.MIGRATE if len(victims) <= n else DropVerb.DROP
     return decide
 
