@@ -124,18 +124,16 @@ class ZoneModel:
             if not self.read:
                 raise ModelError("GcStalled")
             victim = min(self.read, key=lambda z: (self.valid[z], z))
-            for paddr, vaddr in list(self.rev[victim]):
-                verb = decide(vaddr, victim)
+            for _, vaddr in list(self.rev[victim]):
+                verb = decide(vaddr)
                 if verb == "migrate":
                     self.read_bytes += self.region
                     new_paddr = self._append()
-                    if self.fwd.get(vaddr) == paddr:
-                        self._unmap(vaddr)
-                        self._map(vaddr, new_paddr)
+                    self._unmap(vaddr)
+                    self._map(vaddr, new_paddr)
                     self.migrated_bytes += self.region
                 elif verb == "drop":
-                    if self.fwd.get(vaddr) == paddr:
-                        self._unmap(vaddr)
+                    self._unmap(vaddr)
                 else:
                     raise RuntimeError(f"model: unexpected verb {verb}")
             assert not self.rev[victim]
@@ -419,15 +417,9 @@ class CacheModel:
         self.free.append(rid)
         self._rebalance()
 
-    def zdrop(self, vaddr, victim_zone):
+    def zdrop(self, vaddr):
         rid = vaddr // self.region
-        if not 0 <= rid < self.capacity:
-            return "skip"
-        if self.status[rid] != "flushed":
-            return "skip"
-        if self.store.zone_of(vaddr) != victim_zone:
-            return "skip"
-        if rid in self.vop or self.vop_ratio == 1.0:
+        if rid in self.vop:
             self._teardown(rid, invalidate=False)
             self.dropped += 1
             return "drop"
@@ -483,7 +475,7 @@ class SchemeModel:
                 self.store.gc(self.cache.zdrop)
         elif self.kind == "migrate":
             if self.store.gc_needed():
-                self.store.gc(lambda v, z: "migrate")
+                self.store.gc(lambda v: "migrate")
         return hit
 
     def run(self, script):
