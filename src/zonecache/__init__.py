@@ -1,7 +1,7 @@
 """Deterministic simulator for cache layouts on zoned flash devices."""
 
 from . import errors
-from .zns import DeviceConfig, ZnsDevice, ZoneState, create_device
+from .zns import DeviceConfig, ZnsDevice, ZoneState
 from .ftl import FtlConfig, PageMappedFtl
 from .zstorage import (DropVerb, GcConfig, OpPlan, ZoneStore, compute_min_op,
                        watermark_zones)
@@ -14,7 +14,7 @@ from .harness import (ExperimentConfig, MetricsReport, parse_config_file,
 
 __all__ = [
     "errors",
-    "DeviceConfig", "ZnsDevice", "ZoneState", "create_device",
+    "DeviceConfig", "ZnsDevice", "ZoneState",
     "FtlConfig", "PageMappedFtl",
     "DropVerb", "GcConfig", "OpPlan", "ZoneStore", "compute_min_op",
     "watermark_zones",

@@ -13,7 +13,7 @@ import sys
 from dataclasses import replace
 
 from . import errors
-from .harness import parse_config_file, render_csv, run
+from .harness import _SCHEME_KEYS, parse_config_file, render_csv, run
 from .workload import PRESET_GET_RATIOS, generate, preset_spec, write_trace
 from .zstorage import compute_min_op
 
@@ -69,17 +69,12 @@ def _cmd_run(args) -> int:
 
 
 def _sweep_apply(config, param, value):
-    if param == "op_ratio":
-        scheme = replace(config.scheme, op_ratio=float(value))
-    elif param == "vop_ratio":
-        scheme = replace(config.scheme, vop_ratio=float(value))
-    elif param == "region_size":
-        scheme = replace(config.scheme, region_size=int(value))
-    elif param == "cache_zones":
-        scheme = replace(config.scheme, zone_count=int(value))
-    else:
-        raise errors.ConfigError(f"unknown sweep parameter {param!r}")
-    return replace(config, scheme=scheme)
+    field = "zone_count" if param == "cache_zones" else param
+    try:
+        parsed = _SCHEME_KEYS[field](value)
+    except ValueError as e:
+        raise errors.ConfigError(f"bad value for {param}: {e}")
+    return replace(config, scheme=replace(config.scheme, **{field: parsed}))
 
 
 def _cmd_sweep(args) -> int:
@@ -87,11 +82,10 @@ def _cmd_sweep(args) -> int:
     raw_values = [v for v in (s.strip() for s in args.values.split(",")) if v]
     if not raw_values:
         raise errors.ConfigError("--values must list at least one value")
-    for value in raw_values:
-        point = _sweep_apply(base, args.param, value)
+    points = [_sweep_apply(base, args.param, value) for value in raw_values]
+    for value, point in zip(raw_values, points):
         out = f"{args.out_prefix}_{args.param}_{value}.csv"
-        point = replace(point, output_path=out)
-        run(point)
+        run(replace(point, output_path=out))
         print(f"wrote {out}")
     return 0
 

@@ -342,9 +342,11 @@ def config_from_values(values, base_dir=".") -> ExperimentConfig:
 
 
 def _workload_from_values(values, scheme: SchemeSpec) -> WorkloadSpec:
-    region = _schemes.default_region_size(scheme)
-    sized = replace(scheme, region_size=region)
-    cache_bytes = _schemes._capacity_regions(sized) * region
+    try:
+        cache_bytes = (_schemes._capacity_regions(scheme)
+                       * _schemes.default_region_size(scheme))
+    except errors.IncompatibleSpec as e:
+        raise errors.ConfigError(str(e))
     preset = values.get("preset")
     if preset is not None:
         spec = preset_spec(preset, cache_bytes,

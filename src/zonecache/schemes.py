@@ -86,47 +86,76 @@ def default_region_size(spec) -> int:
 
 
 def _capacity_regions(spec) -> int:
+    region = default_region_size(spec)
+    if region < 1:
+        raise errors.IncompatibleSpec("region_size must be >= 1")
+    if spec.op_ratio < 0:
+        raise errors.IncompatibleSpec("op_ratio must be >= 0")
     if spec.cache_capacity_regions is not None:
         return spec.cache_capacity_regions
     device_bytes = spec.zone_count * spec.zone_capacity
     usable = int(device_bytes / (1.0 + spec.op_ratio))
-    count = usable // spec.region_size
+    count = usable // region
     if count < 1:
         raise errors.IncompatibleSpec("device too small for one region of cache")
     return count
 
 
-class _ZnsEngine:
-    """Common wiring for the three zoned schemes."""
+class _Engine:
+    """One region cache over a backend store, plus the bandwidths the
+    harness clock charges. Subclasses build the backend and report its
+    counters."""
 
-    def __init__(self, spec):
-        device_cfg = DeviceConfig(spec.zone_count, spec.zone_capacity,
-                                  spec.max_open_zones, spec.read_bandwidth,
-                                  spec.write_bandwidth)
+    def __init__(self, spec, store, cache_config):
         self.read_bandwidth = spec.read_bandwidth
         self.write_bandwidth = spec.write_bandwidth
-        self.device = ZnsDevice(device_cfg)
-        self.store = ZoneStore(self.device, spec.region_size,
-                               GcConfig(spec.w_low, spec.w_high),
-                               min_write_zones=spec.min_write_zones,
-                               max_write_zones=spec.max_write_zones)
-        policy = _POLICY[spec.name]
-        vop = spec.vop_ratio if policy is Policy.ZLRU else 0.0
-        self.cache = RegionCache(
-            CacheConfig(_capacity_regions(spec), spec.region_size, vop,
-                        policy, spec.reorder_enabled),
-            self.store)
-        self.gc_free = spec.name == "zns-direct"
-        if spec.name == "zcachelib":
-            self._filter = self.cache.zdrop_filter
-        else:
-            self._filter = lambda vaddr: DropVerb.MIGRATE
+        self.store = store
+        self.cache = RegionCache(cache_config, store)
 
     def insert(self, key, value):
         self.cache.insert(key, value)
 
     def lookup(self, key):
         return self.cache.lookup(key)
+
+    # cheap progress probe for the harness stage tracker; the reg schemes
+    # never drop, so evicted + dropped serves every scheme
+    @property
+    def eviction_events(self) -> int:
+        c = self.cache.stats_counters
+        return c.evicted_region_count + c.dropped_region_count
+
+    def metrics(self) -> EngineMetrics:
+        c = self.cache.stats()
+        return EngineMetrics(
+            hits=c.hit_count, misses=c.miss_count,
+            inserted_bytes=c.inserted_bytes,
+            cache_bytes_written=self.store.cache_region_bytes,
+            evicted_regions=c.evicted_region_count,
+            dropped_regions=c.dropped_region_count,
+            **self._backend_metrics())
+
+
+class _ZnsEngine(_Engine):
+    """Common wiring for the three zoned schemes."""
+
+    def __init__(self, spec):
+        self.device = ZnsDevice(DeviceConfig(spec.zone_count, spec.zone_capacity,
+                                             spec.max_open_zones))
+        store = ZoneStore(self.device, spec.region_size,
+                          GcConfig(spec.w_low, spec.w_high),
+                          min_write_zones=spec.min_write_zones,
+                          max_write_zones=spec.max_write_zones)
+        policy = _POLICY[spec.name]
+        vop = spec.vop_ratio if policy is Policy.ZLRU else 0.0
+        super().__init__(spec, store, CacheConfig(
+            _capacity_regions(spec), spec.region_size, vop, policy,
+            spec.reorder_enabled))
+        self.gc_free = spec.name == "zns-direct"
+        if spec.name == "zcachelib":
+            self._filter = self.cache.zdrop_filter
+        else:
+            self._filter = lambda vaddr: DropVerb.MIGRATE
 
     def tick_gc(self):
         if self.gc_free:
@@ -136,32 +165,20 @@ class _ZnsEngine:
         elif self.store.gc_needed():
             self.store.gc_cycle(self._filter)
 
-    # cheap progress probes for the harness stage tracker
-    @property
-    def eviction_events(self) -> int:
-        return self.cache.stats_counters.evicted_region_count \
-            + self.cache.stats_counters.dropped_region_count
-
     @property
     def gc_events(self) -> int:
         if self.gc_free:
             return self.device.counters.total_resets
         return self.store.gc_cycles
 
-    def metrics(self) -> EngineMetrics:
+    def _backend_metrics(self) -> dict:
         counters = self.device.counters
-        c = self.cache.stats()
-        return EngineMetrics(
-            hits=c.hit_count, misses=c.miss_count,
-            inserted_bytes=c.inserted_bytes,
-            cache_bytes_written=self.store.cache_region_bytes,
+        return dict(
             device_bytes_written=counters.total_appended_bytes,
             device_bytes_read=counters.total_read_bytes,
             gc_migrated_bytes=self.store.migrated_bytes,
             gc_cycles=self.store.gc_cycles,
             empty_zones=len(self.store.empty_zones),
-            evicted_regions=c.evicted_region_count,
-            dropped_regions=c.dropped_region_count,
             zone_resets=counters.total_resets,
             gc_log=list(self.store.gc_log))
 
@@ -195,10 +212,8 @@ class _FtlRegionStore:
         return None
 
 
-class _RegEngine:
+class _RegEngine(_Engine):
     def __init__(self, spec):
-        self.read_bandwidth = spec.read_bandwidth
-        self.write_bandwidth = spec.write_bandwidth
         block_bytes = spec.page_size * spec.pages_per_block
         device_bytes = spec.zone_count * spec.zone_capacity
         if device_bytes % block_bytes != 0:
@@ -216,42 +231,24 @@ class _RegEngine:
         if capacity * spec.region_size > self.ftl.config.exported_bytes:
             raise errors.IncompatibleSpec(
                 "cache regions exceed the FTL's exported capacity")
-        self.store = _FtlRegionStore(self.ftl, spec.region_size)
-        self.cache = RegionCache(
-            CacheConfig(capacity, spec.region_size, 0.0, _POLICY[spec.name],
-                        reorder_enabled=False),
-            self.store)
-
-    def insert(self, key, value):
-        self.cache.insert(key, value)
-
-    def lookup(self, key):
-        return self.cache.lookup(key)
+        super().__init__(spec, _FtlRegionStore(self.ftl, spec.region_size),
+                         CacheConfig(capacity, spec.region_size, 0.0,
+                                     _POLICY[spec.name], reorder_enabled=False))
 
     def tick_gc(self):
         pass  # internal GC is inline in the FTL write path
 
     @property
-    def eviction_events(self) -> int:
-        return self.cache.stats_counters.evicted_region_count
-
-    @property
     def gc_events(self) -> int:
         return self.ftl.gc_runs
 
-    def metrics(self) -> EngineMetrics:
-        c = self.cache.stats()
-        return EngineMetrics(
-            hits=c.hit_count, misses=c.miss_count,
-            inserted_bytes=c.inserted_bytes,
-            cache_bytes_written=self.store.cache_region_bytes,
+    def _backend_metrics(self) -> dict:
+        return dict(
             device_bytes_written=self.ftl.nand_bytes_written,
             device_bytes_read=self.ftl.read_bytes + self.ftl.migrated_bytes,
             gc_migrated_bytes=self.ftl.migrated_bytes,
             gc_cycles=self.ftl.gc_runs,
             empty_zones=self.ftl.free_block_count,
-            evicted_regions=c.evicted_region_count,
-            dropped_regions=c.dropped_region_count,
             zone_resets=self.ftl.erase_count)
 
 
@@ -260,6 +257,8 @@ def build(spec: SchemeSpec):
     if spec.name not in SCHEME_NAMES:
         raise errors.IncompatibleSpec(f"unknown scheme {spec.name!r}; "
                                       f"choose one of {', '.join(SCHEME_NAMES)}")
+    if spec.read_bandwidth < 1 or spec.write_bandwidth < 1:
+        raise errors.InvalidConfig("bandwidths must be >= 1")
     spec = replace(spec, region_size=default_region_size(spec))
     if spec.name == "zns-direct":
         if spec.region_size != spec.zone_capacity:

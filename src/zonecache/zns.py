@@ -29,9 +29,6 @@ class DeviceConfig:
     zone_count: int = 64
     zone_capacity: int = 64 * MIB
     max_open_zones: int = 14
-    # bandwidths feed the harness timing model only (bytes per simulated second)
-    read_bandwidth: int = 3000 * MIB
-    write_bandwidth: int = 1000 * MIB
 
     def validate(self):
         if self.zone_count < 1:
@@ -42,8 +39,6 @@ class DeviceConfig:
             raise errors.InvalidConfig("zone_capacity must be a multiple of 4096")
         if not (1 <= self.max_open_zones <= self.zone_count):
             raise errors.InvalidConfig("max_open_zones must be in [1, zone_count]")
-        if self.read_bandwidth < 1 or self.write_bandwidth < 1:
-            raise errors.InvalidConfig("bandwidths must be >= 1")
 
 
 @dataclass
@@ -158,20 +153,10 @@ class ZnsDevice:
         if offset + length <= start + len(chunk):
             lo = offset - start
             return chunk[lo:lo + length]
-        # assemble across chunk boundaries (appends smaller than the read)
-        out = bytearray()
-        remaining = length
-        pos = offset
-        while remaining > 0:
-            start = zone.chunk_starts[i]
-            chunk = zone.chunks[i]
-            lo = pos - start
-            take = min(remaining, len(chunk) - lo)
-            out += chunk[lo:lo + take]
-            pos += take
-            remaining -= take
-            i += 1
-        return bytes(out)
+        # the range spans appends smaller than the read: join them, then cut
+        end = bisect.bisect_left(zone.chunk_starts, offset + length)
+        lo = offset - start
+        return b"".join(zone.chunks[i:end])[lo:lo + length]
 
     def reset(self, zone_id: int):
         """Wipe the zone and return it to EMPTY."""
@@ -195,7 +180,3 @@ class ZnsDevice:
             self.counters.total_resets,
             self.counters.open_zone_count)
         return snaps, counters
-
-
-def create_device(config: DeviceConfig) -> ZnsDevice:
-    return ZnsDevice(config)

@@ -66,6 +66,16 @@ def test_bad_config_exits_3(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old,new", [
+    ("region_size = 16kib\n", "region_size = 0\n"),
+    ("seed = 3\n", "seed = 3\nop_ratio = -1\n"),
+], ids=["region_size_0", "op_ratio_negative"])
+def test_bad_cache_sizing_exits_3(conf, capsys, old, new):
+    conf.write_text(TINY_CONF.replace(old, new))
+    assert main(["run", "--config", str(conf)]) == 3
+    assert "config error" in capsys.readouterr().err
+
+
 def test_usage_error_exits_2(capsys):
     assert main([]) == 2
     assert main(["run"]) == 2  # --config is required
@@ -127,3 +137,23 @@ def test_sweep_rejects_unknown_param(conf, capsys):
 def test_sweep_rejects_empty_values(conf, capsys):
     assert main(["sweep", "--config", str(conf), "--param", "vop_ratio",
                  "--values", ","]) == 3
+
+
+def test_sweep_values_take_size_suffixes(conf, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    conf.write_text(TINY_CONF.replace("zone_capacity = 32kib",
+                                      "zone_capacity = 2mib"))
+    assert main(["sweep", "--config", str(conf), "--param", "region_size",
+                 "--values", "1MiB"]) == 0
+    path = tmp_path / "sweep_region_size_1MiB.csv"
+    assert path.read_text().startswith(CSV_HEADER)
+
+
+def test_sweep_rejects_unparsable_value(conf, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", "--config", str(conf), "--param", "op_ratio",
+                 "--values", "0.1,abc"]) == 3
+    err = capsys.readouterr().err
+    assert "bad value for op_ratio" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("*.csv"))  # every value parsed before a run

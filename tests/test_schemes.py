@@ -34,6 +34,15 @@ def test_reg_geometry_checks():
         build(tiny_spec("reg-lru", cache_capacity_regions=100))  # over exported
 
 
+@pytest.mark.parametrize("name", ["zcachelib", "reg-lru"])
+def test_build_rejects_bandwidth_below_one(name):
+    # the harness clock divides by both bandwidths, whatever the backend
+    with pytest.raises(errors.InvalidConfig):
+        build(tiny_spec(name, write_bandwidth=0))
+    with pytest.raises(errors.InvalidConfig):
+        build(tiny_spec(name, read_bandwidth=0))
+
+
 def test_region_size_defaults():
     mid = build(SchemeSpec(name="zns-middle-lru"))
     assert mid.store.region_size == 16 * MIB

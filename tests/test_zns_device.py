@@ -31,8 +31,6 @@ def small_device(zone_count=4, zone_capacity=64 * KIB, max_open=None):
     dict(zone_capacity=4097),          # not page aligned
     dict(max_open_zones=0),
     dict(max_open_zones=65),           # above zone_count=64 default
-    dict(read_bandwidth=0),
-    dict(write_bandwidth=0),
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(errors.InvalidConfig):
