@@ -13,7 +13,8 @@ import sys
 from dataclasses import replace
 
 from . import errors
-from .harness import _SCHEME_KEYS, parse_config_file, render_csv, run
+from .harness import (_SCHEME_KEYS, check_scheme, parse_config_file,
+                      render_csv, run)
 from .workload import PRESET_GET_RATIOS, generate, preset_spec, write_trace
 from .zstorage import compute_min_op
 
@@ -74,7 +75,9 @@ def _sweep_apply(config, param, value):
         parsed = _SCHEME_KEYS[field](value)
     except ValueError as e:
         raise errors.ConfigError(f"bad value for {param}: {e}")
-    return replace(config, scheme=replace(config.scheme, **{field: parsed}))
+    scheme = replace(config.scheme, **{field: parsed})
+    check_scheme(scheme)
+    return replace(config, scheme=scheme)
 
 
 def _cmd_sweep(args) -> int:

@@ -18,9 +18,9 @@ import os
 from dataclasses import dataclass, field, replace
 
 from . import errors
-from .schemes import SchemeSpec, build, SCHEME_NAMES
-from .workload import (CacheOp, OpKind, WorkloadSpec, generate, key_size,
-                       preset_spec, replay, value_bytes, PRESET_GET_RATIOS)
+from .schemes import SchemeSpec, build, check_spec
+from .workload import (CacheOp, OpKind, WorkloadSpec, generate, preset_spec,
+                       replay, value_bytes)
 from . import schemes as _schemes
 
 CSV_HEADER = ("interval,ops,hits,misses,hit_ratio,cache_bytes,device_bytes,"
@@ -124,35 +124,24 @@ class _Clock:
 class _Driver:
     """Pushes one op stream through an engine, interval by interval."""
 
-    def __init__(self, engine, workload_spec=None, verify_hits=False):
+    def __init__(self, engine, verify_hits=False):
         self.engine = engine
-        self.workload_spec = workload_spec
         self.verify_hits = verify_hits
         self.stage = "filling"
         self.first_eviction_op = None
         self.first_gc_op = None
         self.corrupt_hits = 0
         self.op_index = 0
-        self._sizes = {}   # sizes seen in trace sets / memoized spec sizes
-
-    def _size_of(self, key):
-        size = self._sizes.get(key)
-        if size is None and self.workload_spec is not None:
-            size = key_size(self.workload_spec, key)
-            self._sizes[key] = size
-        return size
 
     def _apply(self, op: CacheOp):
         engine = self.engine
         if op.kind is OpKind.SET:
-            self._sizes[op.key] = op.size
             engine.insert(op.key, value_bytes(op.key, op.size))
         else:
             data = engine.lookup(op.key)
             if data is None:
-                size = self._size_of(op.key)
-                if size is not None:  # cache-fill after a miss
-                    engine.insert(op.key, value_bytes(op.key, size))
+                if op.size is not None:  # cache-fill after a miss
+                    engine.insert(op.key, value_bytes(op.key, op.size))
             elif self.verify_hits and data != value_bytes(op.key, len(data)):
                 self.corrupt_hits += 1
 
@@ -181,7 +170,7 @@ def run(config: ExperimentConfig) -> MetricsReport:
         ops = replay(config.trace_path)
     else:
         ops = generate(config.workload)
-    driver = _Driver(engine, config.workload, config.verify_hits)
+    driver = _Driver(engine, config.verify_hits)
     clock = _Clock(engine.write_bandwidth, engine.read_bandwidth)
 
     rows = []
@@ -312,13 +301,10 @@ def parse_config_text(text, base_dir=".") -> ExperimentConfig:
 def config_from_values(values, base_dir=".") -> ExperimentConfig:
     if "scheme" not in values:
         raise errors.ConfigError("missing required key: scheme")
-    if values["scheme"] not in SCHEME_NAMES:
-        raise errors.ConfigError(
-            f"unknown scheme {values['scheme']!r}; "
-            f"choose one of {', '.join(SCHEME_NAMES)}")
     spec_kwargs = {k: v for k, v in values.items() if k in _SCHEME_KEYS}
     spec_kwargs["name"] = spec_kwargs.pop("scheme")
     scheme = SchemeSpec(**spec_kwargs)
+    resolved = check_scheme(scheme)
 
     trace = values.get("trace")
     workload = None
@@ -332,7 +318,7 @@ def config_from_values(values, base_dir=".") -> ExperimentConfig:
         if not os.path.exists(trace):
             raise errors.ConfigError(f"trace file not found: {trace}")
     else:
-        workload = _workload_from_values(values, scheme)
+        workload = _workload_from_values(values, resolved)
 
     return ExperimentConfig(
         scheme=scheme, workload=workload, trace_path=trace,
@@ -341,12 +327,18 @@ def config_from_values(values, base_dir=".") -> ExperimentConfig:
         output_path=values.get("output"))
 
 
-def _workload_from_values(values, scheme: SchemeSpec) -> WorkloadSpec:
+def check_scheme(scheme: SchemeSpec) -> SchemeSpec:
+    """`schemes.check_spec`, failing with a ConfigError: a spec that
+    `build` would reject is caught while the config loads."""
     try:
-        cache_bytes = (_schemes._capacity_regions(scheme)
-                       * _schemes.default_region_size(scheme))
-    except errors.IncompatibleSpec as e:
+        return check_spec(scheme)
+    except (errors.IncompatibleSpec, errors.InvalidConfig) as e:
         raise errors.ConfigError(str(e))
+
+
+def _workload_from_values(values, scheme: SchemeSpec) -> WorkloadSpec:
+    """`scheme` is checked, with its defaults filled in."""
+    cache_bytes = _schemes._capacity_regions(scheme) * scheme.region_size
     preset = values.get("preset")
     if preset is not None:
         spec = preset_spec(preset, cache_bytes,

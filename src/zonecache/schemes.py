@@ -152,18 +152,26 @@ class _ZnsEngine(_Engine):
             _capacity_regions(spec), spec.region_size, vop, policy,
             spec.reorder_enabled))
         self.gc_free = spec.name == "zns-direct"
+        self._checked_flushes = 0
         if spec.name == "zcachelib":
             self._filter = self.cache.zdrop_filter
         else:
             self._filter = lambda vaddr: DropVerb.MIGRATE
 
     def tick_gc(self):
+        # only an append takes an empty zone, and between flushes nothing
+        # appends: a cycle ends above the trigger, and zns-direct evicts
+        # in the op that flushes, so no decision can change until one
+        flushed = self.cache.flushed_count
+        if flushed == self._checked_flushes:
+            return
         if self.gc_free:
             # whole-zone regions go invalid on eviction; reclaim by reset only
             if not self.store.empty_zones:
                 self.store.reclaim_invalid_read_zones()
         elif self.store.gc_needed():
             self.store.gc_cycle(self._filter)
+        self._checked_flushes = flushed  # a check that raised runs again
 
     @property
     def gc_events(self) -> int:
@@ -192,10 +200,14 @@ class _FtlRegionStore:
         self.ftl = ftl
         self.region_size = region_size
         self.cache_region_bytes = 0
+        self._buffer = bytearray(region_size)
+
+    def region_buffer(self):
+        """The FTL copies every write into its media, so the cache fills
+        the same buffer for every region."""
+        return self._buffer
 
     def write_region(self, vaddr, payload):
-        """The FTL copies the payload into its media, so the caller may
-        reuse its buffer."""
         self.ftl.ftl_write(vaddr, payload)
         self.cache_region_bytes += len(payload)
         return vaddr
@@ -212,27 +224,21 @@ class _FtlRegionStore:
         return None
 
 
+def _ftl_config(spec) -> FtlConfig:
+    device_bytes = spec.zone_count * spec.zone_capacity
+    return FtlConfig(
+        pages_per_block=spec.pages_per_block,
+        block_count=device_bytes // (spec.page_size * spec.pages_per_block),
+        page_size=spec.page_size,
+        internal_op_ratio=spec.op_ratio,
+        gc_trigger_free_blocks=spec.gc_trigger_free_blocks)
+
+
 class _RegEngine(_Engine):
     def __init__(self, spec):
-        block_bytes = spec.page_size * spec.pages_per_block
-        device_bytes = spec.zone_count * spec.zone_capacity
-        if device_bytes % block_bytes != 0:
-            raise errors.IncompatibleSpec(
-                "device size must be a whole number of erase blocks")
-        if spec.region_size % spec.page_size != 0:
-            raise errors.IncompatibleSpec("region size must be page-aligned")
-        self.ftl = PageMappedFtl(FtlConfig(
-            pages_per_block=spec.pages_per_block,
-            block_count=device_bytes // block_bytes,
-            page_size=spec.page_size,
-            internal_op_ratio=spec.op_ratio,
-            gc_trigger_free_blocks=spec.gc_trigger_free_blocks))
-        capacity = _capacity_regions(spec)
-        if capacity * spec.region_size > self.ftl.config.exported_bytes:
-            raise errors.IncompatibleSpec(
-                "cache regions exceed the FTL's exported capacity")
+        self.ftl = PageMappedFtl(_ftl_config(spec))
         super().__init__(spec, _FtlRegionStore(self.ftl, spec.region_size),
-                         CacheConfig(capacity, spec.region_size, 0.0,
+                         CacheConfig(_capacity_regions(spec), spec.region_size, 0.0,
                                      _POLICY[spec.name], reorder_enabled=False))
 
     def tick_gc(self):
@@ -252,19 +258,40 @@ class _RegEngine(_Engine):
             zone_resets=self.ftl.erase_count)
 
 
-def build(spec: SchemeSpec):
-    """Wire a fully configured engine for one scheme."""
+def check_spec(spec: SchemeSpec) -> SchemeSpec:
+    """Every check `build` makes of a spec before it builds anything.
+    Returns the spec with the scheme's defaults filled in; raises
+    IncompatibleSpec or InvalidConfig."""
     if spec.name not in SCHEME_NAMES:
         raise errors.IncompatibleSpec(f"unknown scheme {spec.name!r}; "
                                       f"choose one of {', '.join(SCHEME_NAMES)}")
     if spec.read_bandwidth < 1 or spec.write_bandwidth < 1:
         raise errors.InvalidConfig("bandwidths must be >= 1")
     spec = replace(spec, region_size=default_region_size(spec))
+    capacity = _capacity_regions(spec)
     if spec.name == "zns-direct":
         if spec.region_size != spec.zone_capacity:
             raise errors.IncompatibleSpec(
                 "zns-direct requires region_size == zone_capacity")
         spec = replace(spec, min_write_zones=1)
+    if spec.name.startswith("reg-"):
+        if spec.page_size < 1 or spec.pages_per_block < 1:
+            raise errors.InvalidConfig("page/block geometry must be >= 1")
+        block_bytes = spec.page_size * spec.pages_per_block
+        if spec.zone_count * spec.zone_capacity % block_bytes != 0:
+            raise errors.IncompatibleSpec(
+                "device size must be a whole number of erase blocks")
+        if spec.region_size % spec.page_size != 0:
+            raise errors.IncompatibleSpec("region size must be page-aligned")
+        if capacity * spec.region_size > _ftl_config(spec).exported_bytes:
+            raise errors.IncompatibleSpec(
+                "cache regions exceed the FTL's exported capacity")
+    return spec
+
+
+def build(spec: SchemeSpec):
+    """Wire a fully configured engine for one scheme."""
+    spec = check_spec(spec)
     if spec.name.startswith("reg-"):
         return _RegEngine(spec)
     return _ZnsEngine(spec)

@@ -24,11 +24,13 @@ class OpKind(Enum):
     SET = "set"
 
 
-@dataclass
+@dataclass(slots=True)
 class CacheOp:
     kind: OpKind
     key: str
-    size: int = 0  # Set only
+    # a Set's value size; for a Get, the size to fill on a miss, or None
+    # when the key's size is unknown and a miss fills nothing
+    size: int = None
 
 
 @dataclass
@@ -122,27 +124,30 @@ class ZipfSampler:
 
 
 def generate(spec: WorkloadSpec):
-    """Deterministic op stream for the spec. Get misses are turned into
-    fill Sets by the harness, not here."""
+    """Deterministic op stream for the spec. Every op carries its key's
+    size; the harness turns Get misses into fills, not this."""
     spec.validate()
     rng = random.Random(spec.seed)
     sampler = ZipfSampler(spec.key_space, spec.zipf_alpha)
+    sizes = {}  # key_size memo: it is a pure function of the key
     for _ in range(spec.op_count):
-        is_get = rng.random() < spec.get_ratio
+        kind = OpKind.GET if rng.random() < spec.get_ratio else OpKind.SET
         key = f"k{sampler.sample(rng.random())}"
-        if is_get:
-            yield CacheOp(OpKind.GET, key)
-        else:
-            yield CacheOp(OpKind.SET, key, key_size(spec, key))
+        size = sizes.get(key)
+        if size is None:
+            size = sizes[key] = key_size(spec, key)
+        yield CacheOp(kind, key, size)
 
 
 def replay(path):
     """Parse a trace file into CacheOps.
 
     One op per line: `set <key> <size_bytes>` or `get <key>`; `#` starts a
-    comment line. Raises ParseError naming the offending line.
+    comment line. A get carries the size of its key's latest earlier set,
+    or None if there was none. Raises ParseError naming the offending line.
     """
     ops = []
+    sizes = {}
     with open(path) as fh:
         for number, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -150,7 +155,7 @@ def replay(path):
                 continue
             fields = line.split(" ")
             if fields[0] == "get" and len(fields) == 2:
-                ops.append(CacheOp(OpKind.GET, fields[1]))
+                ops.append(CacheOp(OpKind.GET, fields[1], sizes.get(fields[1])))
             elif fields[0] == "set" and len(fields) == 3:
                 try:
                     size = int(fields[2])
@@ -160,6 +165,7 @@ def replay(path):
                 if size < 0:
                     raise errors.ParseError(
                         f"line {number}: negative size", number)
+                sizes[fields[1]] = size
                 ops.append(CacheOp(OpKind.SET, fields[1], size))
             else:
                 raise errors.ParseError(

@@ -143,7 +143,7 @@ class RegionCache:
         self.main = RecencyList()
         self.vop = RecencyList()
         self.index = {}  # key -> (region id, offset, size)
-        self._buffer = bytearray(config.region_size)
+        self._buffer = None  # taken from the store for each buffered region
         self._buffered = None  # region id currently accepting items
         self.stats_counters = CacheStats()
         self.flushed_count = 0
@@ -203,13 +203,16 @@ class RegionCache:
         region.set_status(RegionStatus.BUFFERED)
         region.fill = 0
         region.keys = {}
+        self._buffer = self.store.region_buffer()
         self._buffered = rid
 
     def _flush(self):
         rid = self._buffered
         region = self.regions[rid]
-        # fixed-width write, tail padding included; the store copies it
+        # fixed-width write, tail padding included; the store may keep the
+        # buffer, so the next region is filled in a new one
         self.store.write_region(self.vaddr(rid), self._buffer)
+        self._buffer = None
         region.set_status(RegionStatus.FLUSHED)
         self.main.push_head(rid)
         self._rebalance()

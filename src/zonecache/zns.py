@@ -4,11 +4,21 @@ Zones are append-only: each zone accepts writes only at its write pointer
 and is cleaned as a whole by reset. Payloads are stored byte-faithfully so
 read-back and migration tests can compare actual buffers, not just sizes.
 
+The device owns the buffers that hold its data. It lends out writable
+buffers (`lend_buffer`); appending a lent buffer whole hands it back
+without a copy, and its borrower must not write to it again. Any other
+payload is copied into a buffer the device owns. `copy` moves data between
+zones inside the device, like NVMe ZNS Simple Copy: a whole appended
+buffer is shared by reference, not copied. A reset returns the zone's
+buffers to a free list, keyed by length, once no zone holds them any more;
+lending and copying draw from that list before mapping a new buffer.
+
 Like every layer above it, the device is driven from one thread: each
 operation completes before the next starts, so none locks or retries.
 """
 
 import bisect
+import mmap
 from dataclasses import dataclass
 from enum import Enum
 
@@ -16,6 +26,8 @@ from . import errors
 
 MIB = 1024 * 1024
 PAGE = 4096
+# fault a new buffer in with one call rather than one trap per page
+_MAP_FLAGS = mmap.MAP_PRIVATE | getattr(mmap, "MAP_POPULATE", 0)
 
 
 class ZoneState(Enum):
@@ -66,7 +78,7 @@ class _Zone:
         self.state = ZoneState.EMPTY
         self.write_pointer = 0
         self.reset_count = 0
-        # appended payloads kept as-is; chunk_starts[i] is the zone offset of chunks[i]
+        # buffers in append order; chunk_starts[i] is the zone offset of chunks[i]
         self.chunks = []
         self.chunk_starts = []
 
@@ -79,6 +91,9 @@ class ZnsDevice:
         self.config = config
         self._zones = [_Zone(i) for i in range(config.zone_count)]
         self.counters = DeviceCounters()
+        self._free = {}     # length -> buffers no zone holds
+        self._lent = {}     # id -> buffer lent out and not yet appended
+        self._holders = {}  # id(buffer) -> zone chunks holding it
 
     # -- helpers -----------------------------------------------------------
 
@@ -93,40 +108,58 @@ class ZnsDevice:
     def write_pointer(self, zone_id) -> int:
         return self._zone(zone_id).write_pointer
 
-    # -- operations --------------------------------------------------------
+    # -- buffers -----------------------------------------------------------
 
-    def append(self, zone_id: int, payload) -> int:
-        """Append payload at the zone's write pointer; returns the device-global
-        physical address (zone_id * zone_capacity + previous write pointer)."""
+    def _take(self, length):
+        pool = self._free.get(length)
+        if pool:
+            return pool.pop()
+        return mmap.mmap(-1, length, flags=_MAP_FLAGS)
+
+    def lend_buffer(self, length: int):
+        """A writable buffer of `length` bytes. Appending it whole gives it
+        to the device without a copy; after that its borrower must not
+        write to it."""
+        buf = self._take(length)
+        self._lent[id(buf)] = buf
+        return buf
+
+    def _admit(self, zone_id, length) -> _Zone:
+        """Check that `length` bytes fit at the zone's write pointer; a
+        non-empty write opens an empty zone implicitly."""
         cap = self.config.zone_capacity
         zone = self._zone(zone_id)
         if zone.state is ZoneState.FULL:
             raise errors.ZoneNotWritable(f"zone {zone_id} is full")
-        if zone.write_pointer + len(payload) > cap:
+        if zone.write_pointer + length > cap:
             raise errors.ZoneFull(
-                f"zone {zone_id}: {len(payload)} bytes exceed remaining "
+                f"zone {zone_id}: {length} bytes exceed remaining "
                 f"{cap - zone.write_pointer}")
-        if len(payload) == 0:
-            return zone_id * cap + zone.write_pointer
-        if zone.state is ZoneState.EMPTY:
-            # first append opens the zone implicitly
+        if length and zone.state is ZoneState.EMPTY:
             if self.counters.open_zone_count >= self.config.max_open_zones:
                 raise errors.MaxOpenZonesExceeded(
                     f"opening zone {zone_id} would exceed "
                     f"{self.config.max_open_zones} open zones")
             zone.state = ZoneState.OPEN
             self.counters.open_zone_count += 1
-        addr = zone_id * cap + zone.write_pointer
+        return zone
+
+    def _hold(self, zone, buf) -> int:
+        """Place `buf` at the zone's write pointer; returns its address."""
+        cap = self.config.zone_capacity
+        addr = zone.id * cap + zone.write_pointer
         zone.chunk_starts.append(zone.write_pointer)
-        zone.chunks.append(bytes(payload))
-        zone.write_pointer += len(payload)
-        self.counters.total_appended_bytes += len(payload)
+        zone.chunks.append(buf)
+        self._holders[id(buf)] = self._holders.get(id(buf), 0) + 1
+        zone.write_pointer += len(buf)
+        self.counters.total_appended_bytes += len(buf)
         if zone.write_pointer == cap:
             zone.state = ZoneState.FULL
             self.counters.open_zone_count -= 1
         return addr
 
-    def read(self, physical_address: int, length: int) -> bytes:
+    def _locate(self, physical_address, length):
+        """The zone and zone offset of a readable range."""
         cap = self.config.zone_capacity
         if physical_address < 0 or length < 0:
             raise errors.OutOfRange("negative address or length")
@@ -140,6 +173,41 @@ class ZnsDevice:
             raise errors.ReadBeyondWritePointer(
                 f"zone {zone_id}: read up to {offset + length} but write "
                 f"pointer is {zone.write_pointer}")
+        return zone, offset
+
+    # -- operations --------------------------------------------------------
+
+    def append(self, zone_id: int, payload) -> int:
+        """Append payload at the zone's write pointer; returns the device-global
+        physical address (zone_id * zone_capacity + previous write pointer)."""
+        zone = self._admit(zone_id, len(payload))
+        if len(payload) == 0:
+            return zone_id * self.config.zone_capacity + zone.write_pointer
+        buf = self._lent.pop(id(payload), None)
+        if buf is None:
+            buf = self._take(len(payload))
+            buf[:] = payload
+        return self._hold(zone, buf)
+
+    def copy(self, src_paddr: int, length: int, zone_id: int) -> int:
+        """Copy a range to the zone's write pointer inside the device;
+        returns the destination address. Traffic is charged as a read of
+        the range plus an append of it. A range that is one whole appended
+        buffer is shared, not copied."""
+        src, offset = self._locate(src_paddr, length)
+        zone = self._admit(zone_id, length)
+        self.counters.total_read_bytes += length
+        if length == 0:
+            return zone_id * self.config.zone_capacity + zone.write_pointer
+        i = bisect.bisect_right(src.chunk_starts, offset) - 1
+        buf = src.chunks[i]
+        if src.chunk_starts[i] != offset or len(buf) != length:
+            buf = self._take(length)
+            buf[:] = self._slice(src, offset, length)
+        return self._hold(zone, buf)
+
+    def read(self, physical_address: int, length: int) -> bytes:
+        zone, offset = self._locate(physical_address, length)
         self.counters.total_read_bytes += length
         if length == 0:
             return b""
@@ -159,10 +227,17 @@ class ZnsDevice:
         return b"".join(zone.chunks[i:end])[lo:lo + length]
 
     def reset(self, zone_id: int):
-        """Wipe the zone and return it to EMPTY."""
+        """Wipe the zone and return it to EMPTY. Each of its buffers goes
+        back to the free list once no other zone holds it."""
         zone = self._zone(zone_id)
         if zone.state is ZoneState.OPEN:
             self.counters.open_zone_count -= 1
+        for buf in zone.chunks:
+            held = self._holders.pop(id(buf)) - 1
+            if held:
+                self._holders[id(buf)] = held
+            else:
+                self._free.setdefault(len(buf), []).append(buf)
         zone.state = ZoneState.EMPTY
         zone.write_pointer = 0
         zone.chunks = []

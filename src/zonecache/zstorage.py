@@ -156,9 +156,10 @@ class ZoneStore:
                 self._rr -= 1
             self.read_zones.add(zone_id)
 
-    def _append_region(self, payload) -> int:
+    def _place(self, write) -> int:
+        """Run `write(zone_id)` on the next write zone; returns its address."""
         zone_id = self._pick_write_zone()
-        paddr = self.device.append(zone_id, payload)
+        paddr = write(zone_id)
         self._retire_if_full(zone_id)
         return paddr
 
@@ -182,15 +183,22 @@ class ZoneStore:
             return None
         return paddr // self.device.config.zone_capacity
 
+    def region_buffer(self):
+        """A device buffer to fill with the next region. Writing it with
+        `write_region` hands it to the device without a copy, so the caller
+        must take a new buffer for the region after."""
+        return self.device.lend_buffer(self.region_size)
+
     def write_region(self, virtual_address: int, payload) -> int:
-        """Append one region and map it. The device copies the payload, so
-        the caller may reuse its buffer."""
+        """Append one region and map it. A buffer from `region_buffer`
+        becomes the device's; any other payload is copied."""
         if len(payload) != self.region_size:
             raise errors.SizeMismatch(
                 f"payload is {len(payload)} bytes, region size is {self.region_size}")
         if virtual_address % self.region_size != 0:
             raise errors.Misaligned("virtual address must be region-aligned")
-        paddr = self._append_region(payload)  # data lands before metadata
+        # data lands before metadata
+        paddr = self._place(lambda zone: self.device.append(zone, payload))
         if virtual_address in self.forward:
             self._unmap(virtual_address)
         self._map(virtual_address, paddr)
@@ -264,8 +272,8 @@ class ZoneStore:
         for paddr, vaddr in snapshot:
             verb = drop_filter(vaddr)
             if verb is DropVerb.MIGRATE:
-                payload = self.device.read(paddr, self.region_size)
-                new_paddr = self._append_region(payload)
+                new_paddr = self._place(
+                    lambda zone: self.device.copy(paddr, self.region_size, zone))
                 self._unmap(vaddr)
                 self._map(vaddr, new_paddr)
                 self.migrated_bytes += self.region_size

@@ -212,6 +212,9 @@ class _RamStore:
         self.region_size = region_size
         self.data = {}
 
+    def region_buffer(self):
+        return bytearray(self.region_size)
+
     def write_region(self, vaddr, payload):
         self.data[vaddr] = bytes(payload)
         return vaddr

@@ -76,6 +76,29 @@ def test_bad_cache_sizing_exits_3(conf, capsys, old, new):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old,new", [
+    ("seed = 3\n", "seed = 3\nwrite_bandwidth = 0\n"),
+    ("scheme = zns-middle-lru\n", "scheme = zns-direct\n"),
+], ids=["write_bandwidth_0", "zns_direct_region_not_zone"])
+def test_spec_build_rejects_exits_3(conf, capsys, old, new):
+    # TINY_CONF's 16 KiB regions on 32 KiB zones do not suit zns-direct
+    conf.write_text(TINY_CONF.replace(old, new))
+    assert main(["run", "--config", str(conf)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error")
+
+
+def test_sweep_rejects_value_build_rejects(conf, tmp_path, capsys):
+    prefix = tmp_path / "sw"
+    conf.write_text(TINY_CONF.replace("scheme = zns-middle-lru\n",
+                                      "scheme = zns-direct\n")
+                    .replace("region_size = 16kib\n", ""))
+    assert main(["sweep", "--config", str(conf), "--param", "region_size",
+                 "--values", "32kib,16kib", "--out-prefix", str(prefix)]) == 3
+    assert "zns-direct requires" in capsys.readouterr().err
+    assert list(tmp_path.glob("sw_*")) == []
+
+
 def test_usage_error_exits_2(capsys):
     assert main([]) == 2
     assert main(["run"]) == 2  # --config is required

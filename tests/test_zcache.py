@@ -22,6 +22,9 @@ class FakeStore:
         self.zone_script = zone_script or {}
         self.write_calls = []
 
+    def region_buffer(self):
+        return bytearray(RS)
+
     def write_region(self, vaddr, payload):
         self.data[vaddr] = bytes(payload)
         self.write_calls.append((vaddr, len(payload)))

@@ -179,6 +179,127 @@ def test_reset_open_zone_releases_open_slot():
     dev.append(1, b"b")  # would raise if the slot leaked
 
 
+# --- buffer ownership -------------------------------------------------------------
+
+def lent(dev, tag, size):
+    buf = dev.lend_buffer(size)
+    buf[:] = bytes([tag % 256]) * size
+    return buf
+
+
+def test_append_copies_a_payload_it_did_not_lend():
+    dev = small_device()
+    payload = bytearray(b"a" * 4096)
+    addr = dev.append(0, payload)
+    payload[:] = b"b" * 4096
+    assert dev.read(addr, 4096) == b"a" * 4096
+
+
+def test_reset_recycles_an_adopted_buffer():
+    dev = small_device()
+    buf = lent(dev, 1, 4096)
+    dev.append(0, buf)
+    assert dev.lend_buffer(4096) is not buf  # zone 0 still holds it
+    dev.reset(0)
+    assert dev.lend_buffer(4096) is buf
+
+
+def test_reset_keeps_a_buffer_another_zone_holds():
+    dev = small_device()
+    buf = lent(dev, 1, 4096)
+    src = dev.append(0, buf)
+    dst = dev.copy(src, 4096, 1)
+    dev.reset(0)
+    fresh = dev.lend_buffer(4096)
+    assert fresh is not buf
+    fresh[:] = b"\xff" * 4096
+    dev.append(2, fresh)
+    assert dev.read(dst, 4096) == bytes([1]) * 4096
+    dev.reset(1)
+    assert dev.lend_buffer(4096) is buf
+
+
+def test_copy_charges_a_read_and_an_append_of_its_length():
+    dev = small_device()
+    src = dev.append(0, lent(dev, 1, 8 * KIB))
+    dev.copy(src + 1000, 3000, 1)
+    dev.copy(src, 8 * KIB, 2)
+    _, c = dev.report()
+    assert c.total_read_bytes == 3000 + 8 * KIB
+    assert c.total_appended_bytes == 8 * KIB + 3000 + 8 * KIB
+
+
+def test_copy_of_part_of_an_append_or_across_appends():
+    dev = small_device()
+    base = dev.append(0, b"a" * 4096)
+    dev.append(0, b"b" * 4096)
+    inner = dev.copy(base + 100, 200, 1)
+    across = dev.copy(base + 4000, 200, 1)
+    assert dev.read(inner, 200) == b"a" * 200
+    assert dev.read(across, 200) == b"a" * 96 + b"b" * 104
+    assert dev.write_pointer(1) == 400
+
+
+def test_failed_copy_changes_nothing():
+    dev = small_device(zone_capacity=8 * KIB)
+    src = dev.append(0, b"x" * 4096)
+    dev.append(1, b"y" * 8 * KIB)
+    with pytest.raises(errors.ReadBeyondWritePointer):
+        dev.copy(src, 4097, 2)
+    with pytest.raises(errors.ZoneNotWritable):
+        dev.copy(src, 4096, 1)
+    assert dev.zone_state(2) is ZoneState.EMPTY
+    _, c = dev.report()
+    assert c.total_read_bytes == 0
+    assert c.total_appended_bytes == 4096 + 8 * KIB
+
+
+def test_migrated_regions_survive_reuse_of_every_freed_buffer():
+    # each round moves some of the full zone's regions to an empty zone by
+    # reference, resets the victim, then borrows and overwrites every
+    # buffer the reset freed; a buffer the destination still holds must not
+    # be among them, so every live region must still match its shadow copy
+    size, per_zone, zones = 4 * KIB, 4, 4
+    dev = small_device(zone_count=zones, zone_capacity=per_zone * size)
+    seen = []            # every buffer the device has lent
+    shadow = {}          # physical address -> bytes
+    tag = 0
+
+    def borrow():
+        buf = dev.lend_buffer(size)
+        fresh = not any(buf is old for old in seen)
+        if fresh:
+            seen.append(buf)
+        return buf, fresh
+
+    def fill(zone):
+        nonlocal tag
+        while dev.zone_state(zone) is not ZoneState.FULL:
+            tag += 1
+            buf, _ = borrow()
+            buf[:] = bytes([tag % 256]) * size
+            shadow[dev.append(zone, buf)] = bytes(buf)
+
+    fill(0)
+    for round_ in range(8):
+        victim, dest = round_ % zones, (round_ + 1) % zones
+        keep = 1 + round_ % per_zone
+        live = sorted(a for a in shadow if a // (per_zone * size) == victim)
+        for i, addr in enumerate(live):
+            data = shadow.pop(addr)
+            if i < keep:
+                shadow[dev.copy(addr, size, dest)] = data
+        dev.reset(victim)
+        while True:  # take the free list dry, scribbling over each buffer
+            buf, fresh = borrow()
+            buf[:] = b"\xee" * size
+            if fresh:
+                break
+        fill(dest)
+        for addr, data in shadow.items():
+            assert dev.read(addr, size) == data, f"round {round_}"
+
+
 # --- counters -------------------------------------------------------------------
 
 def test_counters_accumulate():

@@ -11,6 +11,7 @@ import pytest
 
 from zonecache import (DeviceConfig, DropVerb, GcConfig, ZnsDevice, ZoneStore,
                        compute_min_op, errors, watermark_zones)
+from zonecache.zcache import CacheConfig, Policy, RegionCache
 
 KIB = 1024
 MIB = 1024 * KIB
@@ -348,6 +349,49 @@ def test_gc_accounting_identity():
         store.cache_region_bytes + store.migrated_bytes
 
 
+def test_gc_migration_shares_buffers_that_stay_intact_after_reuse():
+    # regions are written in device buffers, and GC moves them by
+    # reference; taking every freed buffer back out and overwriting it must
+    # leave every live region as written, and the device charges each move
+    # as a read plus an append of the region
+    dev, store = make_store()
+    seen = []
+    shadow = {}
+    rng = random.Random(5)
+
+    def borrow():
+        buf = store.region_buffer()
+        fresh = not any(buf is old for old in seen)
+        if fresh:
+            seen.append(buf)
+        return buf, fresh
+
+    vaddrs = [i * store.region_size for i in range(6)]
+    checked = 0          # bytes the shadow checks read
+    for step in range(120):
+        addr = rng.choice(vaddrs)
+        buf, _ = borrow()
+        buf[:] = payload(step)
+        shadow[addr] = bytes(buf)
+        store.write_region(addr, buf)
+        if store.gc_needed():
+            stats = store.gc_cycle(migrate_all)
+            assert stats.migrated_regions > 0
+            while True:
+                buf, fresh = borrow()
+                buf[:] = b"\xee" * store.region_size
+                if fresh:
+                    break
+            _, counters = dev.report()
+            assert counters.total_read_bytes == store.migrated_bytes + checked
+            assert counters.total_appended_bytes == \
+                store.cache_region_bytes + store.migrated_bytes
+            for vaddr, data in shadow.items():
+                assert store.read_region(vaddr) == data
+                checked += store.region_size
+    assert store.gc_cycles > 0
+
+
 def test_reclaim_invalid_read_zones_only_touches_dead_zones():
     dev, store = make_store(min_write=1, max_write=1)
     kept = fill_read_zones(store, [(0, 0), (1, 1), (2, 0)])
@@ -357,6 +401,23 @@ def test_reclaim_invalid_read_zones_only_touches_dead_zones():
     assert 0 in empty and 2 in empty
     assert read == {1}
     assert store.read_region(kept[1][0]) == payload(kept[1][0] // (32 * KIB))
+
+
+def test_cache_buffer_written_after_flush_leaves_device_unchanged():
+    # the flushed buffer becomes the device's and the cache fills a new
+    # one, so writing into the cache's buffer cannot reach flushed data
+    dev, store = make_store()
+    cache = RegionCache(CacheConfig(cache_capacity_regions=4,
+                                    region_size=store.region_size,
+                                    policy=Policy.LRU), store)
+    for i in range(3):
+        cache.insert(f"k{i}", payload(i, 20 * KIB))
+    assert cache.flushed_count == 2
+    flushed = {v: store.read_region(v) for v in store.forward}
+    cache._buffer[:] = b"\xee" * store.region_size
+    assert {v: store.read_region(v) for v in store.forward} == flushed
+    assert cache.lookup("k0") == payload(0, 20 * KIB)
+    assert cache.lookup("k1") == payload(1, 20 * KIB)
 
 
 # --- map consistency under random interleavings ----------------------------------------
