@@ -517,6 +517,17 @@ class SchemeModel:
         return snap
 
 
+def _status(cache, rid):
+    """A region's status, read from where the engine holds its id."""
+    if rid == cache._buffered:
+        return "buffered"
+    if rid in cache.main or rid in cache.vop:
+        return "flushed"
+    if rid in cache.free_slots:
+        return "free"
+    return "lost"
+
+
 def engine_snapshot(engine, name):
     """The same observable state, extracted from a real engine."""
     m = engine.metrics()
@@ -527,7 +538,8 @@ def engine_snapshot(engine, name):
         "flushes": cache.flushed_count,
         "index": dict(cache.index), "main": list(cache.main),
         "vop": list(cache.vop),
-        "status": [r.status.value for r in cache.regions],
+        "status": [_status(cache, rid)
+                   for rid in range(cache.config.cache_capacity_regions)],
         "buffered": cache._buffered,
         "cache_bytes": m.cache_bytes_written,
         "device_written": m.device_bytes_written,

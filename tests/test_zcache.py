@@ -143,6 +143,7 @@ def test_lru_evicts_least_recently_used():
     cache.lookup("r0")                    # r0 becomes most recent
     assert cache.evict_one() == 1         # r1 is now the stalest
     assert cache.lookup("r1") is None
+    check_structure(cache)
 
 
 def test_fifo_ignores_hits():
@@ -151,6 +152,7 @@ def test_fifo_ignores_hits():
     cache.lookup("r0")
     assert cache.evict_one() == 0         # insertion order rules
     assert cache.evict_one() == 1
+    check_structure(cache)
 
 
 def test_zlru_evicts_vop_tail_first():
@@ -313,19 +315,31 @@ def test_zdrop_ratio_one_drops_every_flushed_region():
         assert cache.zdrop_filter(cache.vaddr(rid)) is DropVerb.DROP
     assert len(cache.vop) == 0
     assert cache.stats().dropped_region_count == 4
+    check_structure(cache)
 
 
 # --- structural invariants under churn -----------------------------------------------------------
 
+def places(cache, rid):
+    """Every place that holds region `rid`: a region is buffered, in one
+    of the recency lists, or free, and it is held in exactly one place."""
+    held = []
+    if rid == cache._buffered:
+        held.append("buffered")
+    held += ["main"] * (rid in cache.main) + ["vop"] * (rid in cache.vop)
+    held += ["free"] * cache.free_slots.count(rid)
+    return held
+
+
 def check_structure(cache):
-    flushed = {r.id for r in cache.regions if r.status is RegionStatus.FLUSHED}
-    listed = set(cache.main) | set(cache.vop)
-    assert listed == flushed
-    assert not (set(cache.main) & set(cache.vop))
+    for rid in range(cache.config.cache_capacity_regions):
+        assert len(places(cache, rid)) == 1, (rid, places(cache, rid))
+        for key in cache.regions[rid].keys:
+            assert cache.index[key][0] == rid
     for key, (rid, offset, size) in cache.index.items():
-        status = cache.regions[rid].status
-        assert status in (RegionStatus.BUFFERED, RegionStatus.FLUSHED)
-        assert cache.regions[rid].keys[key] == (offset, size)
+        assert places(cache, rid) != ["free"]
+        assert key in cache.regions[rid].keys
+        assert offset + size <= cache.config.region_size
 
 
 @pytest.mark.parametrize("policy,vop_ratio",
@@ -353,9 +367,7 @@ def test_structure_survives_random_churn(policy, vop_ratio):
                 cache.evict_one()
             except errors.NothingToEvict:
                 pass
-        if step % 25 == 0:
-            check_structure(cache)
-    check_structure(cache)
+        check_structure(cache)
 
 
 def test_zlru_with_zero_vop_matches_lru_hit_sequence():
