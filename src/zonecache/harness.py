@@ -320,11 +320,16 @@ def config_from_values(values, base_dir=".") -> ExperimentConfig:
     else:
         workload = _workload_from_values(values, resolved)
 
-    return ExperimentConfig(
+    config = ExperimentConfig(
         scheme=scheme, workload=workload, trace_path=trace,
         interval_ops=values.get("interval_ops", 10_000),
         timing_enabled=values.get("timing", False),
         output_path=values.get("output"))
+    try:
+        config.validate()
+    except errors.InvalidConfig as e:
+        raise errors.ConfigError(str(e))
+    return config
 
 
 def check_scheme(scheme: SchemeSpec) -> SchemeSpec:

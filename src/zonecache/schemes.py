@@ -20,7 +20,7 @@ from . import errors
 from .ftl import FtlConfig, PageMappedFtl
 from .zcache import CacheConfig, Policy, RegionCache
 from .zns import DeviceConfig, ZnsDevice
-from .zstorage import DropVerb, GcConfig, ZoneStore
+from .zstorage import DropVerb, GcConfig, ZoneStore, check_layout
 
 MIB = 1024 * 1024
 
@@ -101,16 +101,29 @@ def _capacity_regions(spec) -> int:
     return count
 
 
+def _cache_config(spec) -> CacheConfig:
+    policy = _POLICY[spec.name]
+    return CacheConfig(
+        _capacity_regions(spec), spec.region_size,
+        spec.vop_ratio if policy is Policy.ZLRU else 0.0, policy,
+        spec.reorder_enabled and not spec.name.startswith("reg-"))
+
+
+def _device_config(spec) -> DeviceConfig:
+    return DeviceConfig(spec.zone_count, spec.zone_capacity,
+                        spec.max_open_zones)
+
+
 class _Engine:
     """One region cache over a backend store, plus the bandwidths the
     harness clock charges. Subclasses build the backend and report its
     counters."""
 
-    def __init__(self, spec, store, cache_config):
+    def __init__(self, spec, store):
         self.read_bandwidth = spec.read_bandwidth
         self.write_bandwidth = spec.write_bandwidth
         self.store = store
-        self.cache = RegionCache(cache_config, store)
+        self.cache = RegionCache(_cache_config(spec), store)
 
     def insert(self, key, value):
         self.cache.insert(key, value)
@@ -126,7 +139,7 @@ class _Engine:
         return c.evicted_region_count + c.dropped_region_count
 
     def metrics(self) -> EngineMetrics:
-        c = self.cache.stats()
+        c = self.cache.stats_counters
         return EngineMetrics(
             hits=c.hit_count, misses=c.miss_count,
             inserted_bytes=c.inserted_bytes,
@@ -140,17 +153,12 @@ class _ZnsEngine(_Engine):
     """Common wiring for the three zoned schemes."""
 
     def __init__(self, spec):
-        self.device = ZnsDevice(DeviceConfig(spec.zone_count, spec.zone_capacity,
-                                             spec.max_open_zones))
+        self.device = ZnsDevice(_device_config(spec))
         store = ZoneStore(self.device, spec.region_size,
                           GcConfig(spec.w_low, spec.w_high),
                           min_write_zones=spec.min_write_zones,
                           max_write_zones=spec.max_write_zones)
-        policy = _POLICY[spec.name]
-        vop = spec.vop_ratio if policy is Policy.ZLRU else 0.0
-        super().__init__(spec, store, CacheConfig(
-            _capacity_regions(spec), spec.region_size, vop, policy,
-            spec.reorder_enabled))
+        super().__init__(spec, store)
         self.gc_free = spec.name == "zns-direct"
         self._checked_flushes = 0
         if spec.name == "zcachelib":
@@ -226,9 +234,10 @@ class _FtlRegionStore:
 
 def _ftl_config(spec) -> FtlConfig:
     device_bytes = spec.zone_count * spec.zone_capacity
-    return FtlConfig(
+    block_bytes = spec.page_size * spec.pages_per_block
+    return FtlConfig(  # validate rejects a page or block under one
         pages_per_block=spec.pages_per_block,
-        block_count=device_bytes // (spec.page_size * spec.pages_per_block),
+        block_count=device_bytes // block_bytes if block_bytes > 0 else 0,
         page_size=spec.page_size,
         internal_op_ratio=spec.op_ratio,
         gc_trigger_free_blocks=spec.gc_trigger_free_blocks)
@@ -237,9 +246,7 @@ def _ftl_config(spec) -> FtlConfig:
 class _RegEngine(_Engine):
     def __init__(self, spec):
         self.ftl = PageMappedFtl(_ftl_config(spec))
-        super().__init__(spec, _FtlRegionStore(self.ftl, spec.region_size),
-                         CacheConfig(_capacity_regions(spec), spec.region_size, 0.0,
-                                     _POLICY[spec.name], reorder_enabled=False))
+        super().__init__(spec, _FtlRegionStore(self.ftl, spec.region_size))
 
     def tick_gc(self):
         pass  # internal GC is inline in the FTL write path
@@ -259,7 +266,8 @@ class _RegEngine(_Engine):
 
 
 def check_spec(spec: SchemeSpec) -> SchemeSpec:
-    """Every check `build` makes of a spec before it builds anything.
+    """Every check `build` makes of a spec, run without building anything:
+    the spec's own and those of each component config `build` constructs.
     Returns the spec with the scheme's defaults filled in; raises
     IncompatibleSpec or InvalidConfig."""
     if spec.name not in SCHEME_NAMES:
@@ -268,24 +276,31 @@ def check_spec(spec: SchemeSpec) -> SchemeSpec:
     if spec.read_bandwidth < 1 or spec.write_bandwidth < 1:
         raise errors.InvalidConfig("bandwidths must be >= 1")
     spec = replace(spec, region_size=default_region_size(spec))
-    capacity = _capacity_regions(spec)
+    cache = _cache_config(spec)
+    cache.validate()
     if spec.name == "zns-direct":
         if spec.region_size != spec.zone_capacity:
             raise errors.IncompatibleSpec(
                 "zns-direct requires region_size == zone_capacity")
         spec = replace(spec, min_write_zones=1)
     if spec.name.startswith("reg-"):
-        if spec.page_size < 1 or spec.pages_per_block < 1:
-            raise errors.InvalidConfig("page/block geometry must be >= 1")
+        ftl = _ftl_config(spec)
+        ftl.validate()
         block_bytes = spec.page_size * spec.pages_per_block
         if spec.zone_count * spec.zone_capacity % block_bytes != 0:
             raise errors.IncompatibleSpec(
                 "device size must be a whole number of erase blocks")
         if spec.region_size % spec.page_size != 0:
             raise errors.IncompatibleSpec("region size must be page-aligned")
-        if capacity * spec.region_size > _ftl_config(spec).exported_bytes:
+        if cache.cache_capacity_regions * spec.region_size > ftl.exported_bytes:
             raise errors.IncompatibleSpec(
                 "cache regions exceed the FTL's exported capacity")
+    else:
+        device = _device_config(spec)
+        device.validate()
+        GcConfig(spec.w_low, spec.w_high).validate()
+        check_layout(device, spec.region_size, spec.min_write_zones,
+                     spec.max_write_zones)
     return spec
 
 

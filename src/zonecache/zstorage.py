@@ -84,25 +84,33 @@ class GcStats:
     reclaimed_zones: int = 0
 
 
+def check_layout(device_config, region_size: int, min_write_zones: int,
+                 max_write_zones: int = None) -> int:
+    """The zone store's checks of its region and write-zone layout on a
+    device. Returns max_write_zones, defaulted to min(8, max_open_zones)."""
+    if region_size < 1 or device_config.zone_capacity % region_size != 0:
+        raise errors.InvalidConfig(
+            "zone_capacity must be a positive multiple of region_size")
+    if max_write_zones is None:
+        max_write_zones = min(8, device_config.max_open_zones)
+    if not (1 <= min_write_zones <= max_write_zones
+            <= device_config.max_open_zones):
+        raise errors.InvalidConfig(
+            "need 1 <= min_write_zones <= max_write_zones <= max_open_zones")
+    return max_write_zones
+
+
 class ZoneStore:
     """Owns zone grouping, the region map, and GC for one device."""
 
     def __init__(self, device, region_size: int, gc_config: GcConfig = None,
                  min_write_zones: int = 4, max_write_zones: int = None):
-        cap = device.config.zone_capacity
-        if region_size < 1 or cap % region_size != 0:
-            raise errors.InvalidConfig(
-                "zone_capacity must be a positive multiple of region_size")
+        max_write_zones = check_layout(device.config, region_size,
+                                       min_write_zones, max_write_zones)
         self.device = device
         self.region_size = region_size
         self.gc_config = gc_config or GcConfig()
         self.gc_config.validate()
-        if max_write_zones is None:
-            max_write_zones = min(8, device.config.max_open_zones)
-        if not (1 <= min_write_zones <= max_write_zones
-                <= device.config.max_open_zones):
-            raise errors.InvalidConfig(
-                "need 1 <= min_write_zones <= max_write_zones <= max_open_zones")
         self.min_write_zones = min_write_zones
         self.max_write_zones = max_write_zones
 

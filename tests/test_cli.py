@@ -76,16 +76,37 @@ def test_bad_cache_sizing_exits_3(conf, capsys, old, new):
     assert "config error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("old,new", [
-    ("seed = 3\n", "seed = 3\nwrite_bandwidth = 0\n"),
-    ("scheme = zns-middle-lru\n", "scheme = zns-direct\n"),
-], ids=["write_bandwidth_0", "zns_direct_region_not_zone"])
-def test_spec_build_rejects_exits_3(conf, capsys, old, new):
+@pytest.mark.parametrize("old,new,fragment", [
+    ("seed = 3\n", "seed = 3\nwrite_bandwidth = 0\n", "bandwidths"),
+    ("scheme = zns-middle-lru\n", "scheme = zns-direct\n",
+     "zns-direct requires"),
+    ("max_open_zones = 8\n", "max_open_zones = 0\n", "max_open_zones must"),
+    ("zone_capacity = 32kib\n", "zone_capacity = 4097\n", "multiple of 4096"),
+    ("w_low = 25\nw_high = 50\n", "w_low = 60\nw_high = 50\n",
+     "w_low < w_high"),
+    ("region_size = 16kib\n", "region_size = 24kib\n",
+     "multiple of region_size"),
+    ("min_write_zones = 2\n", "min_write_zones = 3\n",
+     "min_write_zones <= max_write_zones"),
+    ("cache_capacity_regions = 7\n", "cache_capacity_regions = 0\n",
+     "cache_capacity_regions must"),
+    ("scheme = zns-middle-lru\n", "scheme = zcachelib\nvop_ratio = 1.5\n",
+     "vop_ratio must"),
+    ("scheme = zns-middle-lru\n", "scheme = reg-lru\npage_size = 2kib\n"
+     "pages_per_block = 4\ngc_trigger_free_blocks = 0\n",
+     "gc_trigger_free_blocks must"),
+    ("interval_ops = 100\n", "interval_ops = 0\n", "interval_ops must"),
+], ids=["write_bandwidth_0", "zns_direct_region_not_zone", "max_open_zones_0",
+        "zone_capacity_4097", "w_low_above_w_high", "region_not_zone_divisor",
+        "min_write_zones_above_max", "cache_capacity_regions_0",
+        "zcachelib_vop_ratio_1_5", "reg_lru_gc_trigger_0", "interval_ops_0"])
+def test_spec_build_rejects_exits_3(conf, capsys, old, new, fragment):
     # TINY_CONF's 16 KiB regions on 32 KiB zones do not suit zns-direct
     conf.write_text(TINY_CONF.replace(old, new))
     assert main(["run", "--config", str(conf)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("config error")
+    assert fragment in err
 
 
 def test_sweep_rejects_value_build_rejects(conf, tmp_path, capsys):

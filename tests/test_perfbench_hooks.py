@@ -41,5 +41,10 @@ def test_traced_run_matches_untraced_run(name):
     assert render_csv(traced) == render_csv(untraced)
     layers = tracer.layer_metrics(1)
     assert layers["zcache.lookup_calls"] > 0
+    # only ZLRU reorders, once per flush: the tracer's per-layer counts
+    # depend on `_flush` calling `zlru_reorder` for no other policy
     if name == "zcachelib":
         assert layers["zcache.drop_filter_calls"] > 0
+        assert layers["zcache.reorder_calls"] > 0
+    else:
+        assert layers["zcache.reorder_calls"] == 0

@@ -9,8 +9,10 @@ import pytest
 
 from helpers import KIB, MIB, drive, make_script, tiny_spec
 from zonecache import SchemeSpec, build, errors, wa_factor
+from zonecache.harness import ExperimentConfig, run
+from zonecache.schemes import _capacity_regions
 from zonecache.zcache import Policy
-from zonecache.workload import value_bytes
+from zonecache.workload import preset_spec, value_bytes
 
 
 # --- build validation ---------------------------------------------------------
@@ -169,3 +171,22 @@ def test_stage_probe_counters_advance():
     drive(engine, make_script(seed=6, ops=600))
     assert engine.eviction_events > 0
     assert engine.gc_events > 0
+
+
+# --- policy at small regions ------------------------------------------------------
+
+def _stable_hit_ratio(name):
+    spec = SchemeSpec(name=name, zone_count=32, zone_capacity=8 * MIB,
+                      region_size=512 * KIB)
+    cache_bytes = _capacity_regions(spec) * spec.region_size
+    workload = preset_spec("l2_wc", cache_bytes, seed=1, op_count=60_000)
+    report = run(ExperimentConfig(scheme=spec, workload=workload))
+    return report.summary.stable_hit_ratio
+
+
+def test_lru_beats_fifo_at_small_regions():
+    # a hit keeps its whole region alive, so LRU's gain over FIFO fades as
+    # a region holds more items; at 512 KiB (~10 items) it must show
+    gap = _stable_hit_ratio("zns-middle-lru") \
+        - _stable_hit_ratio("zns-middle-fifo")
+    assert gap > 0.005, f"LRU minus FIFO is {gap * 100:+.2f} pp"
