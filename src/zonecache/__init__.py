@@ -5,7 +5,7 @@ from .zns import DeviceConfig, ZnsDevice, ZoneState
 from .ftl import FtlConfig, PageMappedFtl
 from .zstorage import (DropVerb, GcConfig, OpPlan, ZoneStore, compute_min_op,
                        watermark_zones)
-from .zcache import CacheConfig, Policy, RegionCache, RegionStatus
+from .zcache import CacheConfig, Policy, RegionCache
 from .schemes import SCHEME_NAMES, SchemeSpec, build, wa_factor
 from .workload import (CacheOp, OpKind, WorkloadSpec, generate, preset_spec,
                        replay, value_bytes, write_trace)
@@ -18,7 +18,7 @@ __all__ = [
     "FtlConfig", "PageMappedFtl",
     "DropVerb", "GcConfig", "OpPlan", "ZoneStore", "compute_min_op",
     "watermark_zones",
-    "CacheConfig", "Policy", "RegionCache", "RegionStatus",
+    "CacheConfig", "Policy", "RegionCache",
     "SCHEME_NAMES", "SchemeSpec", "build", "wa_factor",
     "CacheOp", "OpKind", "WorkloadSpec", "generate", "preset_spec",
     "replay", "value_bytes", "write_trace",

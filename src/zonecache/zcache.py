@@ -15,9 +15,13 @@ Eviction is region-granular top-down (list tail), while the drop filter
 gives GC a bottom-up path: regions in a victim zone that the policy deems
 evictable are dropped in place instead of being migrated.
 
-The cache runs on one thread, and GC calls the drop filter between cache
-operations, so an eviction always completes before anything else sees the
-region: a region is BUFFERED, FLUSHED or FREE, never in between.
+A region's state is where its id is held, and it is held in one place:
+`_buffered` while it accepts items, `main` or `vop` once flushed, and
+`free_slots` otherwise. `index` maps each live key to its region, offset
+and size, and `keys[rid]` is the set of a region's live keys, so teardown
+unindexes them. The cache runs on one thread, and GC calls the drop filter
+between cache operations, so an eviction always completes before anything
+else sees the region.
 """
 
 from collections import OrderedDict
@@ -34,19 +38,6 @@ class Policy(Enum):
     FIFO = "fifo"
     LRU = "lru"
     ZLRU = "zlru"
-
-
-class RegionStatus(Enum):
-    FREE = "free"
-    BUFFERED = "buffered"
-    FLUSHED = "flushed"
-
-
-_ALLOWED = {
-    RegionStatus.FREE: (RegionStatus.BUFFERED,),
-    RegionStatus.BUFFERED: (RegionStatus.FLUSHED,),
-    RegionStatus.FLUSHED: (RegionStatus.FREE,),
-}
 
 
 @dataclass
@@ -94,9 +85,6 @@ class RecencyList:
         self._od[rid] = None
         self._od.move_to_end(rid, last=False)
 
-    def push_tail(self, rid):
-        self._od[rid] = None
-
     def move_to_head(self, rid):
         self._od.move_to_end(rid, last=False)
 
@@ -114,22 +102,6 @@ class RecencyList:
         return rid
 
 
-class _Region:
-    __slots__ = ("id", "status", "fill", "keys")
-
-    def __init__(self, rid):
-        self.id = rid
-        self.status = RegionStatus.FREE
-        self.fill = 0
-        self.keys = {}  # key -> (offset, size), live items only
-
-    def set_status(self, new):
-        if new not in _ALLOWED[self.status]:
-            raise RuntimeError(
-                f"region {self.id}: illegal {self.status.value} -> {new.value}")
-        self.status = new
-
-
 class RegionCache:
     """Cache engine over a region store (zoned or FTL-backed)."""
 
@@ -137,14 +109,15 @@ class RegionCache:
         config.validate()
         self.config = config
         self.store = store
-        self.regions = [_Region(i) for i in range(config.cache_capacity_regions)]
         self.free_slots = list(range(config.cache_capacity_regions))
         self.free_slots.reverse()  # pop() yields lowest id first
         self.main = RecencyList()
         self.vop = RecencyList()
         self.index = {}  # key -> (region id, offset, size)
+        self.keys = [set() for _ in range(config.cache_capacity_regions)]
         self._buffer = None  # taken from the store for each buffered region
         self._buffered = None  # region id currently accepting items
+        self._fill = 0  # bytes used in the buffer
         self.stats_counters = CacheStats()
         self.flushed_count = 0
 
@@ -198,22 +171,16 @@ class RegionCache:
     def _alloc_buffer(self):
         if not self.free_slots:
             self.evict_one()
-        rid = self.free_slots.pop()
-        region = self.regions[rid]
-        region.set_status(RegionStatus.BUFFERED)
-        region.fill = 0
-        region.keys = {}
+        self._buffered = self.free_slots.pop()
         self._buffer = self.store.region_buffer()
-        self._buffered = rid
+        self._fill = 0
 
     def _flush(self):
         rid = self._buffered
-        region = self.regions[rid]
         # fixed-width write, tail padding included; the store may keep the
         # buffer, so the next region is filled in a new one
         self.store.write_region(self.vaddr(rid), self._buffer)
         self._buffer = None
-        region.set_status(RegionStatus.FLUSHED)
         self.main.push_head(rid)
         self._rebalance()
         self.flushed_count += 1
@@ -229,20 +196,18 @@ class RegionCache:
                 f"{len(value)} bytes exceeds region size {self.config.region_size}")
         if self._buffered is None:
             self._alloc_buffer()
-        region = self.regions[self._buffered]
-        if region.fill + len(value) > self.config.region_size:
+        elif self._fill + len(value) > self.config.region_size:
             self._flush()
             self._alloc_buffer()
-            region = self.regions[self._buffered]
-        offset = region.fill
+        offset = self._fill
         self._buffer[offset:offset + len(value)] = value
-        region.fill += len(value)
+        self._fill += len(value)
         old = self.index.get(key)
         if old is not None:
-            # superseded copy: drop the old region's live-item entry
-            self.regions[old[0]].keys.pop(key, None)
-        region.keys[key] = (offset, len(value))
-        self.index[key] = (region.id, offset, len(value))
+            # superseded copy: it is no longer live in its old region
+            self.keys[old[0]].discard(key)
+        self.keys[self._buffered].add(key)
+        self.index[key] = (self._buffered, offset, len(value))
         self.stats_counters.inserted_bytes += len(value)
 
     def lookup(self, key):
@@ -251,28 +216,24 @@ class RegionCache:
             self.stats_counters.miss_count += 1
             return None
         rid, offset, size = entry
-        region = self.regions[rid]
-        if region.status is RegionStatus.BUFFERED:
+        if rid == self._buffered:
             data = bytes(self._buffer[offset:offset + size])
-        else:  # teardown drops a region's keys, so the index holds no FREE one
+        else:  # teardown unindexes a region's keys, so it is flushed
             data = self.store.read_region(self.vaddr(rid), offset, size)
+            if self.config.policy is not Policy.FIFO:
+                if rid in self.vop:
+                    self.vop.remove(rid)
+                    self.main.push_head(rid)
+                    self._rebalance()  # demotes main tail into vop head
+                else:
+                    self.main.move_to_head(rid)
         self.stats_counters.hit_count += 1
-        if self.config.policy is not Policy.FIFO \
-                and region.status is RegionStatus.FLUSHED:
-            if rid in self.vop:
-                self.vop.remove(rid)
-                self.main.push_head(rid)
-                self._rebalance()  # demotes main tail into vop head
-            else:
-                self.main.move_to_head(rid)
         return data
 
     def evict_one(self) -> int:
-        """Top-down eviction of the least valuable flushed region."""
-        if self.config.policy is Policy.ZLRU and len(self.vop) > 0:
-            rid = self.vop.tail()
-        else:
-            rid = self.main.tail() if len(self.main) else self.vop.tail()
+        """Top-down eviction of the least valuable flushed region: the vop
+        tail, which only ZLRU fills, else the main tail."""
+        rid = self.vop.tail() if self.vop else self.main.tail()
         if rid is None:
             raise errors.NothingToEvict("no flushed region to evict")
         self._teardown(rid, invalidate=True)
@@ -280,18 +241,15 @@ class RegionCache:
         return rid
 
     def _teardown(self, rid, invalidate):
-        region = self.regions[rid]
-        for key in region.keys:
+        for key in self.keys[rid]:
             del self.index[key]
-        region.keys = {}
+        self.keys[rid].clear()
         if invalidate:
             self.store.invalidate_region(self.vaddr(rid))
         if rid in self.vop:
             self.vop.remove(rid)
         else:
             self.main.remove(rid)
-        region.set_status(RegionStatus.FREE)
-        region.fill = 0
         self.free_slots.append(rid)
         self._rebalance()
 
@@ -299,7 +257,7 @@ class RegionCache:
         """Bottom-up eviction decision for one region in a GC victim zone.
 
         The store asks only about regions mapped in the victim, and each
-        belongs to a FLUSHED cache region. Evictable (vop) regions are torn
+        belongs to a flushed cache region. Evictable (vop) regions are torn
         down and dropped in place, and the store unmaps them after we
         return; the rest migrate.
         """
@@ -309,8 +267,3 @@ class RegionCache:
             self.stats_counters.dropped_region_count += 1
             return DropVerb.DROP
         return DropVerb.MIGRATE
-
-    def stats(self) -> CacheStats:
-        c = self.stats_counters
-        return CacheStats(c.hit_count, c.miss_count, c.inserted_bytes,
-                          c.evicted_region_count, c.dropped_region_count)

@@ -9,8 +9,7 @@ import random
 import pytest
 
 from zonecache import errors
-from zonecache.zcache import (CacheConfig, Policy, RegionCache, RegionStatus,
-                              _Region)
+from zonecache.zcache import CacheConfig, Policy, RegionCache
 from zonecache.zstorage import DropVerb
 
 RS = 1024  # region size used throughout
@@ -68,16 +67,6 @@ def test_config_validation():
             CacheConfig(**kwargs).validate()
 
 
-def test_region_status_walks_one_way():
-    region = _Region(0)
-    for status in (RegionStatus.BUFFERED, RegionStatus.FLUSHED,
-                   RegionStatus.FREE):
-        region.set_status(status)
-    region.set_status(RegionStatus.BUFFERED)
-    with pytest.raises(RuntimeError):
-        region.set_status(RegionStatus.FREE)  # must flush first
-
-
 # --- packing ------------------------------------------------------------------------
 
 def test_items_pack_until_region_fills():
@@ -100,7 +89,7 @@ def test_buffered_items_hit_from_ram():
     cache.insert("k", val(7, 128))
     assert store.write_calls == []
     assert cache.lookup("k") == val(7, 128)
-    assert cache.stats().hit_count == 1
+    assert cache.stats_counters.hit_count == 1
 
 
 def test_flushed_items_hit_from_store():
@@ -109,7 +98,7 @@ def test_flushed_items_hit_from_store():
     cache.insert("b", val(2, 600))  # flushes the region holding "a"
     assert cache.lookup("a") == val(1, 600)
     assert cache.lookup("nope") is None
-    s = cache.stats()
+    s = cache.stats_counters
     assert (s.hit_count, s.miss_count) == (1, 1)
 
 
@@ -180,7 +169,7 @@ def test_full_cache_insert_evicts_then_proceeds():
                           reorder=False)
     flush_regions(cache, 2)               # both slots flushed, third buffering?
     # capacity 2: the third insert had to evict the vop tail (region 0)
-    assert cache.stats().evicted_region_count == 1
+    assert cache.stats_counters.evicted_region_count == 1
     assert cache.lookup("r0") is None
     assert cache.lookup("r1") == val(1, RS)
 
@@ -223,18 +212,17 @@ def test_split_bound_holds_during_churn():
 # --- zone-aware reorder --------------------------------------------------------------------
 
 def arrange(cache, main_zone, vop_zone):
-    """White-box setup: regions become Flushed and land in the given lists,
-    with their zones scripted through the fake store."""
+    """White-box setup: regions leave the free slots for the given lists,
+    head first, with their zones scripted through the fake store."""
     for rid, zone in {**main_zone, **vop_zone}.items():
-        region = cache.regions[rid]
-        region.set_status(RegionStatus.BUFFERED)
-        region.set_status(RegionStatus.FLUSHED)
+        cache.free_slots.remove(rid)
         cache.store.zone_script[cache.vaddr(rid)] = zone
         cache.store.data[cache.vaddr(rid)] = b"\0" * RS
-    for rid in main_zone:
-        cache.main.push_tail(rid)
-    for rid in vop_zone:
-        cache.vop.push_tail(rid)
+    for rid in reversed(list(main_zone)):
+        cache.main.push_head(rid)
+    for rid in reversed(list(vop_zone)):
+        cache.vop.push_head(rid)
+    check_structure(cache)
 
 
 def test_reorder_sinks_regions_of_sparse_zones():
@@ -288,9 +276,8 @@ def test_zdrop_drops_vop_region_in_victim_zone():
     verb = cache.zdrop_filter(cache.vaddr(rid))
     assert verb is DropVerb.DROP
     assert cache.lookup(key) is None                 # true eviction
-    assert cache.regions[rid].status is RegionStatus.FREE
-    assert cache.stats().dropped_region_count == 1
-    assert rid in cache.free_slots
+    assert places(cache, rid) == ["free"]
+    assert cache.stats_counters.dropped_region_count == 1
 
 
 def test_zdrop_migrates_main_region_when_ratio_below_one():
@@ -299,7 +286,7 @@ def test_zdrop_migrates_main_region_when_ratio_below_one():
     flush_regions(cache, 4)
     rid = next(iter(cache.main))
     assert cache.zdrop_filter(cache.vaddr(rid)) is DropVerb.MIGRATE
-    assert cache.regions[rid].status is RegionStatus.FLUSHED
+    assert places(cache, rid) == ["main"]
 
 
 def test_zdrop_ratio_one_drops_every_flushed_region():
@@ -314,7 +301,7 @@ def test_zdrop_ratio_one_drops_every_flushed_region():
     for rid in list(cache.vop):
         assert cache.zdrop_filter(cache.vaddr(rid)) is DropVerb.DROP
     assert len(cache.vop) == 0
-    assert cache.stats().dropped_region_count == 4
+    assert cache.stats_counters.dropped_region_count == 4
     check_structure(cache)
 
 
@@ -334,12 +321,14 @@ def places(cache, rid):
 def check_structure(cache):
     for rid in range(cache.config.cache_capacity_regions):
         assert len(places(cache, rid)) == 1, (rid, places(cache, rid))
-        for key in cache.regions[rid].keys:
+        for key in cache.keys[rid]:
             assert cache.index[key][0] == rid
     for key, (rid, offset, size) in cache.index.items():
         assert places(cache, rid) != ["free"]
-        assert key in cache.regions[rid].keys
+        assert key in cache.keys[rid]
         assert offset + size <= cache.config.region_size
+        if rid == cache._buffered:
+            assert offset + size <= cache._fill
 
 
 @pytest.mark.parametrize("policy,vop_ratio",
