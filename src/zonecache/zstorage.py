@@ -85,7 +85,7 @@ class GcStats:
 
 
 def check_layout(device_config, region_size: int, min_write_zones: int,
-                 max_write_zones: int = None) -> int:
+                 max_write_zones) -> int:
     """The zone store's checks of its region and write-zone layout on a
     device. Returns max_write_zones, defaulted to min(8, max_open_zones)."""
     if region_size < 1 or device_config.zone_capacity % region_size != 0:
