@@ -1,12 +1,15 @@
 """Experiment runner tests: stage tracking, CSV output, the simulated
 clock, and config file parsing."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from helpers import KIB, MIB, tiny_spec
 from zonecache import errors
 from zonecache.harness import (CSV_HEADER, ExperimentConfig, _Clock, _Driver,
-                               parse_config_file, parse_config_text,
+                               _SCHEME_KEYS, parse_config_file, parse_config_text,
                                parse_size, render_csv, run)
 from zonecache.schemes import build
 from zonecache.workload import WorkloadSpec
@@ -275,3 +278,9 @@ def test_missing_config_file_names_path(tmp_path):
     with pytest.raises(errors.ConfigError) as exc:
         parse_config_file(tmp_path / "absent.conf")
     assert "absent.conf" in str(exc.value)
+
+
+def test_readme_lists_every_scheme_key():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    sentence = re.search(r"Scheme keys:(.*?)\.\s", readme, re.DOTALL).group(1)
+    assert set(re.findall(r"`([^`]+)`", sentence)) == set(_SCHEME_KEYS)

@@ -62,11 +62,14 @@ def test_zcachelib_defaults():
 
 def test_policies_and_vop_wiring():
     assert build(tiny_spec("zns-middle-fifo")).cache.config.policy is Policy.FIFO
-    assert build(tiny_spec("zns-middle-lru")).cache.config.vop_ratio == 0.0
-    reg = build(tiny_spec("reg-lru"))
-    assert reg.cache.config.vop_ratio == 0.0
-    assert reg.cache.config.reorder_enabled is False
     assert build(tiny_spec("zns-direct")).store.min_write_zones == 1
+    # every spec here carries vop_ratio 1.0; only a ZLRU cache splits its
+    # flushed regions into main and vop
+    script = make_script(seed=3, ops=200)
+    for name in ("zcachelib", "zns-middle-lru", "zns-middle-fifo", "reg-lru"):
+        engine = build(tiny_spec(name))
+        drive(engine, script)
+        assert bool(engine.cache.vop) == (name == "zcachelib"), name
 
 
 def test_cache_sized_from_op_ratio():
