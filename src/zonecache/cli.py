@@ -76,7 +76,7 @@ def _sweep_apply(config, param, value):
     except ValueError as e:
         raise errors.ConfigError(f"bad value for {param}: {e}")
     scheme = replace(config.scheme, **{field: parsed})
-    check_scheme(scheme)
+    check_scheme(scheme, [field])
     return replace(config, scheme=scheme)
 
 

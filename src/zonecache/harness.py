@@ -21,6 +21,7 @@ from . import errors
 from .schemes import SchemeSpec, build, check_spec
 from .workload import (CacheOp, OpKind, WorkloadSpec, generate, preset_spec,
                        replay, value_bytes)
+from .zcache import ZLRU_SETTINGS, Policy
 from . import schemes as _schemes
 
 CSV_HEADER = ("interval,ops,hits,misses,hit_ratio,cache_bytes,device_bytes,"
@@ -260,7 +261,7 @@ _SCHEME_KEYS = {
     "scheme": str, "zone_count": int, "zone_capacity": parse_size,
     "max_open_zones": int, "region_size": parse_size, "op_ratio": float,
     "vop_ratio": float, "w_low": float, "w_high": float,
-    "min_write_zones": int, "max_write_zones": int,
+    "min_write_zones": int,
     "cache_capacity_regions": int, "reorder_enabled": _parse_bool,
     "page_size": parse_size, "pages_per_block": int,
     "gc_trigger_free_blocks": int,
@@ -304,7 +305,7 @@ def config_from_values(values, base_dir=".") -> ExperimentConfig:
     spec_kwargs = {k: v for k, v in values.items() if k in _SCHEME_KEYS}
     spec_kwargs["name"] = spec_kwargs.pop("scheme")
     scheme = SchemeSpec(**spec_kwargs)
-    resolved = check_scheme(scheme)
+    resolved = check_scheme(scheme, spec_kwargs)
 
     trace = values.get("trace")
     workload = None
@@ -332,13 +333,20 @@ def config_from_values(values, base_dir=".") -> ExperimentConfig:
     return config
 
 
-def check_scheme(scheme: SchemeSpec) -> SchemeSpec:
+def check_scheme(scheme: SchemeSpec, keys) -> SchemeSpec:
     """`schemes.check_spec`, failing with a ConfigError: a spec that
-    `build` would reject is caught while the config loads."""
+    `build` would reject, or that sets (in `keys`) a setting its cache
+    never reads, is caught while the config loads."""
     try:
-        return check_spec(scheme)
+        resolved = check_spec(scheme)
     except (errors.IncompatibleSpec, errors.InvalidConfig) as e:
         raise errors.ConfigError(str(e))
+    unread = [key for key in ZLRU_SETTINGS if key in keys]
+    if unread and _schemes._POLICY[scheme.name] is not Policy.ZLRU:
+        raise errors.ConfigError(
+            f"{scheme.name} ignores {', '.join(unread)}: only zcachelib's "
+            f"ZLRU cache reads it")
+    return resolved
 
 
 def _workload_from_values(values, scheme: SchemeSpec) -> WorkloadSpec:

@@ -51,7 +51,6 @@ class SchemeSpec:
     w_low: float = 1.0
     w_high: float = 3.0
     min_write_zones: int = 4
-    max_write_zones: int = None
     cache_capacity_regions: int = None  # override the op_ratio sizing
     reorder_enabled: bool = True
     # FTL geometry for the reg-* baselines
@@ -102,11 +101,8 @@ def _capacity_regions(spec) -> int:
 
 
 def _cache_config(spec) -> CacheConfig:
-    policy = _POLICY[spec.name]
-    return CacheConfig(
-        _capacity_regions(spec), spec.region_size,
-        spec.vop_ratio if policy is Policy.ZLRU else 0.0, policy,
-        spec.reorder_enabled and not spec.name.startswith("reg-"))
+    return CacheConfig(_capacity_regions(spec), spec.region_size,
+                       spec.vop_ratio, _POLICY[spec.name], spec.reorder_enabled)
 
 
 def _device_config(spec) -> DeviceConfig:
@@ -156,8 +152,7 @@ class _ZnsEngine(_Engine):
         self.device = ZnsDevice(_device_config(spec))
         store = ZoneStore(self.device, spec.region_size,
                           GcConfig(spec.w_low, spec.w_high),
-                          min_write_zones=spec.min_write_zones,
-                          max_write_zones=spec.max_write_zones)
+                          min_write_zones=spec.min_write_zones)
         super().__init__(spec, store)
         self.gc_free = spec.name == "zns-direct"
         self._checked_flushes = 0
@@ -299,8 +294,7 @@ def check_spec(spec: SchemeSpec) -> SchemeSpec:
         device = _device_config(spec)
         device.validate()
         GcConfig(spec.w_low, spec.w_high).validate()
-        check_layout(device, spec.region_size, spec.min_write_zones,
-                     spec.max_write_zones)
+        check_layout(device, spec.region_size, spec.min_write_zones)
     return spec
 
 

@@ -32,6 +32,7 @@ from . import errors
 from .zstorage import DropVerb
 
 MIB = 1024 * 1024
+ZLRU_SETTINGS = ("vop_ratio", "reorder_enabled")  # read by ZLRU alone
 
 
 class Policy(Enum):

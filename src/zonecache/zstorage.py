@@ -2,9 +2,13 @@
 
 Provisioned zones are partitioned into three groups: empty zones, write
 zones (append targets, rotated round-robin), and read zones (full, eligible
-GC victims). A bidirectional map links region virtual addresses to device
-physical addresses; both directions are updated as one atomic pair, and the
-data append always lands before the map update.
+GC victims). The store keeps `min_write_zones` write zones open, within the
+device's open-zone limit: before each append it tops them up from the
+lowest-numbered empty zones, and it runs with fewer only when none is left.
+
+A bidirectional map links region virtual addresses to device physical
+addresses; both directions are updated as one atomic pair, and the data
+append always lands before the map update.
 
 Background GC is watermark-driven: it starts when the empty-zone count
 falls below the low watermark and stops once the high watermark is reached.
@@ -84,35 +88,28 @@ class GcStats:
     reclaimed_zones: int = 0
 
 
-def check_layout(device_config, region_size: int, min_write_zones: int,
-                 max_write_zones) -> int:
-    """The zone store's checks of its region and write-zone layout on a
-    device. Returns max_write_zones, defaulted to min(8, max_open_zones)."""
+def check_layout(device_config, region_size: int, min_write_zones: int):
+    """The zone store's checks of its region and write-zone layout."""
     if region_size < 1 or device_config.zone_capacity % region_size != 0:
         raise errors.InvalidConfig(
             "zone_capacity must be a positive multiple of region_size")
-    if max_write_zones is None:
-        max_write_zones = min(8, device_config.max_open_zones)
-    if not (1 <= min_write_zones <= max_write_zones
-            <= device_config.max_open_zones):
+    if not 1 <= min_write_zones <= device_config.max_open_zones:
         raise errors.InvalidConfig(
-            "need 1 <= min_write_zones <= max_write_zones <= max_open_zones")
-    return max_write_zones
+            "need 1 <= min_write_zones <= max_open_zones")
 
 
 class ZoneStore:
-    """Owns zone grouping, the region map, and GC for one device."""
+    """Owns zone grouping, the region map, and GC for one device, and keeps
+    `min_write_zones` write zones open, fewer only when no zone is empty."""
 
     def __init__(self, device, region_size: int, gc_config: GcConfig = None,
-                 min_write_zones: int = 4, max_write_zones: int = None):
-        max_write_zones = check_layout(device.config, region_size,
-                                       min_write_zones, max_write_zones)
+                 min_write_zones: int = 4):
+        check_layout(device.config, region_size, min_write_zones)
         self.device = device
         self.region_size = region_size
         self.gc_config = gc_config or GcConfig()
         self.gc_config.validate()
         self.min_write_zones = min_write_zones
-        self.max_write_zones = max_write_zones
 
         self.zone_count = device.config.zone_count
         self.gc_trigger_zones = watermark_zones(self.gc_config.w_low, self.zone_count)
@@ -142,9 +139,7 @@ class ZoneStore:
                 set(self.read_zones))
 
     def _replenish_write_zones(self):
-        while (len(self.write_zones) < self.min_write_zones
-               and self.empty_zones
-               and len(self.write_zones) < self.max_write_zones):
+        while len(self.write_zones) < self.min_write_zones and self.empty_zones:
             self.write_zones.append(heapq.heappop(self.empty_zones))
 
     def _pick_write_zone(self) -> int:

@@ -25,13 +25,12 @@ class ModelError(Exception):
 class ZoneModel:
     """Zone groups, region map, and watermark cleaning at slot granularity."""
 
-    def __init__(self, zones, zone_cap, region, min_w, max_w, w_low, w_high):
+    def __init__(self, zones, zone_cap, region, min_w, w_low, w_high):
         assert zone_cap % region == 0
         self.zones = zones
         self.zone_cap = zone_cap
         self.region = region
         self.min_w = min_w
-        self.max_w = max_w
         self.trigger = math.ceil(w_low * zones / 100)
         self.stop = math.ceil(w_high * zones / 100)
         self.empty = list(range(zones))          # ascending
@@ -53,8 +52,7 @@ class ZoneModel:
     # space management
 
     def _pick(self):
-        while (len(self.write) < self.min_w and self.empty
-               and len(self.write) < self.max_w):
+        while len(self.write) < self.min_w and self.empty:
             self.write.append(self.empty.pop(0))
         if not self.write:
             raise ModelError("NoWritableZone")
@@ -437,23 +435,22 @@ class SchemeModel:
     """Mirror of one assembled engine on the small test geometry."""
 
     def __init__(self, name, zones=8, zone_cap=32 * 1024, region=16 * 1024,
-                 capacity=7, min_w=2, max_w=2, w_low=25.0, w_high=50.0,
-                 vop_ratio=1.0, page=2048, ppb=4, max_open=8, reorder=True):
+                 capacity=7, min_w=2, w_low=25.0, w_high=50.0,
+                 vop_ratio=1.0, page=2048, ppb=4, reorder=True):
         self.name = name
         self.kind = ("reg" if name.startswith("reg") else
                      "direct" if name == "zns-direct" else
                      "drop" if name == "zcachelib" else "migrate")
         if self.kind == "direct":
             region = zone_cap
-            min_w, max_w = 1, min(8, max_open)
+            min_w = 1
         if self.kind == "reg":
             ftl = FtlModel(page, ppb, zones * zone_cap // (page * ppb),
                            0.07, trigger=2)
             self.ftl = ftl
             self.store = FtlStoreModel(ftl, region)
-            reorder = False
         else:
-            self.store = ZoneModel(zones, zone_cap, region, min_w, max_w,
+            self.store = ZoneModel(zones, zone_cap, region, min_w,
                                    w_low, w_high)
         self.cache = CacheModel(capacity, region, _POLICIES[name],
                                 vop_ratio, reorder, self.store)

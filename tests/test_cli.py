@@ -17,7 +17,6 @@ zone_capacity = 32kib
 max_open_zones = 8
 region_size = 16kib
 min_write_zones = 2
-max_write_zones = 2
 w_low = 25
 w_high = 50
 cache_capacity_regions = 7
@@ -86,8 +85,9 @@ def test_bad_cache_sizing_exits_3(conf, capsys, old, new):
      "w_low < w_high"),
     ("region_size = 16kib\n", "region_size = 24kib\n",
      "multiple of region_size"),
-    ("min_write_zones = 2\n", "min_write_zones = 3\n",
-     "min_write_zones <= max_write_zones"),
+    ("min_write_zones = 2\n", "min_write_zones = 9\n", "max_open_zones"),
+    ("min_write_zones = 2\n", "min_write_zones = 2\nmax_write_zones = 2\n",
+     "unknown key"),
     ("cache_capacity_regions = 7\n", "cache_capacity_regions = 0\n",
      "cache_capacity_regions must"),
     ("scheme = zns-middle-lru\n", "scheme = zcachelib\nvop_ratio = 1.5\n",
@@ -96,12 +96,19 @@ def test_bad_cache_sizing_exits_3(conf, capsys, old, new):
      "pages_per_block = 4\ngc_trigger_free_blocks = 0\n",
      "gc_trigger_free_blocks must"),
     ("interval_ops = 100\n", "interval_ops = 0\n", "interval_ops must"),
+    ("seed = 3\n", "seed = 3\nvop_ratio = 0.5\n", "ignores vop_ratio"),
+    ("seed = 3\n", "seed = 3\nreorder_enabled = off\n",
+     "ignores reorder_enabled"),
 ], ids=["write_bandwidth_0", "zns_direct_region_not_zone", "max_open_zones_0",
         "zone_capacity_4097", "w_low_above_w_high", "region_not_zone_divisor",
-        "min_write_zones_above_max", "cache_capacity_regions_0",
-        "zcachelib_vop_ratio_1_5", "reg_lru_gc_trigger_0", "interval_ops_0"])
+        "min_write_zones_above_max", "max_write_zones_unknown",
+        "cache_capacity_regions_0", "zcachelib_vop_ratio_1_5",
+        "reg_lru_gc_trigger_0", "interval_ops_0", "lru_vop_ratio",
+        "lru_reorder_enabled"])
 def test_spec_build_rejects_exits_3(conf, capsys, old, new, fragment):
-    # TINY_CONF's 16 KiB regions on 32 KiB zones do not suit zns-direct
+    # TINY_CONF's 16 KiB regions on 32 KiB zones do not suit zns-direct,
+    # and its zns-middle-lru cache reads neither vop_ratio nor
+    # reorder_enabled
     conf.write_text(TINY_CONF.replace(old, new))
     assert main(["run", "--config", str(conf)]) == 3
     err = capsys.readouterr().err
@@ -163,6 +170,8 @@ def test_gen_trace_roundtrips(tmp_path, capsys):
 
 def test_sweep_writes_one_csv_per_value(conf, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
+    conf.write_text(TINY_CONF.replace("scheme = zns-middle-lru\n",
+                                      "scheme = zcachelib\n"))
     code = main(["sweep", "--config", str(conf), "--param", "vop_ratio",
                  "--values", "0,0.5,1.0", "--out-prefix", "sw"])
     assert code == 0
@@ -171,6 +180,15 @@ def test_sweep_writes_one_csv_per_value(conf, tmp_path, capsys, monkeypatch):
         assert path.exists()
         assert path.read_text().startswith(CSV_HEADER)
     assert capsys.readouterr().out.count("wrote ") == 3
+
+
+def test_sweep_rejects_param_the_scheme_ignores(conf, tmp_path, capsys,
+                                               monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", "--config", str(conf), "--param", "vop_ratio",
+                 "--values", "0,0.5,1.0", "--out-prefix", "sw"]) == 3
+    assert "ignores vop_ratio" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_sweep_rejects_unknown_param(conf, capsys):

@@ -45,12 +45,11 @@ def cases(draw):
     model = dict(zones=zones, zone_cap=zone_cap, region=region,
                  capacity=capacity, w_low=w_low, w_high=w_high,
                  vop_ratio=spec["vop_ratio"], ppb=spec["pages_per_block"],
-                 max_open=zones, reorder=spec["reorder_enabled"])
+                 reorder=spec["reorder_enabled"])
     if name != "zns-direct":
         min_w = draw(st.integers(1, 2))
-        max_w = draw(st.integers(min_w, 2))
-        spec.update(min_write_zones=min_w, max_write_zones=max_w)
-        model.update(min_w=min_w, max_w=max_w)
+        spec.update(min_write_zones=min_w)
+        model.update(min_w=min_w)
     script = dict(seed=draw(st.integers(0, 2**16)),
                   ops=draw(st.integers(200, 2000)),
                   keys=draw(st.integers(8, 60)),

@@ -199,7 +199,6 @@ zone_capacity = 32kib
 max_open_zones = 8
 region_size = 16kib
 min_write_zones = 2
-max_write_zones = 2
 w_low = 25
 w_high = 50
 cache_capacity_regions = 7

@@ -18,12 +18,12 @@ MIB = 1024 * KIB
 
 
 def make_store(zone_count=8, zone_capacity=64 * KIB, region_size=32 * KIB,
-               w_low=25.0, w_high=50.0, min_write=2, max_write=2):
+               w_low=25.0, w_high=50.0, min_write=2):
     dev = ZnsDevice(DeviceConfig(zone_count=zone_count,
                                  zone_capacity=zone_capacity,
                                  max_open_zones=zone_count))
     store = ZoneStore(dev, region_size, GcConfig(w_low, w_high),
-                      min_write_zones=min_write, max_write_zones=max_write)
+                      min_write_zones=min_write)
     return dev, store
 
 
@@ -44,9 +44,9 @@ def test_write_zone_bounds_validated():
     dev = ZnsDevice(DeviceConfig(zone_count=4, zone_capacity=64 * KIB,
                                  max_open_zones=2))
     with pytest.raises(errors.InvalidConfig):
-        ZoneStore(dev, 32 * KIB, min_write_zones=3, max_write_zones=3)
+        ZoneStore(dev, 32 * KIB, min_write_zones=3)
     with pytest.raises(errors.InvalidConfig):
-        ZoneStore(dev, 32 * KIB, min_write_zones=2, max_write_zones=1)
+        ZoneStore(dev, 32 * KIB, min_write_zones=0)
 
 
 # --- mapping --------------------------------------------------------------------
@@ -155,13 +155,13 @@ def fill_read_zones(store, zone_regions):
 
 
 def test_victim_is_lowest_valid_ratio():
-    dev, store = make_store(min_write=1, max_write=1)  # zone order predictable
+    dev, store = make_store(min_write=1)  # zone order predictable
     fill_read_zones(store, [(0, 2), (1, 1), (2, 2)])
     assert store.select_victim() == 1
 
 
 def test_victim_tie_breaks_on_zone_id():
-    dev, store = make_store(min_write=1, max_write=1)
+    dev, store = make_store(min_write=1)
     fill_read_zones(store, [(0, 1), (1, 1)])
     assert store.select_victim() == 0
 
@@ -393,7 +393,7 @@ def test_gc_migration_shares_buffers_that_stay_intact_after_reuse():
 
 
 def test_reclaim_invalid_read_zones_only_touches_dead_zones():
-    dev, store = make_store(min_write=1, max_write=1)
+    dev, store = make_store(min_write=1)
     kept = fill_read_zones(store, [(0, 0), (1, 1), (2, 0)])
     reclaimed = store.reclaim_invalid_read_zones()
     assert reclaimed == 2
