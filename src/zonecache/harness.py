@@ -344,8 +344,8 @@ def check_scheme(scheme: SchemeSpec, keys) -> SchemeSpec:
     unread = [key for key in ZLRU_SETTINGS if key in keys]
     if unread and _schemes._POLICY[scheme.name] is not Policy.ZLRU:
         raise errors.ConfigError(
-            f"{scheme.name} ignores {', '.join(unread)}: only zcachelib's "
-            f"ZLRU cache reads it")
+            f"{scheme.name} ignores {', '.join(unread)}, which only "
+            f"zcachelib's ZLRU cache reads")
     return resolved
 
 

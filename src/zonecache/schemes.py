@@ -52,7 +52,7 @@ class SchemeSpec:
     w_high: float = 3.0
     min_write_zones: int = 4
     cache_capacity_regions: int = None  # override the op_ratio sizing
-    reorder_enabled: bool = True
+    reorder_enabled: bool = True     # zcachelib only
     # FTL geometry for the reg-* baselines
     page_size: int = 4096
     pages_per_block: int = 1024
