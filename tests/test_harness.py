@@ -1,7 +1,9 @@
 """Experiment runner tests: stage tracking, CSV output, the simulated
 clock, and config file parsing."""
 
+import random
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -9,9 +11,9 @@ import pytest
 from helpers import KIB, MIB, tiny_spec
 from zonecache import errors
 from zonecache.harness import (CSV_HEADER, ExperimentConfig, _Clock, _Driver,
-                               _SCHEME_KEYS, parse_config_file, parse_config_text,
-                               parse_size, render_csv, run)
-from zonecache.schemes import build
+                               _SCHEME_KEYS, check_scheme, parse_config_file,
+                               parse_config_text, parse_size, render_csv, run)
+from zonecache.schemes import SCHEME_NAMES, build
 from zonecache.workload import WorkloadSpec
 
 STAGE_ORDER = {"filling": 0, "evicting": 1, "stable": 2}
@@ -283,3 +285,55 @@ def test_readme_lists_every_scheme_key():
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     sentence = re.search(r"Scheme keys:(.*?)\.\s", readme, re.DOTALL).group(1)
     assert set(re.findall(r"`([^`]+)`", sentence)) == set(_SCHEME_KEYS)
+
+
+# --- config loading checks a spec by building it ----------------------------------
+
+_BAD_VALUES = {
+    "name": ("warp-lru",),
+    "zone_count": (0, -1),
+    "zone_capacity": (0, 4097, 24 * KIB),
+    "max_open_zones": (0, 9),
+    "region_size": (0, 24 * KIB, 3 * KIB),
+    "op_ratio": (-0.5,),
+    "vop_ratio": (1.5, -0.1),
+    "w_low": (0.0, 60.0),
+    "w_high": (20.0, 101.0),
+    "min_write_zones": (0, 9),
+    "cache_capacity_regions": (0, 100),
+    "page_size": (0, 3 * KIB),
+    "pages_per_block": (0, 3),
+    "gc_trigger_free_blocks": (0,),
+    "read_bandwidth": (0,),
+    "write_bandwidth": (0,),
+}
+
+
+def _near_tiny_spec(rng):
+    """`tiny_spec` for a random scheme with about one field in ten out of
+    range."""
+    spec = tiny_spec(rng.choice(SCHEME_NAMES))
+    bad = {field: rng.choice(values) for field, values in _BAD_VALUES.items()
+           if rng.random() < 0.1}
+    return replace(spec, **bad)
+
+
+def test_check_scheme_rejects_exactly_what_build_rejects():
+    rng = random.Random(10)
+    accepted = 0
+    for _ in range(500):
+        spec = _near_tiny_spec(rng)
+        try:
+            build(spec)
+            built = True
+        except (errors.IncompatibleSpec, errors.InvalidConfig):
+            built = False
+        try:
+            check_scheme(spec, ())
+            checked = True
+        except errors.ConfigError:
+            checked = False
+        assert checked == built, spec
+        accepted += built
+    assert 0 < accepted < 500  # both outcomes drawn
+
