@@ -18,11 +18,10 @@ import os
 from dataclasses import dataclass, field, replace
 
 from . import errors
-from .schemes import SchemeSpec, build, check_spec
+from .schemes import SchemeSpec, build
 from .workload import (CacheOp, OpKind, WorkloadSpec, generate, preset_spec,
                        replay, value_bytes)
-from .zcache import ZLRU_SETTINGS, Policy
-from . import schemes as _schemes
+from .zcache import ZLRU_SETTINGS, CacheConfig, Policy
 
 CSV_HEADER = ("interval,ops,hits,misses,hit_ratio,cache_bytes,device_bytes,"
               "wa_cum,gc_migrated_bytes,empty_zones,stage")
@@ -90,6 +89,13 @@ def _row_line(row) -> str:
             f"{row.hit_ratio:.4f},{row.cache_bytes},{row.device_bytes},"
             f"{row.wa_cum:.4f},{row.gc_migrated_bytes},{row.empty_zones},"
             f"{row.stage}")
+
+
+def _wa(m) -> float:
+    """Cumulative WA of a metrics snapshot; 1.0 before any flush."""
+    if not m.cache_bytes_written:
+        return 1.0
+    return m.device_bytes_written / m.cache_bytes_written
 
 
 def render_csv(report: MetricsReport) -> str:
@@ -189,13 +195,11 @@ def run(config: ExperimentConfig) -> MetricsReport:
         misses = m.misses - last_misses
         last_hits, last_misses = m.hits, m.misses
         lookups = hits + misses
-        wa = (m.device_bytes_written / m.cache_bytes_written
-              if m.cache_bytes_written else 1.0)
         rows.append(IntervalRow(
             interval=len(rows) + 1, ops=interval_ops, hits=hits, misses=misses,
             hit_ratio=hits / lookups if lookups else 0.0,
             cache_bytes=m.cache_bytes_written,
-            device_bytes=m.device_bytes_written, wa_cum=wa,
+            device_bytes=m.device_bytes_written, wa_cum=_wa(m),
             gc_migrated_bytes=m.gc_migrated_bytes,
             empty_zones=m.empty_zones, stage=driver.stage))
         if driver.stage == "stable":
@@ -214,15 +218,13 @@ def run(config: ExperimentConfig) -> MetricsReport:
         close_interval()
 
     final = engine.metrics()
-    final_wa = (final.device_bytes_written / final.cache_bytes_written
-                if final.cache_bytes_written else 1.0)
     throughput = None
     if config.timing_enabled and stable_seconds > 0:
         throughput = stable_ops / stable_seconds
     summary = RunSummary(
         stable_ops_per_sec=throughput,
         stable_hit_ratio=stable_hits / stable_lookups if stable_lookups else None,
-        final_wa=final_wa,
+        final_wa=_wa(final),
         total_sim_seconds=clock.seconds,
         first_eviction_op=driver.first_eviction_op,
         first_gc_op=driver.first_gc_op)
@@ -275,6 +277,7 @@ _WORKLOAD_KEYS = {
 _RUN_KEYS = {
     "interval_ops": int, "timing": _parse_bool, "output": str,
 }
+_CONFIG_KEYS = {**_SCHEME_KEYS, **_WORKLOAD_KEYS, **_RUN_KEYS}
 
 
 def parse_config_text(text, base_dir=".") -> ExperimentConfig:
@@ -289,11 +292,10 @@ def parse_config_text(text, base_dir=".") -> ExperimentConfig:
         key, value = key.strip(), value.strip()
         if key in values:
             raise errors.ConfigError(f"line {number}: duplicate key {key!r}")
-        schema = {**_SCHEME_KEYS, **_WORKLOAD_KEYS, **_RUN_KEYS}
-        if key not in schema:
+        if key not in _CONFIG_KEYS:
             raise errors.ConfigError(f"line {number}: unknown key {key!r}")
         try:
-            values[key] = schema[key](value)
+            values[key] = _CONFIG_KEYS[key](value)
         except (ValueError, TypeError) as e:
             raise errors.ConfigError(f"line {number}: bad value for {key}: {e}")
     return config_from_values(values, base_dir)
@@ -305,7 +307,7 @@ def config_from_values(values, base_dir=".") -> ExperimentConfig:
     spec_kwargs = {k: v for k, v in values.items() if k in _SCHEME_KEYS}
     spec_kwargs["name"] = spec_kwargs.pop("scheme")
     scheme = SchemeSpec(**spec_kwargs)
-    resolved = check_scheme(scheme, spec_kwargs)
+    cache = check_scheme(scheme, spec_kwargs)
 
     trace = values.get("trace")
     workload = None
@@ -319,7 +321,7 @@ def config_from_values(values, base_dir=".") -> ExperimentConfig:
         if not os.path.exists(trace):
             raise errors.ConfigError(f"trace file not found: {trace}")
     else:
-        workload = _workload_from_values(values, resolved)
+        workload = _workload_from_values(values, cache)
 
     config = ExperimentConfig(
         scheme=scheme, workload=workload, trace_path=trace,
@@ -333,39 +335,35 @@ def config_from_values(values, base_dir=".") -> ExperimentConfig:
     return config
 
 
-def check_scheme(scheme: SchemeSpec, keys) -> SchemeSpec:
-    """`schemes.check_spec`, failing with a ConfigError: a spec that
-    `build` would reject, or that sets (in `keys`) a setting its cache
-    never reads, is caught while the config loads."""
+def check_scheme(scheme: SchemeSpec, keys) -> CacheConfig:
+    """Build the scheme once and drop it, failing with a ConfigError: a
+    spec that `build` rejects, or that sets (in `keys`) a setting its
+    cache never reads, is caught while the config loads. Returns the
+    built cache's config."""
     try:
-        resolved = check_spec(scheme)
+        cache = build(scheme).cache.config
     except (errors.IncompatibleSpec, errors.InvalidConfig) as e:
         raise errors.ConfigError(str(e))
     unread = [key for key in ZLRU_SETTINGS if key in keys]
-    if unread and _schemes._POLICY[scheme.name] is not Policy.ZLRU:
+    if unread and cache.policy is not Policy.ZLRU:
         raise errors.ConfigError(
             f"{scheme.name} ignores {', '.join(unread)}, which only "
             f"zcachelib's ZLRU cache reads")
-    return resolved
+    return cache
 
 
-def _workload_from_values(values, scheme: SchemeSpec) -> WorkloadSpec:
-    """`scheme` is checked, with its defaults filled in."""
-    cache_bytes = _schemes._capacity_regions(scheme) * scheme.region_size
+def _workload_from_values(values, cache: CacheConfig) -> WorkloadSpec:
     preset = values.get("preset")
     if preset is not None:
-        spec = preset_spec(preset, cache_bytes,
-                           seed=values.get("seed", 1),
-                           op_count=values.get("op_count", 100_000))
+        spec = preset_spec(preset,
+                           cache.cache_capacity_regions * cache.region_size)
     else:
         if "get_ratio" not in values or "key_space" not in values:
             raise errors.ConfigError(
                 "workload needs a preset, a trace, or get_ratio + key_space")
         spec = WorkloadSpec(name="custom",
                             get_ratio=values["get_ratio"],
-                            key_space=values["key_space"],
-                            op_count=values.get("op_count", 100_000),
-                            seed=values.get("seed", 1))
+                            key_space=values["key_space"], op_count=100_000)
     overrides = {key: values[key]
                  for key in ("get_ratio", "key_space", "zipf_alpha",
                              "size_min", "size_max", "op_count", "seed")

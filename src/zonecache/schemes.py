@@ -20,7 +20,7 @@ from . import errors
 from .ftl import FtlConfig, PageMappedFtl
 from .zcache import CacheConfig, Policy, RegionCache
 from .zns import DeviceConfig, ZnsDevice
-from .zstorage import DropVerb, GcConfig, ZoneStore, check_layout
+from .zstorage import DropVerb, GcConfig, ZoneStore
 
 MIB = 1024 * 1024
 
@@ -100,16 +100,6 @@ def _capacity_regions(spec) -> int:
     return count
 
 
-def _cache_config(spec) -> CacheConfig:
-    return CacheConfig(_capacity_regions(spec), spec.region_size,
-                       spec.vop_ratio, _POLICY[spec.name], spec.reorder_enabled)
-
-
-def _device_config(spec) -> DeviceConfig:
-    return DeviceConfig(spec.zone_count, spec.zone_capacity,
-                        spec.max_open_zones)
-
-
 class _Engine:
     """One region cache over a backend store, plus the bandwidths the
     harness clock charges. Subclasses build the backend and report its
@@ -119,7 +109,10 @@ class _Engine:
         self.read_bandwidth = spec.read_bandwidth
         self.write_bandwidth = spec.write_bandwidth
         self.store = store
-        self.cache = RegionCache(_cache_config(spec), store)
+        self.cache = RegionCache(
+            CacheConfig(_capacity_regions(spec), spec.region_size,
+                        spec.vop_ratio, _POLICY[spec.name],
+                        spec.reorder_enabled), store)
 
     def insert(self, key, value):
         self.cache.insert(key, value)
@@ -149,12 +142,17 @@ class _ZnsEngine(_Engine):
     """Common wiring for the three zoned schemes."""
 
     def __init__(self, spec):
-        self.device = ZnsDevice(_device_config(spec))
+        self.gc_free = spec.name == "zns-direct"
+        if self.gc_free and spec.region_size != spec.zone_capacity:
+            raise errors.IncompatibleSpec(
+                "zns-direct requires region_size == zone_capacity")
+        self.device = ZnsDevice(DeviceConfig(
+            spec.zone_count, spec.zone_capacity, spec.max_open_zones))
         store = ZoneStore(self.device, spec.region_size,
                           GcConfig(spec.w_low, spec.w_high),
-                          min_write_zones=spec.min_write_zones)
+                          min_write_zones=1 if self.gc_free
+                          else spec.min_write_zones)
         super().__init__(spec, store)
-        self.gc_free = spec.name == "zns-direct"
         self._checked_flushes = 0
         if spec.name == "zcachelib":
             self._filter = self.cache.zdrop_filter
@@ -180,7 +178,7 @@ class _ZnsEngine(_Engine):
     def gc_events(self) -> int:
         if self.gc_free:
             return self.device.counters.total_resets
-        return self.store.gc_cycles
+        return len(self.store.gc_log)
 
     def _backend_metrics(self) -> dict:
         counters = self.device.counters
@@ -188,7 +186,7 @@ class _ZnsEngine(_Engine):
             device_bytes_written=counters.total_appended_bytes,
             device_bytes_read=counters.total_read_bytes,
             gc_migrated_bytes=self.store.migrated_bytes,
-            gc_cycles=self.store.gc_cycles,
+            gc_cycles=len(self.store.gc_log),
             empty_zones=len(self.store.empty_zones),
             zone_resets=counters.total_resets,
             gc_log=list(self.store.gc_log))
@@ -223,24 +221,26 @@ class _FtlRegionStore:
     def invalidate_region(self, vaddr):
         pass
 
-    def zone_of(self, vaddr):
-        return None
-
-
-def _ftl_config(spec) -> FtlConfig:
-    device_bytes = spec.zone_count * spec.zone_capacity
-    block_bytes = spec.page_size * spec.pages_per_block
-    return FtlConfig(  # validate rejects a page or block under one
-        pages_per_block=spec.pages_per_block,
-        block_count=device_bytes // block_bytes if block_bytes > 0 else 0,
-        page_size=spec.page_size,
-        internal_op_ratio=spec.op_ratio,
-        gc_trigger_free_blocks=spec.gc_trigger_free_blocks)
-
 
 class _RegEngine(_Engine):
     def __init__(self, spec):
-        self.ftl = PageMappedFtl(_ftl_config(spec))
+        device_bytes = spec.zone_count * spec.zone_capacity
+        block_bytes = spec.page_size * spec.pages_per_block
+        self.ftl = PageMappedFtl(FtlConfig(  # rejects a page or block under one
+            pages_per_block=spec.pages_per_block,
+            block_count=device_bytes // block_bytes if block_bytes > 0 else 0,
+            page_size=spec.page_size,
+            internal_op_ratio=spec.op_ratio,
+            gc_trigger_free_blocks=spec.gc_trigger_free_blocks))
+        if device_bytes % block_bytes != 0:
+            raise errors.IncompatibleSpec(
+                "device size must be a whole number of erase blocks")
+        if spec.region_size % spec.page_size != 0:
+            raise errors.IncompatibleSpec("region size must be page-aligned")
+        if (_capacity_regions(spec) * spec.region_size
+                > self.ftl.config.exported_bytes):
+            raise errors.IncompatibleSpec(
+                "cache regions exceed the FTL's exported capacity")
         super().__init__(spec, _FtlRegionStore(self.ftl, spec.region_size))
 
     def tick_gc(self):
@@ -260,10 +260,10 @@ class _RegEngine(_Engine):
             zone_resets=self.ftl.erase_count)
 
 
-def check_spec(spec: SchemeSpec) -> SchemeSpec:
-    """Every check `build` makes of a spec, run without building anything:
-    the spec's own and those of each component config `build` constructs.
-    Returns the spec with the scheme's defaults filled in; raises
+def build(spec: SchemeSpec):
+    """Wire a fully configured engine for one scheme. This is the only
+    check of a spec: `build` makes the scheme-level ones, and the engine
+    and each component it constructs check their own settings. Raises
     IncompatibleSpec or InvalidConfig."""
     if spec.name not in SCHEME_NAMES:
         raise errors.IncompatibleSpec(f"unknown scheme {spec.name!r}; "
@@ -271,36 +271,6 @@ def check_spec(spec: SchemeSpec) -> SchemeSpec:
     if spec.read_bandwidth < 1 or spec.write_bandwidth < 1:
         raise errors.InvalidConfig("bandwidths must be >= 1")
     spec = replace(spec, region_size=default_region_size(spec))
-    cache = _cache_config(spec)
-    cache.validate()
-    if spec.name == "zns-direct":
-        if spec.region_size != spec.zone_capacity:
-            raise errors.IncompatibleSpec(
-                "zns-direct requires region_size == zone_capacity")
-        spec = replace(spec, min_write_zones=1)
-    if spec.name.startswith("reg-"):
-        ftl = _ftl_config(spec)
-        ftl.validate()
-        block_bytes = spec.page_size * spec.pages_per_block
-        if spec.zone_count * spec.zone_capacity % block_bytes != 0:
-            raise errors.IncompatibleSpec(
-                "device size must be a whole number of erase blocks")
-        if spec.region_size % spec.page_size != 0:
-            raise errors.IncompatibleSpec("region size must be page-aligned")
-        if cache.cache_capacity_regions * spec.region_size > ftl.exported_bytes:
-            raise errors.IncompatibleSpec(
-                "cache regions exceed the FTL's exported capacity")
-    else:
-        device = _device_config(spec)
-        device.validate()
-        GcConfig(spec.w_low, spec.w_high).validate()
-        check_layout(device, spec.region_size, spec.min_write_zones)
-    return spec
-
-
-def build(spec: SchemeSpec):
-    """Wire a fully configured engine for one scheme."""
-    spec = check_spec(spec)
     if spec.name.startswith("reg-"):
         return _RegEngine(spec)
     return _ZnsEngine(spec)

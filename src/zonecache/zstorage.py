@@ -88,23 +88,18 @@ class GcStats:
     reclaimed_zones: int = 0
 
 
-def check_layout(device_config, region_size: int, min_write_zones: int):
-    """The zone store's checks of its region and write-zone layout."""
-    if region_size < 1 or device_config.zone_capacity % region_size != 0:
-        raise errors.InvalidConfig(
-            "zone_capacity must be a positive multiple of region_size")
-    if not 1 <= min_write_zones <= device_config.max_open_zones:
-        raise errors.InvalidConfig(
-            "need 1 <= min_write_zones <= max_open_zones")
-
-
 class ZoneStore:
     """Owns zone grouping, the region map, and GC for one device, and keeps
     `min_write_zones` write zones open, fewer only when no zone is empty."""
 
     def __init__(self, device, region_size: int, gc_config: GcConfig = None,
                  min_write_zones: int = 4):
-        check_layout(device.config, region_size, min_write_zones)
+        if region_size < 1 or device.config.zone_capacity % region_size != 0:
+            raise errors.InvalidConfig(
+                "zone_capacity must be a positive multiple of region_size")
+        if not 1 <= min_write_zones <= device.config.max_open_zones:
+            raise errors.InvalidConfig(
+                "need 1 <= min_write_zones <= max_open_zones")
         self.device = device
         self.region_size = region_size
         self.gc_config = gc_config or GcConfig()
@@ -126,7 +121,6 @@ class ZoneStore:
 
         self.cache_region_bytes = 0  # bytes issued through write_region
         self.migrated_bytes = 0
-        self.gc_cycles = 0
         self.gc_log = []             # (empty count at entry, empty count at exit)
 
     # -- zone group bookkeeping ------------------------------------------------
@@ -266,7 +260,6 @@ class ZoneStore:
             if stagnant > stagnant_limit:
                 raise errors.GcStalled(
                     "cleaning makes no net progress toward the stop watermark")
-        self.gc_cycles += 1
         self.gc_log.append((entry_empty, len(self.empty_zones)))
         return stats
 

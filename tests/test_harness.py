@@ -1,15 +1,17 @@
 """Experiment runner tests: stage tracking, CSV output, the simulated
 clock, and config file parsing."""
 
+import gc
 import random
 import re
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from helpers import KIB, MIB, tiny_spec
-from zonecache import errors
+from zonecache import errors, harness
 from zonecache.harness import (CSV_HEADER, ExperimentConfig, _Clock, _Driver,
                                _SCHEME_KEYS, check_scheme, parse_config_file,
                                parse_config_text, parse_size, render_csv, run)
@@ -337,3 +339,20 @@ def test_check_scheme_rejects_exactly_what_build_rejects():
         accepted += built
     assert 0 < accepted < 500  # both outcomes drawn
 
+
+def test_config_loading_keeps_no_engine(monkeypatch):
+    engines = []
+    real_build = harness.build
+
+    def recording_build(spec):
+        engine = real_build(spec)
+        engines.append(weakref.ref(engine))
+        return engine
+
+    monkeypatch.setattr(harness, "build", recording_build)
+    parse_config_text(GOOD_CONFIG)
+    parse_config_text(GOOD_CONFIG.replace("zns-middle-lru", "reg-lru")
+                      + "page_size = 2kib\npages_per_block = 4\n")
+    gc.collect()
+    assert engines
+    assert all(ref() is None for ref in engines)

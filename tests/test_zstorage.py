@@ -226,7 +226,7 @@ def test_gc_noop_above_trigger():
     store.write_region(0, payload(0))
     stats = store.gc_cycle(migrate_all)
     assert stats.reclaimed_zones == 0 and stats.migrated_bytes == 0
-    assert store.gc_cycles == 0 and store.gc_log == []
+    assert store.gc_log == []
 
 
 def test_gc_migrate_all_restores_high_watermark():
@@ -389,7 +389,7 @@ def test_gc_migration_shares_buffers_that_stay_intact_after_reuse():
             for vaddr, data in shadow.items():
                 assert store.read_region(vaddr) == data
                 checked += store.region_size
-    assert store.gc_cycles > 0
+    assert len(store.gc_log) > 0
 
 
 def test_reclaim_invalid_read_zones_only_touches_dead_zones():
