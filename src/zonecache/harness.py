@@ -19,8 +19,8 @@ from dataclasses import dataclass, field, replace
 
 from . import errors
 from .schemes import SchemeSpec, build
-from .workload import (CacheOp, OpKind, WorkloadSpec, generate, preset_spec,
-                       replay, value_bytes)
+from .workload import (CacheOp, OpKind, WorkloadSpec, generate,
+                       matches_value, preset_spec, replay, value_bytes)
 from .zcache import ZLRU_SETTINGS, CacheConfig, Policy
 
 CSV_HEADER = ("interval,ops,hits,misses,hit_ratio,cache_bytes,device_bytes,"
@@ -35,7 +35,7 @@ class ExperimentConfig:
     interval_ops: int = 10_000
     timing_enabled: bool = False
     output_path: str = None
-    verify_hits: bool = False  # compare hit payloads against expected bytes
+    verify_hits: bool = False  # check hit payloads: key's pattern, op's size
 
     def validate(self):
         if self.interval_ops < 1:
@@ -149,7 +149,9 @@ class _Driver:
             if data is None:
                 if op.size is not None:  # cache-fill after a miss
                     engine.insert(op.key, value_bytes(op.key, op.size))
-            elif self.verify_hits and data != value_bytes(op.key, len(data)):
+            elif self.verify_hits and not (
+                    (op.size is None or len(data) == op.size)
+                    and matches_value(op.key, data)):
                 self.corrupt_hits += 1
 
     def step(self, op: CacheOp):
@@ -354,23 +356,23 @@ def check_scheme(scheme: SchemeSpec, keys) -> CacheConfig:
 
 def _workload_from_values(values, cache: CacheConfig) -> WorkloadSpec:
     preset = values.get("preset")
-    if preset is not None:
-        spec = preset_spec(preset,
-                           cache.cache_capacity_regions * cache.region_size)
-    else:
-        if "get_ratio" not in values or "key_space" not in values:
-            raise errors.ConfigError(
-                "workload needs a preset, a trace, or get_ratio + key_space")
-        spec = WorkloadSpec(name="custom",
-                            get_ratio=values["get_ratio"],
-                            key_space=values["key_space"], op_count=100_000)
+    if preset is None and ("get_ratio" not in values
+                           or "key_space" not in values):
+        raise errors.ConfigError(
+            "workload needs a preset, a trace, or get_ratio + key_space")
     overrides = {key: values[key]
                  for key in ("get_ratio", "key_space", "zipf_alpha",
                              "size_min", "size_max", "op_count", "seed")
                  if key in values}
-    if overrides:
-        spec = replace(spec, **overrides)
     try:
+        if preset is not None:
+            spec = preset_spec(preset,
+                               cache.cache_capacity_regions * cache.region_size)
+        else:
+            spec = WorkloadSpec(name="custom",
+                                get_ratio=values["get_ratio"],
+                                key_space=values["key_space"], op_count=100_000)
+        spec = replace(spec, **overrides)
         spec.validate()
     except errors.InvalidSpec as e:
         raise errors.ConfigError(str(e))

@@ -97,14 +97,26 @@ def key_size(spec: WorkloadSpec, key: str) -> int:
     return min(spec.size_max, int(spec.size_min * math.exp(u * span)))
 
 
+def _tile(key: str) -> bytes:
+    return blake2b(str(key).encode(), digest_size=8).digest()
+
+
 def value_bytes(key: str, size: int) -> bytes:
     """Deterministic payload for a key: a keyed 8-byte pattern tiled to size.
     Reconstructable from the key alone, so integrity checks never need to
     store a second copy of the data."""
     if size == 0:
         return b""
-    tile = blake2b(str(key).encode(), digest_size=8).digest()
-    return (tile * (size // 8 + 1))[:size]
+    return (_tile(key) * (size // 8 + 1))[:size]
+
+
+def matches_value(key: str, data: bytes) -> bool:
+    """`data == value_bytes(key, len(data))`, checked in place: the first
+    8 bytes are the key's tile, and the rest repeats them, which is
+    `data[8:] == data[:-8]`, one compare with no second copy."""
+    n = len(data)
+    return data[:8] == _tile(key)[:n] and (
+        n <= 8 or data.startswith(memoryview(data)[:n - 8], 8))
 
 
 class ZipfSampler:

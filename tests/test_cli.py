@@ -116,6 +116,15 @@ def test_spec_build_rejects_exits_3(conf, capsys, old, new, fragment):
     assert fragment in err
 
 
+def test_unknown_preset_exits_3(conf, capsys):
+    conf.write_text(TINY_CONF.replace("get_ratio = 0.5\nkey_space = 30\n",
+                                      "preset = bogus\n"))
+    assert main(["run", "--config", str(conf)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error")
+    assert "unknown preset 'bogus'" in err
+
+
 def test_sweep_rejects_value_build_rejects(conf, tmp_path, capsys):
     prefix = tmp_path / "sw"
     conf.write_text(TINY_CONF.replace("scheme = zns-middle-lru\n",

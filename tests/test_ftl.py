@@ -13,6 +13,7 @@ import random
 import pytest
 
 from zonecache import FtlConfig, PageMappedFtl, errors
+from zonecache import ftl as ftl_module
 
 PAGE = 4096
 
@@ -312,6 +313,61 @@ def test_payloads_survive_gc(seed):
     assert ftl.gc_runs > 0
     for lpn, data in shadow.items():
         assert ftl.ftl_read(lpn * PAGE, PAGE) == data
+
+
+class RecordingArena:
+    """Stands in for the FTL's mmap, whose only use is madvise: records
+    each call and gives no advice, or fails like a kernel without it."""
+
+    def __init__(self, fail=False):
+        self.fail, self.calls = fail, []
+
+    def madvise(self, *args):
+        self.calls.append(args)
+        if self.fail:
+            raise OSError(22, "Invalid argument")
+
+
+def churn_and_check(ftl, seed=4):
+    # overwrite enough to run GC, then read every write back byte for byte
+    ppb = ftl.config.pages_per_block
+    pages = ftl.config.exported_pages
+    rng = random.Random(seed)
+    shadow = {}
+    for _ in range(12 * ftl.config.block_count):
+        count = rng.randint(1, 3 * ppb)
+        first = rng.randrange(pages - count + 1)
+        data = rng.randbytes(count * PAGE)
+        ftl.ftl_write(first * PAGE, data)
+        for i in range(count):
+            shadow[first + i] = data[i * PAGE:(i + 1) * PAGE]
+    assert ftl.gc_runs > 0 and ftl.erase_count > 0
+    for lpn, data in shadow.items():
+        assert ftl.ftl_read(lpn * PAGE, PAGE) == data
+
+
+def test_each_block_is_populated_once_on_first_take(monkeypatch):
+    monkeypatch.setattr(ftl_module, "POPULATE_WRITE", 23)
+    ftl = make_ftl(ppb=8, blocks=24)
+    ftl.arena = RecordingArena()
+    churn_and_check(ftl)
+    block_bytes = 8 * PAGE
+    assert ftl.arena.calls == [(23, b * block_bytes, block_bytes)
+                               for b in range(24)]
+
+
+@pytest.mark.parametrize("fallback", ["off_linux", "advice_fails"])
+def test_writes_read_back_without_populate_advice(monkeypatch, fallback):
+    if fallback == "off_linux":
+        monkeypatch.setattr(ftl_module, "POPULATE_WRITE", None)
+    else:
+        monkeypatch.setattr(ftl_module, "POPULATE_WRITE", 23)
+    ftl = make_ftl(ppb=8, blocks=24)
+    ftl.arena = RecordingArena(fail=True)
+    churn_and_check(ftl)
+    assert ftl.populate is None
+    # a failed advice is not retried
+    assert len(ftl.arena.calls) == (0 if fallback == "off_linux" else 1)
 
 
 def test_device_busy_when_nothing_reclaimable():

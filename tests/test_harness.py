@@ -16,7 +16,7 @@ from zonecache.harness import (CSV_HEADER, ExperimentConfig, _Clock, _Driver,
                                _SCHEME_KEYS, check_scheme, parse_config_file,
                                parse_config_text, parse_size, render_csv, run)
 from zonecache.schemes import SCHEME_NAMES, build
-from zonecache.workload import WorkloadSpec
+from zonecache.workload import CacheOp, OpKind, WorkloadSpec, value_bytes
 
 STAGE_ORDER = {"filling": 0, "evicting": 1, "stable": 2}
 
@@ -157,6 +157,50 @@ def test_verify_hits_flags_corrupted_payloads():
     driver.step(CacheOp(OpKind.SET, "a", 4096))
     driver.step(CacheOp(OpKind.GET, "a"))
     assert driver.corrupt_hits == 1
+
+
+def test_verify_hits_flags_truncated_payloads():
+    # a hit cut short still carries the key's pattern; its length is what
+    # gives it away
+    engine = build(tiny_spec("zns-middle-lru"))
+    real_lookup = engine.lookup
+    engine.lookup = lambda key: (lambda d: None if d is None else d[:-1])(
+        real_lookup(key))
+    driver = _Driver(engine, verify_hits=True)
+    driver.step(CacheOp(OpKind.SET, "a", 4096))
+    driver.step(CacheOp(OpKind.GET, "a", 4096))
+    assert driver.corrupt_hits == 1
+    driver.step(CacheOp(OpKind.GET, "a"))  # size unknown: pattern only
+    assert driver.corrupt_hits == 1
+
+
+def test_verify_hits_builds_payloads_for_inserts_only(monkeypatch):
+    built = []
+    inserted = []
+
+    def counting_value_bytes(key, size):
+        built.append(key)
+        return value_bytes(key, size)
+
+    def counting_build(spec):
+        engine = build(spec)
+        real_insert = engine.insert
+
+        def insert(key, value):
+            inserted.append(key)
+            real_insert(key, value)
+        engine.insert = insert
+        return engine
+
+    monkeypatch.setattr(harness, "value_bytes", counting_value_bytes)
+    monkeypatch.setattr(harness, "build", counting_build)
+    config = tiny_config(ops=2000, verify_hits=True)
+    report = run(config)
+    m = report.final_metrics
+    sets = sum(op.kind is OpKind.SET for op in harness.generate(config.workload))
+    assert report.corrupt_hits == 0 and m.hits > 0
+    assert built == inserted
+    assert len(built) == sets + m.misses  # sets plus fills; no hit builds one
 
 
 def test_sim_errors_carry_the_op_index(tmp_path):

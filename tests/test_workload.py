@@ -14,8 +14,8 @@ import pytest
 from zonecache import errors
 from zonecache.workload import (CacheOp, OpKind, PRESET_GET_RATIOS,
                                 WorkloadSpec, ZipfSampler, generate, key_size,
-                                mean_object_size, preset_spec, replay,
-                                value_bytes, write_trace)
+                                matches_value, mean_object_size, preset_spec,
+                                replay, value_bytes, write_trace)
 
 KIB = 1024
 
@@ -143,6 +143,30 @@ def test_value_bytes_properties():
     assert blob == value_bytes("k1", 1000)
     assert blob != value_bytes("k2", 1000)
     assert blob[:8] == blob[8:16]  # tiled pattern
+
+
+def flipped(data, at):
+    return data[:at] + bytes([data[at] ^ 0x01]) + data[at + 1:]
+
+
+def test_matches_value_is_the_payload_compare():
+    # the in-place check answers exactly `data == value_bytes(key, len)`,
+    # for a byte flipped in the first, a middle and the last (partial)
+    # tile, another key's payload, one byte short or over, and no data
+    rng = random.Random(11)
+    lengths = list(range(41)) + [rng.randrange(256 * KIB + 1)
+                                 for _ in range(40)]
+    for n in lengths:
+        key = f"k{rng.randrange(10 ** 6)}"
+        good = value_bytes(key, n)
+        cases = [good, value_bytes(key + "x", n), good[:-1], good + b"\0"]
+        if n:
+            last_tile = n - 1 - rng.randrange(n % 8 or 8)
+            cases += [flipped(good, rng.randrange(min(n, 8))),
+                      flipped(good, n // 2), flipped(good, last_tile)]
+        for data in cases:
+            assert matches_value(key, data) == (
+                data == value_bytes(key, len(data))), (key, n)
 
 
 # --- trace replay ---------------------------------------------------------------
