@@ -250,6 +250,25 @@ def test_wa_identity_host_plus_migrated():
     assert ftl.nand_bytes_written == ftl.host_bytes_written + ftl.migrated_bytes
 
 
+def assert_matches_oracle(ftl, oracle, shadow):
+    # counters, both page maps, every block's valid count and every page
+    ppb = ftl.config.pages_per_block
+    assert ftl.host_bytes_written == oracle.host * PAGE
+    assert ftl.nand_bytes_written == oracle.nand * PAGE
+    assert ftl.migrated_bytes == oracle.migrated * PAGE
+    want_map = [-1] * ftl.config.exported_pages
+    want_reverse = [-1] * len(ftl.reverse)
+    for lpn, (block, slot) in oracle.where.items():
+        want_map[lpn] = block * ppb + slot
+        want_reverse[block * ppb + slot] = lpn
+    assert list(ftl.mapping) == want_map
+    assert list(ftl.reverse) == want_reverse
+    assert ftl.valid_counts == [oracle._valid(b) for b in range(len(oracle.blocks))]
+    assert sum(ftl.valid_counts) == len(shadow)
+    for lpn, data in shadow.items():
+        assert ftl.ftl_read(lpn * PAGE, PAGE) == data
+
+
 @pytest.mark.parametrize("seed,ppb", [(1, 4), (2, 8), (3, 16)])
 def test_multi_page_runs_match_oracle(seed, ppb):
     # extents of 1 to 3 blocks at random page offsets cross block
@@ -273,25 +292,56 @@ def test_multi_page_runs_match_oracle(seed, ppb):
             oracle.write(first + i)
             shadow[first + i] = data[i * PAGE:(i + 1) * PAGE]
     assert gc_mid_write > 0
-    assert ftl.host_bytes_written == oracle.host * PAGE
-    assert ftl.nand_bytes_written == oracle.nand * PAGE
-    assert ftl.migrated_bytes == oracle.migrated * PAGE
-    want_map = [-1] * pages
-    for lpn, (block, slot) in oracle.where.items():
-        want_map[lpn] = block * ppb + slot
-    assert list(ftl.mapping) == want_map
-    for lpn, ppage in enumerate(want_map):
-        if ppage >= 0:
-            assert ftl.reverse[ppage] == lpn
-    assert sum(1 for lpn in ftl.reverse if lpn >= 0) == len(shadow)
-    for lpn, data in shadow.items():
-        assert ftl.ftl_read(lpn * PAGE, PAGE) == data
+    assert_matches_oracle(ftl, oracle, shadow)
     for _ in range(50):
         count = rng.randint(1, 3 * ppb)
         first = rng.randrange(pages - count + 1)
         if all(first + i in shadow for i in range(count)):
             want = b"".join(shadow[first + i] for i in range(count))
             assert ftl.ftl_read(first * PAGE + 5, count * PAGE - 9) == want[5:-4]
+
+
+@pytest.mark.parametrize("seed,ppb,extent_blocks", [(1, 4, 4), (2, 8, 2), (3, 16, 3)])
+def test_region_shaped_writes_match_oracle(seed, ppb, extent_blocks):
+    # the cache's pattern: whole extents of several erase blocks rewritten
+    # at extent-aligned addresses in shuffled order. One leading single-page
+    # write starts every later extent mid-block, so an extent's old copies
+    # straddle erase blocks; random single-page overwrites make GC migrate
+    # pages, which scatters the old copies of the extents they land in
+    blocks = 32
+    ftl = make_ftl(ppb=ppb, blocks=blocks)
+    oracle = OracleFtl(ppb, blocks)
+    pages = ftl.config.exported_pages
+    extent = extent_blocks * ppb
+    starts = [i * extent for i in range(pages // extent)]
+    rng = random.Random(seed)
+    shadow = {}
+    straddled = scattered = 0
+
+    def write(first, count):
+        data = rng.randbytes(count * PAGE)
+        ftl.ftl_write(first * PAGE, data)
+        for i in range(count):
+            oracle.write(first + i)
+            shadow[first + i] = data[i * PAGE:(i + 1) * PAGE]
+
+    write(pages - 1, 1)
+    for rnd in range(8):
+        rng.shuffle(starts)
+        for first in starts:
+            old = list(ftl.mapping[first:first + extent])
+            if old == list(range(old[0], old[0] + extent)):
+                straddled += old[0] % ppb != 0
+            elif min(old) >= 0:
+                scattered += 1
+            write(first, extent)
+            if rnd >= 2 and rng.random() < 0.5:
+                write(rng.randrange(pages), 1)
+    assert straddled > 0 and scattered > 0 and ftl.migrated_bytes > 0
+    assert_matches_oracle(ftl, oracle, shadow)
+    for first in starts:
+        want = b"".join(shadow[first + i] for i in range(extent))
+        assert ftl.ftl_read(first * PAGE, extent * PAGE) == want
 
 
 # --- integrity and exhaustion ---------------------------------------------------------
