@@ -6,16 +6,21 @@ internal GC (victim = fewest valid pages, lowest block index on ties), and
 internal over-provisioning hidden from the host. GC runs inline during
 writes; there is no background thread.
 
-Storage is flat. Every physical page lives in one anonymous memory map,
-which the OS zero-fills on first touch, so building a large device costs
-nothing up front. On Linux the first take of an erase block faults the
-whole block in with one `MADV_POPULATE_WRITE` call instead of one fault
-per 4 KiB page. The page maps are two integer arrays, -1 meaning
-unmapped: `mapping` (logical -> physical) and `reverse` (physical ->
-logical). A write is placed as runs: each run is the part that fits in
-the active erase block, stored with one slice copy and one slice
-assignment per map. GC still steps page by page, since only the valid
-pages of a victim move.
+Storage is flat. Every physical page lives in one private anonymous
+memory map, which the OS zero-fills on first touch, so building a large
+device costs nothing up front. On Linux the first take of an erase block
+faults the whole block in with one `MADV_POPULATE_WRITE` call instead of
+one fault per 4 KiB page. The page maps are two integer arrays, -1
+meaning unmapped: `mapping` (logical -> physical) and `reverse`
+(physical -> logical). A write is placed as runs: each run is the part
+that fits in the active erase block, stored with one slice copy and
+remapped with one slice of an identity array per map (`identity[i] == i`,
+grown on demand up to the highest page touched). When a run's old copies
+form one physical run they are invalidated by slices as well: one compare
+against the identity array, one slice clear of `reverse` and one
+valid-count decrement per erase block they span. Scattered old copies, as
+after GC migrated some, are invalidated page by page. GC migration steps
+page by page, since only the valid pages of a victim move.
 """
 
 import heapq
@@ -69,12 +74,13 @@ class PageMappedFtl:
         config.validate()
         self.config = config
         pages = config.block_count * config.pages_per_block
-        self.arena = mmap.mmap(-1, config.total_bytes)
+        self.arena = mmap.mmap(-1, config.total_bytes, flags=mmap.MAP_PRIVATE)
         self.media = memoryview(self.arena)
         self.populate = POPULATE_WRITE  # None once the advice fails
         self.fresh_block = 0  # blocks from here on were never taken
         self.mapping = array("q", [-1]) * config.exported_pages  # logical -> physical
         self.reverse = array("q", [-1]) * pages  # physical -> logical, valid pages only
+        self.identity = array("q")  # identity[i] == i, grown on demand by _identity
         self.valid_counts = [0] * config.block_count
         self.free_blocks = list(range(config.block_count))
         heapq.heapify(self.free_blocks)
@@ -110,6 +116,13 @@ class PageMappedFtl:
                     self.arena.madvise(self.populate, block * size, size)
                 except OSError:  # older kernel, or an unaligned page size
                     self.populate = None
+
+    def _identity(self, end):
+        """The identity array, grown to cover at least pages [0, end)."""
+        identity = self.identity
+        if len(identity) < end:
+            identity.extend(range(len(identity), end))
+        return identity
 
     def _alloc_page(self) -> int:
         if self.active_block is None or self.active_fill == self.config.pages_per_block:
@@ -195,12 +208,22 @@ class PageMappedFtl:
             src = (lpage - first) * ps
             self.media[ppage * ps:(ppage + run) * ps] = view[src:src + run * ps]
             # invalidate after allocating so GC never migrates the stale copy
-            for old in self.mapping[lpage:lpage + run]:
-                if old >= 0:
-                    self.valid_counts[old // ppb] -= 1
-                    self.reverse[old] = -1
-            self.mapping[lpage:lpage + run] = array("q", range(ppage, ppage + run))
-            self.reverse[ppage:ppage + run] = array("q", range(lpage, lpage + run))
+            olds = self.mapping[lpage:lpage + run]
+            old = olds[0]
+            identity = self._identity(max(lpage, ppage) + run)
+            if old >= 0 and olds == identity[old:old + run]:
+                # the old copies are one physical run: clear it by slices
+                self.reverse[old:old + run] = array("q", [-1]) * run
+                for block in range(old // ppb, (old + run - 1) // ppb + 1):
+                    self.valid_counts[block] -= \
+                        min(old + run, (block + 1) * ppb) - max(old, block * ppb)
+            else:  # unwritten or scattered, as after GC migrated some
+                for old in olds:
+                    if old >= 0:
+                        self.valid_counts[old // ppb] -= 1
+                        self.reverse[old] = -1
+            self.mapping[lpage:lpage + run] = identity[ppage:ppage + run]
+            self.reverse[ppage:ppage + run] = identity[lpage:lpage + run]
             self.valid_counts[self.active_block] += run
             self.nand_bytes_written += run * ps
             self.host_bytes_written += run * ps
@@ -221,7 +244,8 @@ class PageMappedFtl:
         lo = logical_address % ps
         self.read_bytes += length
         start = ppages[0]
-        if ppages == array("q", range(start, start + len(ppages))):
+        end = start + len(ppages)
+        if ppages == self._identity(end)[start:end]:
             return bytes(self.media[start * ps + lo:start * ps + lo + length])
         gathered = b"".join([self.media[p * ps:(p + 1) * ps] for p in ppages])
         return gathered[lo:lo + length]

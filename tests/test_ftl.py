@@ -178,6 +178,24 @@ def test_unmapped_names_first_unwritten_page():
     assert ftl.read_bytes == 0
 
 
+def test_identity_array_grows_only_with_touched_pages():
+    # building does no per-page work beyond the two page maps: the identity
+    # array the write and read paths slice starts empty and reaches only
+    # the highest logical or physical page a write or read has touched
+    ftl = make_ftl(ppb=8, blocks=24)
+    assert len(ftl.identity) == 0
+    ftl.ftl_write(40 * PAGE, b"a" * 3 * PAGE)  # logical 40-42, physical 0-2
+    assert len(ftl.identity) == 43
+    for _ in range(50):                        # physical 3-52
+        ftl.ftl_write(0, b"b" * PAGE)
+    assert len(ftl.identity) == 53
+    assert ftl.ftl_read(40 * PAGE, 3 * PAGE) == b"a" * 3 * PAGE
+    assert len(ftl.identity) == 53
+    churn_and_check(ftl)
+    assert len(ftl.identity) <= len(ftl.reverse)
+    assert list(ftl.identity) == list(range(len(ftl.identity)))
+
+
 # --- greedy victim selection -------------------------------------------------------
 
 def test_victim_is_block_with_fewest_valid_pages():

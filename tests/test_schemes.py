@@ -193,3 +193,34 @@ def test_lru_beats_fifo_at_small_regions():
     gap = _stable_hit_ratio("zns-middle-lru") \
         - _stable_hit_ratio("zns-middle-fifo")
     assert gap > 0.005, f"LRU minus FIFO is {gap * 100:+.2f} pp"
+
+
+# --- device-level WA of the regular-SSD baseline --------------------------------
+
+def _reg_report(name):
+    # erase blocks of 8 MiB hold 4 regions of 2 MiB
+    spec = SchemeSpec(name=name, zone_count=32, zone_capacity=8 * MIB,
+                      region_size=2 * MIB, pages_per_block=2048)
+    cache_bytes = _capacity_regions(spec) * spec.region_size
+    workload = preset_spec("l2_wc", cache_bytes, seed=1, op_count=60_000)
+    report = run(ExperimentConfig(scheme=spec, workload=workload,
+                                  verify_hits=True))
+    assert report.corrupt_hits == 0
+    return report
+
+
+def test_reg_lru_amplifies_when_erase_blocks_hold_regions_of_mixed_age():
+    # LRU frees cache slots out of write order, so an erase block keeps
+    # some live regions when others die and the FTL's GC must migrate them
+    # (WA 3.1388, 3576 MiB migrated)
+    report = _reg_report("reg-lru")
+    assert report.summary.final_wa > 2.0
+    assert report.final_metrics.gc_migrated_bytes > 0
+
+
+def test_reg_fifo_keeps_unit_wa_when_erase_blocks_hold_several_regions():
+    # FIFO frees cache slots in write order, so a block's regions die
+    # together and GC finds every victim empty
+    report = _reg_report("reg-fifo")
+    assert report.summary.final_wa == 1.0
+    assert report.final_metrics.gc_migrated_bytes == 0
