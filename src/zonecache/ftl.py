@@ -6,21 +6,19 @@ internal GC (victim = fewest valid pages, lowest block index on ties), and
 internal over-provisioning hidden from the host. GC runs inline during
 writes; there is no background thread.
 
-Storage is flat. Every physical page lives in one private anonymous
-memory map, which the OS zero-fills on first touch, so building a large
-device costs nothing up front. On Linux the first take of an erase block
-faults the whole block in with one `MADV_POPULATE_WRITE` call instead of
-one fault per 4 KiB page. The page maps are two integer arrays, -1
-meaning unmapped: `mapping` (logical -> physical) and `reverse`
-(physical -> logical). A write is placed as runs: each run is the part
-that fits in the active erase block, stored with one slice copy and
-remapped with one slice of an identity array per map (`identity[i] == i`,
-grown on demand up to the highest page touched). When a run's old copies
-form one physical run they are invalidated by slices as well: one compare
-against the identity array, one slice clear of `reverse` and one
-valid-count decrement per erase block they span. Scattered old copies, as
-after GC migrated some, are invalidated page by page. GC migration steps
-page by page, since only the valid pages of a victim move.
+Bytes are held by logical address; physical placement is metadata only.
+The data is one private anonymous map of the exported capacity, and on
+Linux each erase-block-sized chunk is faulted in with one
+`MADV_POPULATE_WRITE` when a lend or a write first touches it. A read is
+one slice, and GC migration remaps pages without moving a byte.
+`lend_buffer` hands out a view of the map that `ftl_write` commits in
+place; any other payload is copied as its runs are placed. The page maps
+are integer arrays, -1 meaning unmapped: `mapping` (logical -> physical)
+and `reverse` (physical -> logical). Each run, the part of a write that
+fits in the active erase block, is remapped with one slice of an identity
+array per map (`identity[i] == i`, grown on demand). Old copies that form
+one physical run are invalidated by slices; scattered ones, as after GC
+migrated some, and GC migration itself step page by page.
 """
 
 import heapq
@@ -74,10 +72,11 @@ class PageMappedFtl:
         config.validate()
         self.config = config
         pages = config.block_count * config.pages_per_block
-        self.arena = mmap.mmap(-1, config.total_bytes, flags=mmap.MAP_PRIVATE)
-        self.media = memoryview(self.arena)
+        self.arena = mmap.mmap(-1, config.exported_bytes, flags=mmap.MAP_PRIVATE)
+        self.data = memoryview(self.arena)  # logical bytes
         self.populate = POPULATE_WRITE  # None once the advice fails
-        self.fresh_block = 0  # blocks from here on were never taken
+        self.populated = bytearray(config.block_count)  # per erase-block-sized chunk
+        self.lent = {}  # logical address -> the view lent for it
         self.mapping = array("q", [-1]) * config.exported_pages  # logical -> physical
         self.reverse = array("q", [-1]) * pages  # physical -> logical, valid pages only
         self.identity = array("q")  # identity[i] == i, grown on demand by _identity
@@ -106,16 +105,6 @@ class PageMappedFtl:
         block = self.active_block = heapq.heappop(self.free_blocks)
         self.is_free[block] = False
         self.active_fill = 0
-        # the heap hands out the lowest free block, so the never-taken
-        # blocks stay a suffix and the first take of one is fresh_block
-        if block >= self.fresh_block:
-            self.fresh_block = block + 1
-            if self.populate is not None:
-                size = self.config.pages_per_block * self.config.page_size
-                try:
-                    self.arena.madvise(self.populate, block * size, size)
-                except OSError:  # older kernel, or an unaligned page size
-                    self.populate = None
 
     def _identity(self, end):
         """The identity array, grown to cover at least pages [0, end)."""
@@ -143,16 +132,13 @@ class PageMappedFtl:
         return None if best > ppb else scores.index(best)
 
     def ftl_internal_gc(self) -> int:
-        """Reclaim erase blocks until the free pool reaches the trigger level.
-
-        No-op when enough blocks are already free. Returns migrated page count.
-        """
+        """Reclaim erase blocks until the free pool reaches the trigger level
+        (a no-op when it is there already). Returns the migrated page count."""
         if self.free_block_count >= self.config.gc_trigger_free_blocks:
             return 0
         self.gc_runs += 1
         ppb = self.config.pages_per_block
         ps = self.config.page_size
-        media = self.media
         migrated = 0
         while self.free_block_count < self.config.gc_trigger_free_blocks:
             victim = self._select_victim()
@@ -168,8 +154,6 @@ class PageMappedFtl:
                 self.valid_counts[victim] -= 1
                 self.reverse[ppage] = -1
                 new_ppage = self._alloc_page()
-                dst = new_ppage * ps
-                media[dst:dst + ps] = media[ppage * ps:(ppage + 1) * ps]
                 self.mapping[lpage] = new_ppage
                 self.reverse[new_ppage] = lpage
                 self.valid_counts[new_ppage // ppb] += 1
@@ -183,14 +167,38 @@ class PageMappedFtl:
 
     # -- host interface --------------------------------------------------------
 
-    def ftl_write(self, logical_address: int, payload):
+    def _check_write(self, address, length):
+        """Check a write's range and populate its chunks on first touch."""
         ps = self.config.page_size
-        if logical_address % ps != 0 or len(payload) % ps != 0:
+        size = self.config.pages_per_block * ps
+        if address % ps != 0 or length % ps != 0:
             raise errors.Misaligned("writes must be page-aligned in address and length")
-        if logical_address < 0 or logical_address + len(payload) > self.config.exported_bytes:
+        if address < 0 or address + length > self.config.exported_bytes:
             raise errors.OutOfRange("write outside exported capacity")
+        for chunk in range(address // size, -(-(address + length) // size)):
+            if self.populate is not None and not self.populated[chunk]:
+                self.populated[chunk] = 1
+                try:
+                    self.arena.madvise(self.populate, chunk * size, min(
+                        size, self.config.exported_bytes - chunk * size))
+                except OSError:  # older kernel, or an unaligned page size
+                    self.populate = None
+
+    def lend_buffer(self, address: int, length: int):
+        """A writable view of the bytes at `address`, which reads see as it
+        fills; `ftl_write` of it there commits it with no copy."""
+        self._check_write(address, length)
+        view = self.lent[address] = self.data[address:address + length]
+        return view
+
+    def ftl_write(self, logical_address: int, payload):
+        """If DeviceBusy stops a write part-way, the pages it did not place
+        keep their old bytes, unless the payload is a lent view."""
+        self._check_write(logical_address, len(payload))
+        ps = self.config.page_size
         ppb = self.config.pages_per_block
-        view = memoryview(payload)
+        view = None if self.lent.pop(logical_address, None) is payload \
+            else memoryview(payload)
         first = lpage = logical_address // ps
         end = first + len(payload) // ps
         while lpage < end:
@@ -205,8 +213,9 @@ class PageMappedFtl:
             run = min(end - lpage, ppb - self.active_fill)
             ppage = self.active_block * ppb + self.active_fill
             self.active_fill += run
-            src = (lpage - first) * ps
-            self.media[ppage * ps:(ppage + run) * ps] = view[src:src + run * ps]
+            if view is not None:
+                src = (lpage - first) * ps
+                self.data[lpage * ps:(lpage + run) * ps] = view[src:src + run * ps]
             # invalidate after allocating so GC never migrates the stale copy
             olds = self.mapping[lpage:lpage + run]
             old = olds[0]
@@ -241,11 +250,5 @@ class PageMappedFtl:
         if -1 in ppages:
             raise errors.Unmapped(
                 f"logical page {first + ppages.index(-1)} never written")
-        lo = logical_address % ps
         self.read_bytes += length
-        start = ppages[0]
-        end = start + len(ppages)
-        if ppages == self._identity(end)[start:end]:
-            return bytes(self.media[start * ps + lo:start * ps + lo + length])
-        gathered = b"".join([self.media[p * ps:(p + 1) * ps] for p in ppages])
-        return gathered[lo:lo + length]
+        return bytes(self.data[logical_address:logical_address + length])

@@ -201,12 +201,10 @@ class _FtlRegionStore:
         self.ftl = ftl
         self.region_size = region_size
         self.cache_region_bytes = 0
-        self._buffer = bytearray(region_size)
 
-    def region_buffer(self):
-        """The FTL copies every write into its media, so the cache fills
-        the same buffer for every region."""
-        return self._buffer
+    def region_buffer(self, vaddr):
+        """The FTL's bytes at `vaddr`, filled in place, written with no copy."""
+        return self.ftl.lend_buffer(vaddr, self.region_size)
 
     def write_region(self, vaddr, payload):
         self.ftl.ftl_write(vaddr, payload)

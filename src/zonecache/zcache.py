@@ -173,7 +173,7 @@ class RegionCache:
         if not self.free_slots:
             self.evict_one()
         self._buffered = self.free_slots.pop()
-        self._buffer = self.store.region_buffer()
+        self._buffer = self.store.region_buffer(self.vaddr(self._buffered))
         self._fill = 0
 
     def _flush(self):

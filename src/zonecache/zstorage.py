@@ -180,10 +180,9 @@ class ZoneStore:
             return None
         return paddr // self.device.config.zone_capacity
 
-    def region_buffer(self):
-        """A device buffer to fill with the next region. Writing it with
-        `write_region` hands it to the device without a copy, so the caller
-        must take a new buffer for the region after."""
+    def region_buffer(self, vaddr):
+        """A device buffer for the region at `vaddr` (ignored here). Writing
+        it hands it to the device without a copy; take a new one after."""
         return self.device.lend_buffer(self.region_size)
 
     def write_region(self, virtual_address: int, payload) -> int:

@@ -212,7 +212,7 @@ class _RamStore:
         self.region_size = region_size
         self.data = {}
 
-    def region_buffer(self):
+    def region_buffer(self, vaddr):
         return bytearray(self.region_size)
 
     def write_region(self, vaddr, payload):

@@ -154,6 +154,37 @@ def test_runtime_failure_exits_1(tmp_path, capsys):
     assert "op 0" in capsys.readouterr().err
 
 
+RESERVE_CONF = """\
+scheme = reg-lru
+zone_count = 32
+zone_capacity = 8mib
+region_size = 2mib
+pages_per_block = 8192
+preset = l2_wc
+op_count = 10000
+seed = 1
+"""
+
+
+@pytest.mark.parametrize("extra,code", [("", 1),
+                                        ("cache_capacity_regions = 109\n", 0)])
+def test_ftl_reserve_under_one_erase_block_fails_at_run_time(
+        tmp_path, capsys, extra, code):
+    # 8 erase blocks of 32 MiB: op_ratio 0.07 reserves 16.75 MiB and the
+    # cache's 119 regions leave 18 MiB unwritten. Config loading accepts
+    # it, and the run stops once the cache wraps. No reserve bound is
+    # exact: with 109 regions (38 MiB unwritten) reg-lru runs on, while
+    # reg-fifo still stops with 44 MiB unwritten. Greedy GC cannot collect
+    # the invalid pages in the active block, so the host can take the last
+    # free block, and the next GC has nowhere to migrate to
+    conf = tmp_path / "exp.conf"
+    conf.write_text(RESERVE_CONF + extra)
+    assert main(["run", "--config", str(conf)]) == code
+    if code:
+        err = capsys.readouterr().err
+        assert "op 8524" in err and "no free erase blocks remain" in err
+
+
 def test_op_calc_prints_plan(capsys):
     assert main(["op-calc", "--t-cache", "200", "--t-gc", "600", "--k", "6"]) == 0
     out = capsys.readouterr().out

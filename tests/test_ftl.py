@@ -414,14 +414,23 @@ def churn_and_check(ftl, seed=4):
         assert ftl.ftl_read(lpn * PAGE, PAGE) == data
 
 
-def test_each_block_is_populated_once_on_first_take(monkeypatch):
+def test_each_chunk_is_populated_once_on_first_lend_or_write(monkeypatch):
+    # 179 exported pages are 22 whole chunks of 8 pages and a last chunk of 3
     monkeypatch.setattr(ftl_module, "POPULATE_WRITE", 23)
     ftl = make_ftl(ppb=8, blocks=24)
     ftl.arena = RecordingArena()
+    chunk = 8 * PAGE
+    assert ftl.config.exported_pages == 179
+    ftl.lend_buffer(2 * chunk, chunk)
+    assert ftl.arena.calls == [(23, 2 * chunk, chunk)]
+    ftl.lend_buffer(2 * chunk, chunk)            # already advised
+    ftl.ftl_write(chunk + 4 * PAGE, b"x" * 2 * chunk)  # chunks 1 to 3
+    assert ftl.arena.calls[1:] == [(23, chunk, chunk), (23, 3 * chunk, chunk)]
+    ftl.ftl_read(chunk + 4 * PAGE, chunk)        # reads advise nothing
+    assert len(ftl.arena.calls) == 3
     churn_and_check(ftl)
-    block_bytes = 8 * PAGE
-    assert ftl.arena.calls == [(23, b * block_bytes, block_bytes)
-                               for b in range(24)]
+    want = [(23, c * chunk, chunk) for c in range(22)] + [(23, 22 * chunk, 3 * PAGE)]
+    assert sorted(ftl.arena.calls) == want
 
 
 @pytest.mark.parametrize("fallback", ["off_linux", "advice_fails"])
@@ -432,10 +441,124 @@ def test_writes_read_back_without_populate_advice(monkeypatch, fallback):
         monkeypatch.setattr(ftl_module, "POPULATE_WRITE", 23)
     ftl = make_ftl(ppb=8, blocks=24)
     ftl.arena = RecordingArena(fail=True)
+    view = ftl.lend_buffer(5 * PAGE, 2 * PAGE)
+    view[:] = b"L" * 2 * PAGE
+    ftl.ftl_write(5 * PAGE, view)
+    assert ftl.ftl_read(5 * PAGE, 2 * PAGE) == b"L" * 2 * PAGE
     churn_and_check(ftl)
     assert ftl.populate is None
     # a failed advice is not retried
     assert len(ftl.arena.calls) == (0 if fallback == "off_linux" else 1)
+
+
+# --- lend and commit ------------------------------------------------------------------
+
+class RecordingData:
+    """Wraps the FTL's byte view and records every store into it."""
+
+    def __init__(self, data):
+        self.data, self.stores = data, []
+
+    def __getitem__(self, key):
+        return self.data[key]
+
+    def __setitem__(self, key, value):
+        self.stores.append((key.start, key.stop))
+        self.data[key] = value
+
+
+def test_lent_views_commit_without_a_copy_and_match_oracle():
+    # the cache's pattern: each extent is filled in a view lent at its
+    # address and written back; GC migrates pages in between, and no
+    # commit copies a byte
+    ppb, blocks, extent = 8, 24, 12
+    ftl = make_ftl(ppb=ppb, blocks=blocks)
+    ftl.data = RecordingData(ftl.data)
+    oracle = OracleFtl(ppb, blocks)
+    rng = random.Random(8)
+    shadow = {}
+    starts = [i * extent for i in range(ftl.config.exported_pages // extent)]
+    for _ in range(6 * len(starts)):
+        first = rng.choice(starts)
+        view = ftl.lend_buffer(first * PAGE, extent * PAGE)
+        view[:] = data = rng.randbytes(extent * PAGE)
+        ftl.ftl_write(first * PAGE, view)
+        for i in range(extent):
+            oracle.write(first + i)
+            shadow[first + i] = data[i * PAGE:(i + 1) * PAGE]
+    assert ftl.data.stores == [] and ftl.lent == {}
+    assert ftl.migrated_bytes > 0
+    assert_matches_oracle(ftl, oracle, shadow)
+
+
+def test_foreign_payload_is_copied_run_by_run():
+    ftl = make_ftl(ppb=8, blocks=24)
+    ftl.data = RecordingData(ftl.data)
+    ftl.ftl_write(0, b"z" * 6 * PAGE)   # physical pages 0-5
+    buf = bytearray(b"a" * 3 * PAGE)
+    ftl.ftl_write(40 * PAGE, buf)       # physical 6-7 end block 0, 8 opens block 1
+    assert ftl.data.stores[1:] == [(40 * PAGE, 42 * PAGE), (42 * PAGE, 43 * PAGE)]
+    buf[:] = b"b" * 3 * PAGE            # the caller may reuse its buffer
+    assert ftl.ftl_read(40 * PAGE, 3 * PAGE) == b"a" * 3 * PAGE
+
+
+def test_view_lent_for_another_address_is_copied_not_adopted():
+    ftl = make_ftl(ppb=8, blocks=24)
+    ftl.data = RecordingData(ftl.data)
+    view = ftl.lend_buffer(16 * PAGE, 2 * PAGE)
+    view[:] = b"v" * 2 * PAGE
+    ftl.ftl_write(40 * PAGE, view)
+    assert ftl.data.stores == [(40 * PAGE, 42 * PAGE)]
+    view[:] = b"w" * 2 * PAGE           # still aliases address 16, not 40
+    assert ftl.ftl_read(40 * PAGE, 2 * PAGE) == b"v" * 2 * PAGE
+    with pytest.raises(errors.Unmapped):
+        ftl.ftl_read(16 * PAGE, PAGE)
+    ftl.ftl_write(16 * PAGE, view)      # its own address still adopts it
+    assert len(ftl.data.stores) == 1
+    assert ftl.ftl_read(16 * PAGE, 2 * PAGE) == b"w" * 2 * PAGE
+
+
+def test_gc_moves_no_bytes():
+    ppb, blocks = 8, 24
+    ftl = make_ftl(ppb=ppb, blocks=blocks)
+    oracle = OracleFtl(ppb, blocks)
+    gc = ftl.ftl_internal_gc
+    migrated = []
+
+    def checked_gc():
+        before = bytes(ftl.data)
+        migrated.append(gc())
+        assert bytes(ftl.data) == before
+        return migrated[-1]
+
+    ftl.ftl_internal_gc = checked_gc
+    pages = ftl.config.exported_pages
+    rng = random.Random(9)
+    shadow = {}
+    for _ in range(8 * blocks):
+        count = rng.randint(1, 2 * ppb)
+        first = rng.randrange(pages - count + 1)
+        data = rng.randbytes(count * PAGE)
+        ftl.ftl_write(first * PAGE, data)
+        for i in range(count):
+            oracle.write(first + i)
+            shadow[first + i] = data[i * PAGE:(i + 1) * PAGE]
+    assert sum(migrated) > 0
+    assert_matches_oracle(ftl, oracle, shadow)
+
+
+def test_write_failing_part_way_leaves_unplaced_pages_old():
+    # 4 blocks of 2 pages export 6: pages 0-5 fill blocks 0-2. Rewriting
+    # pages 1-4 places 1-2 in block 3, which leaves one valid page in each
+    # of blocks 0 and 1 and no free block to migrate it into
+    ftl = make_ftl(ppb=2, blocks=4, op_ratio=0.3)
+    assert ftl.config.exported_pages == 6
+    old = b"".join(bytes([lpn]) * PAGE for lpn in range(6))
+    ftl.ftl_write(0, old)
+    with pytest.raises(errors.DeviceBusy):
+        ftl.ftl_write(PAGE, b"n" * 4 * PAGE)
+    want = old[:PAGE] + b"n" * 2 * PAGE + old[3 * PAGE:]
+    assert ftl.ftl_read(0, 6 * PAGE) == want
 
 
 def test_device_busy_when_nothing_reclaimable():

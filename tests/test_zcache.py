@@ -21,7 +21,7 @@ class FakeStore:
         self.zone_script = zone_script or {}
         self.write_calls = []
 
-    def region_buffer(self):
+    def region_buffer(self, vaddr):
         return bytearray(RS)
 
     def write_region(self, vaddr, payload):

@@ -359,8 +359,8 @@ def test_gc_migration_shares_buffers_that_stay_intact_after_reuse():
     shadow = {}
     rng = random.Random(5)
 
-    def borrow():
-        buf = store.region_buffer()
+    def borrow(addr):
+        buf = store.region_buffer(addr)
         fresh = not any(buf is old for old in seen)
         if fresh:
             seen.append(buf)
@@ -370,7 +370,7 @@ def test_gc_migration_shares_buffers_that_stay_intact_after_reuse():
     checked = 0          # bytes the shadow checks read
     for step in range(120):
         addr = rng.choice(vaddrs)
-        buf, _ = borrow()
+        buf, _ = borrow(addr)
         buf[:] = payload(step)
         shadow[addr] = bytes(buf)
         store.write_region(addr, buf)
@@ -378,7 +378,7 @@ def test_gc_migration_shares_buffers_that_stay_intact_after_reuse():
             stats = store.gc_cycle(migrate_all)
             assert stats.migrated_regions > 0
             while True:
-                buf, fresh = borrow()
+                buf, fresh = borrow(addr)
                 buf[:] = b"\xee" * store.region_size
                 if fresh:
                     break
