@@ -14,11 +14,13 @@ one slice, and GC migration remaps pages without moving a byte.
 `lend_buffer` hands out a view of the map that `ftl_write` commits in
 place; any other payload is copied as its runs are placed. The page maps
 are integer arrays, -1 meaning unmapped: `mapping` (logical -> physical)
-and `reverse` (physical -> logical). Each run, the part of a write that
-fits in the active erase block, is remapped with one slice of an identity
-array per map (`identity[i] == i`, grown on demand). Old copies that form
-one physical run are invalidated by slices; scattered ones, as after GC
-migrated some, and GC migration itself step page by page.
+and `reverse` (physical -> logical). Host writes and GC migration place
+pages through one remap: a run of logically consecutive pages, cut at the
+end of the active erase block, is mapped with one slice of an identity
+array per map (`identity[i] == i`, grown on demand), and its old copies
+are invalidated by slices when they form one physical run, page by page
+when they are scattered. GC moves a victim's valid pages in physical
+order, one logical run at a time.
 """
 
 import heapq
@@ -83,7 +85,6 @@ class PageMappedFtl:
         self.valid_counts = [0] * config.block_count
         self.free_blocks = list(range(config.block_count))
         heapq.heapify(self.free_blocks)
-        self.is_free = [True] * config.block_count
         self.active_block = None
         self.active_fill = 0         # pages consumed in the active block
         self.host_bytes_written = 0
@@ -102,8 +103,7 @@ class PageMappedFtl:
     def _take_active(self):
         if not self.free_blocks:
             raise errors.DeviceBusy("no free erase blocks remain")
-        block = self.active_block = heapq.heappop(self.free_blocks)
-        self.is_free[block] = False
+        self.active_block = heapq.heappop(self.free_blocks)
         self.active_fill = 0
 
     def _identity(self, end):
@@ -113,19 +113,13 @@ class PageMappedFtl:
             identity.extend(range(len(identity), end))
         return identity
 
-    def _alloc_page(self) -> int:
-        if self.active_block is None or self.active_fill == self.config.pages_per_block:
-            self._take_active()
-        ppage = self.active_block * self.config.pages_per_block + self.active_fill
-        self.active_fill += 1
-        return ppage
-
     def _select_victim(self):
         # free blocks and the active block score past any valid count;
         # index() of the minimum breaks ties on the lowest block
         ppb = self.config.pages_per_block
-        scores = [ppb + 1 if free else count
-                  for count, free in zip(self.valid_counts, self.is_free)]
+        scores = list(self.valid_counts)
+        for block in self.free_blocks:
+            scores[block] = ppb + 1
         if self.active_block is not None:
             scores[self.active_block] = ppb + 1
         best = min(scores)
@@ -133,37 +127,64 @@ class PageMappedFtl:
 
     def ftl_internal_gc(self) -> int:
         """Reclaim erase blocks until the free pool reaches the trigger level
-        (a no-op when it is there already). Returns the migrated page count."""
+        (a no-op when it is there already). Returns the migrated page count.
+        A victim's valid pages move in physical order, one logically
+        consecutive run at a time, through the same remap as a host write."""
         if self.free_block_count >= self.config.gc_trigger_free_blocks:
             return 0
         self.gc_runs += 1
         ppb = self.config.pages_per_block
-        ps = self.config.page_size
         migrated = 0
         while self.free_block_count < self.config.gc_trigger_free_blocks:
             victim = self._select_victim()
             if victim is None or self.valid_counts[victim] >= ppb:
                 break  # nothing reclaimable: every candidate is fully valid
-            base = victim * ppb
-            for ppage in range(base, base + ppb):
-                if not self.valid_counts[victim]:
-                    break  # no valid page is left to find in the block
-                lpage = self.reverse[ppage]
-                if lpage < 0:
-                    continue
-                self.valid_counts[victim] -= 1
-                self.reverse[ppage] = -1
-                new_ppage = self._alloc_page()
-                self.mapping[lpage] = new_ppage
-                self.reverse[new_ppage] = lpage
-                self.valid_counts[new_ppage // ppb] += 1
-                self.nand_bytes_written += ps
-                self.migrated_bytes += ps
-                migrated += 1
+            lpages = [lpage for lpage in self.reverse[victim * ppb:(victim + 1) * ppb]
+                      if lpage >= 0]
+            start = 0
+            for i, last in enumerate(lpages, 1):
+                if i < len(lpages) and lpages[i] == last + 1:
+                    continue  # the run goes on
+                lpage, end = lpages[start], last + 1
+                while lpage < end:
+                    if self.active_block is None or self.active_fill == ppb:
+                        self._take_active()  # GC never starts GC
+                    run = self._remap(lpage, end)
+                    self.migrated_bytes += run * self.config.page_size
+                    migrated += run
+                    lpage += run
+                start = i
             self.erase_count += 1
-            self.is_free[victim] = True
             heapq.heappush(self.free_blocks, victim)
         return migrated
+
+    def _remap(self, lpage, end) -> int:
+        """Place logical pages [lpage, end), or as many as the active block
+        has room for, at its fill point: invalidate their old copies and
+        point both maps at the new ones. Returns the placed page count."""
+        ppb = self.config.pages_per_block
+        run = min(end - lpage, ppb - self.active_fill)
+        ppage = self.active_block * ppb + self.active_fill
+        self.active_fill += run
+        olds = self.mapping[lpage:lpage + run]
+        old = olds[0]
+        identity = self._identity(max(lpage, ppage) + run)
+        if old >= 0 and olds == identity[old:old + run]:
+            # the old copies are one physical run: clear it by slices
+            self.reverse[old:old + run] = array("q", [-1]) * run
+            for block in range(old // ppb, (old + run - 1) // ppb + 1):
+                self.valid_counts[block] -= \
+                    min(old + run, (block + 1) * ppb) - max(old, block * ppb)
+        else:  # unwritten or scattered, as after GC migrated some
+            for old in olds:
+                if old >= 0:
+                    self.valid_counts[old // ppb] -= 1
+                    self.reverse[old] = -1
+        self.mapping[lpage:lpage + run] = identity[ppage:ppage + run]
+        self.reverse[ppage:ppage + run] = identity[lpage:lpage + run]
+        self.valid_counts[self.active_block] += run
+        self.nand_bytes_written += run * self.config.page_size
+        return run
 
     # -- host interface --------------------------------------------------------
 
@@ -210,31 +231,10 @@ class PageMappedFtl:
                 self.ftl_internal_gc()
             if self.active_block is None or self.active_fill == ppb:
                 self._take_active()  # GC may have left room in the active block
-            run = min(end - lpage, ppb - self.active_fill)
-            ppage = self.active_block * ppb + self.active_fill
-            self.active_fill += run
+            run = self._remap(lpage, end)
             if view is not None:
                 src = (lpage - first) * ps
                 self.data[lpage * ps:(lpage + run) * ps] = view[src:src + run * ps]
-            # invalidate after allocating so GC never migrates the stale copy
-            olds = self.mapping[lpage:lpage + run]
-            old = olds[0]
-            identity = self._identity(max(lpage, ppage) + run)
-            if old >= 0 and olds == identity[old:old + run]:
-                # the old copies are one physical run: clear it by slices
-                self.reverse[old:old + run] = array("q", [-1]) * run
-                for block in range(old // ppb, (old + run - 1) // ppb + 1):
-                    self.valid_counts[block] -= \
-                        min(old + run, (block + 1) * ppb) - max(old, block * ppb)
-            else:  # unwritten or scattered, as after GC migrated some
-                for old in olds:
-                    if old >= 0:
-                        self.valid_counts[old // ppb] -= 1
-                        self.reverse[old] = -1
-            self.mapping[lpage:lpage + run] = identity[ppage:ppage + run]
-            self.reverse[ppage:ppage + run] = identity[lpage:lpage + run]
-            self.valid_counts[self.active_block] += run
-            self.nand_bytes_written += run * ps
             self.host_bytes_written += run * ps
             lpage += run
 

@@ -211,9 +211,7 @@ class _FtlRegionStore:
         self.cache_region_bytes += len(payload)
         return vaddr
 
-    def read_region(self, vaddr, offset=0, length=None):
-        if length is None:
-            length = self.region_size - offset
+    def read_region(self, vaddr, offset, length):
         return self.ftl.ftl_read(vaddr + offset, length)
 
     def invalidate_region(self, vaddr):

@@ -96,6 +96,9 @@ def test_bad_cache_sizing_exits_3(conf, capsys, old, new):
      "pages_per_block = 4\ngc_trigger_free_blocks = 0\n",
      "gc_trigger_free_blocks must"),
     ("interval_ops = 100\n", "interval_ops = 0\n", "interval_ops must"),
+    (TINY_CONF[:TINY_CONF.index("get_ratio")],
+     "scheme = zns-direct\nzone_count = 1\nzone_capacity = 32kib\n"
+     "max_open_zones = 1\nop_ratio = 0.5\n", "too small for one region"),
     ("seed = 3\n", "seed = 3\nvop_ratio = 0.5\n", "ignores vop_ratio"),
     ("seed = 3\n", "seed = 3\nreorder_enabled = off\n",
      "ignores reorder_enabled"),
@@ -103,7 +106,8 @@ def test_bad_cache_sizing_exits_3(conf, capsys, old, new):
         "zone_capacity_4097", "w_low_above_w_high", "region_not_zone_divisor",
         "min_write_zones_above_max", "max_write_zones_unknown",
         "cache_capacity_regions_0", "zcachelib_vop_ratio_1_5",
-        "reg_lru_gc_trigger_0", "interval_ops_0", "lru_vop_ratio",
+        "reg_lru_gc_trigger_0", "interval_ops_0", "device_under_one_region",
+        "lru_vop_ratio",
         "lru_reorder_enabled"])
 def test_spec_build_rejects_exits_3(conf, capsys, old, new, fragment):
     # TINY_CONF's 16 KiB regions on 32 KiB zones do not suit zns-direct,

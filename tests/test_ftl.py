@@ -103,7 +103,9 @@ def test_config_rejects_bad_geometry():
     for kwargs in (dict(pages_per_block=0, block_count=4),
                    dict(pages_per_block=4, block_count=0),
                    dict(pages_per_block=4, block_count=4, internal_op_ratio=-0.1),
-                   dict(pages_per_block=4, block_count=4, gc_trigger_free_blocks=0)):
+                   dict(pages_per_block=4, block_count=4, gc_trigger_free_blocks=0),
+                   # one page of 4096 bytes exports 2730, under one page
+                   dict(pages_per_block=1, block_count=1, internal_op_ratio=0.5)):
         with pytest.raises(errors.InvalidConfig):
             FtlConfig(**kwargs).validate()
 
@@ -287,12 +289,42 @@ def assert_matches_oracle(ftl, oracle, shadow):
         assert ftl.ftl_read(lpn * PAGE, PAGE) == data
 
 
+def watch_victims(ftl):
+    """Count, over the victims GC migrates, those holding two or more
+    logical runs and the runs the end of the active block splits. The
+    counts are read from the maps as each victim is picked, not from the
+    migration under test."""
+    seen = {"multi_run": 0, "split": 0}
+    select = ftl._select_victim
+    ppb = ftl.config.pages_per_block
+
+    def counted():
+        victim = select()
+        if victim is not None and ftl.valid_counts[victim] < ppb:
+            lpages = [lpage for lpage in ftl.reverse[victim * ppb:(victim + 1) * ppb]
+                      if lpage >= 0]
+            starts = [i for i, lpage in enumerate(lpages)
+                      if i == 0 or lpages[i - 1] != lpage - 1]
+            seen["multi_run"] += len(starts) >= 2
+            fill = ppb if ftl.active_block is None else ftl.active_fill
+            for start, end in zip(starts, starts[1:] + [len(lpages)]):
+                # a run that starts inside a block and ends past it splits
+                seen["split"] += 0 < fill % ppb and fill % ppb + end - start > ppb
+                fill += end - start
+        return victim
+
+    ftl._select_victim = counted
+    return seen
+
+
 @pytest.mark.parametrize("seed,ppb", [(1, 4), (2, 8), (3, 16)])
 def test_multi_page_runs_match_oracle(seed, ppb):
     # extents of 1 to 3 blocks at random page offsets cross block
-    # boundaries, and GC fires while a write is half placed
+    # boundaries, and GC fires while a write is half placed. GC victims
+    # hold several logical runs, and runs split where the active block ends
     blocks = 24
     ftl = make_ftl(ppb=ppb, blocks=blocks)
+    victims = watch_victims(ftl)
     oracle = OracleFtl(ppb, blocks)
     pages = ftl.config.exported_pages
     rng = random.Random(seed)
@@ -309,7 +341,7 @@ def test_multi_page_runs_match_oracle(seed, ppb):
         for i in range(count):
             oracle.write(first + i)
             shadow[first + i] = data[i * PAGE:(i + 1) * PAGE]
-    assert gc_mid_write > 0
+    assert gc_mid_write > 0 and victims["multi_run"] > 0 and victims["split"] > 0
     assert_matches_oracle(ftl, oracle, shadow)
     for _ in range(50):
         count = rng.randint(1, 3 * ppb)
@@ -559,6 +591,31 @@ def test_write_failing_part_way_leaves_unplaced_pages_old():
         ftl.ftl_write(PAGE, b"n" * 4 * PAGE)
     want = old[:PAGE] + b"n" * 2 * PAGE + old[3 * PAGE:]
     assert ftl.ftl_read(0, 6 * PAGE) == want
+
+
+def assert_maps_consistent(ftl):
+    # the two page maps agree, and each block's count is its mapped pages
+    ppb = ftl.config.pages_per_block
+    for lpage, ppage in enumerate(ftl.mapping):
+        if ppage >= 0:
+            assert ftl.reverse[ppage] == lpage, f"logical page {lpage}"
+    for ppage, lpage in enumerate(ftl.reverse):
+        if lpage >= 0:
+            assert ftl.mapping[lpage] == ppage, f"physical page {ppage}"
+    for block, count in enumerate(ftl.valid_counts):
+        live = ftl.reverse[block * ppb:(block + 1) * ppb]
+        assert count == len(live) - live.count(-1), f"block {block}"
+
+
+def test_gc_failing_mid_migration_leaves_maps_consistent():
+    # the scene above: the rewrite's second GC picks block 0, and its
+    # valid page 0 has no free block to move to
+    ftl = make_ftl(ppb=2, blocks=4, op_ratio=0.3)
+    ftl.ftl_write(0, b"o" * 6 * PAGE)
+    with pytest.raises(errors.DeviceBusy):
+        ftl.ftl_write(PAGE, b"n" * 4 * PAGE)
+    assert_maps_consistent(ftl)
+    assert ftl.mapping[0] == 0 and ftl.valid_counts[0] == 1
 
 
 def test_device_busy_when_nothing_reclaimable():

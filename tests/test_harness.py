@@ -273,7 +273,9 @@ def test_parse_config_text_full():
 
 
 def test_parse_config_preset_expands_from_cache_size():
-    config = parse_config_text("scheme = zcachelib\npreset = l2_wc\nseed = 2\n")
+    config = parse_config_text(
+        "scheme = zcachelib\npreset = l2_wc\nseed = 2\ntiming = yes\n")
+    assert config.timing_enabled is True
     assert config.workload.get_ratio == 0.60
     assert config.workload.key_space > 0
     assert config.workload.seed == 2
@@ -284,6 +286,7 @@ def test_parse_config_preset_expands_from_cache_size():
     ("scheme = zns-middle-lru\nwombats = 4\n", "unknown key"),
     ("scheme = zns-middle-lru\nseed = 1\nseed = 2\n", "duplicate key"),
     ("scheme = zns-middle-lru\nzone_count = soon\n", "bad value"),
+    ("scheme = zns-middle-lru\ntiming = maybe\n", "bad value"),
     ("zone_count = 8\n", "missing required key: scheme"),
     ("scheme = warp-lru\npreset = flat\n", "unknown scheme"),
     ("scheme = zcachelib\n", "workload needs"),

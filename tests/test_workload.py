@@ -93,6 +93,11 @@ def test_sizes_stable_per_key_and_bounded():
         assert seen.setdefault(op.key, op.size) == op.size
 
 
+def test_equal_size_bounds_give_every_key_that_size():
+    spec = spec_for(size_min=4 * KIB, size_max=4 * KIB)
+    assert {op.size for op in generate(spec)} == {4 * KIB}
+
+
 def test_get_ratio_within_3_sigma():
     spec = spec_for(get_ratio=0.6, op_count=20_000, seed=3)
     gets = sum(op.kind is OpKind.GET for op in generate(spec))

@@ -92,6 +92,15 @@ def test_zero_length_append_returns_address_without_opening():
     assert dev.zone_state(2) is ZoneState.EMPTY
 
 
+def test_zero_length_copy_charges_nothing_and_opens_no_zone():
+    dev = small_device()
+    assert dev.copy(0, 0, 3) == 3 * 64 * KIB
+    assert dev.zone_state(3) is ZoneState.EMPTY
+    assert dev.counters.total_read_bytes == 0
+    assert dev.counters.total_appended_bytes == 0
+    assert dev.counters.open_zone_count == 0
+
+
 def test_append_to_unknown_zone():
     dev = small_device(zone_count=2)
     with pytest.raises(errors.OutOfRange):
