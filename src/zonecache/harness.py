@@ -18,7 +18,7 @@ import os
 from dataclasses import dataclass, field, replace
 
 from . import errors
-from .schemes import SchemeSpec, build
+from .schemes import SchemeSpec, build, wa_factor
 from .workload import (CacheOp, OpKind, WorkloadSpec, generate,
                        matches_value, preset_spec, replay, value_bytes)
 from .zcache import ZLRU_SETTINGS, CacheConfig, Policy
@@ -89,13 +89,6 @@ def _row_line(row) -> str:
             f"{row.hit_ratio:.4f},{row.cache_bytes},{row.device_bytes},"
             f"{row.wa_cum:.4f},{row.gc_migrated_bytes},{row.empty_zones},"
             f"{row.stage}")
-
-
-def _wa(m) -> float:
-    """Cumulative WA of a metrics snapshot; 1.0 before any flush."""
-    if not m.cache_bytes_written:
-        return 1.0
-    return m.device_bytes_written / m.cache_bytes_written
 
 
 def render_csv(report: MetricsReport) -> str:
@@ -201,7 +194,7 @@ def run(config: ExperimentConfig) -> MetricsReport:
             interval=len(rows) + 1, ops=interval_ops, hits=hits, misses=misses,
             hit_ratio=hits / lookups if lookups else 0.0,
             cache_bytes=m.cache_bytes_written,
-            device_bytes=m.device_bytes_written, wa_cum=_wa(m),
+            device_bytes=m.device_bytes_written, wa_cum=wa_factor(m),
             gc_migrated_bytes=m.gc_migrated_bytes,
             empty_zones=m.empty_zones, stage=driver.stage))
         if driver.stage == "stable":
@@ -226,7 +219,7 @@ def run(config: ExperimentConfig) -> MetricsReport:
     summary = RunSummary(
         stable_ops_per_sec=throughput,
         stable_hit_ratio=stable_hits / stable_lookups if stable_lookups else None,
-        final_wa=_wa(final),
+        final_wa=wa_factor(final),
         total_sim_seconds=clock.seconds,
         first_eviction_op=driver.first_eviction_op,
         first_gc_op=driver.first_gc_op)
@@ -276,6 +269,7 @@ _WORKLOAD_KEYS = {
     "size_min": parse_size, "size_max": parse_size, "op_count": int,
     "seed": int, "trace": str,
 }
+_SYNTHETIC_KEYS = [key for key in _WORKLOAD_KEYS if key != "trace"]
 _RUN_KEYS = {
     "interval_ops": int, "timing": _parse_bool, "output": str,
 }
@@ -314,7 +308,7 @@ def config_from_values(values, base_dir=".") -> ExperimentConfig:
     trace = values.get("trace")
     workload = None
     if trace is not None:
-        clash = [k for k in ("preset", "get_ratio", "key_space") if k in values]
+        clash = [k for k in _SYNTHETIC_KEYS if k in values]
         if clash:
             raise errors.ConfigError(
                 f"config names both a trace and a synthetic workload "
@@ -360,10 +354,8 @@ def _workload_from_values(values, cache: CacheConfig) -> WorkloadSpec:
                            or "key_space" not in values):
         raise errors.ConfigError(
             "workload needs a preset, a trace, or get_ratio + key_space")
-    overrides = {key: values[key]
-                 for key in ("get_ratio", "key_space", "zipf_alpha",
-                             "size_min", "size_max", "op_count", "seed")
-                 if key in values}
+    overrides = {key: values[key] for key in _SYNTHETIC_KEYS
+                 if key in values and key != "preset"}
     try:
         if preset is not None:
             spec = preset_spec(preset,

@@ -272,9 +272,9 @@ def build(spec: SchemeSpec):
     return _ZnsEngine(spec)
 
 
-def wa_factor(engine) -> float:
-    """Total device writes (GC included) divided by cache-engine writes."""
-    m = engine.metrics()
-    if m.cache_bytes_written == 0:
-        raise errors.SimError("no region has been flushed yet")
-    return m.device_bytes_written / m.cache_bytes_written
+def wa_factor(metrics) -> float:
+    """Cumulative WA of a metrics snapshot: total device writes (GC
+    included) divided by cache-engine writes; 1.0 before any flush."""
+    if not metrics.cache_bytes_written:
+        return 1.0
+    return metrics.device_bytes_written / metrics.cache_bytes_written

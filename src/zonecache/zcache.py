@@ -1,8 +1,9 @@
 """Log-structured region cache.
 
 Items are packed into a RAM buffer one region wide; full buffers are flushed
-to the backing store with a single large write. Flushed regions live in a
-recency list that eviction policies operate on:
+to the backing store with a single large write. Flushed region ids live in
+two OrderedDicts, `main` and the tail-side `vop`, each most recent first
+(the head is the first entry), which eviction policies operate on:
 
   FIFO  insertion order, no movement on hit
   LRU   hit moves the region to the head
@@ -24,7 +25,7 @@ between cache operations, so an eviction always completes before anything
 else sees the region.
 """
 
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 
@@ -67,40 +68,9 @@ class CacheStats:
     dropped_region_count: int = 0
 
 
-class RecencyList:
-    """Recency-ordered region ids, head = most recent. O(1) everywhere."""
-
-    def __init__(self):
-        self._od = OrderedDict()
-
-    def __len__(self):
-        return len(self._od)
-
-    def __contains__(self, rid):
-        return rid in self._od
-
-    def __iter__(self):  # head to tail
-        return iter(self._od)
-
-    def push_head(self, rid):
-        self._od[rid] = None
-        self._od.move_to_end(rid, last=False)
-
-    def move_to_head(self, rid):
-        self._od.move_to_end(rid, last=False)
-
-    def move_to_tail(self, rid):
-        self._od.move_to_end(rid, last=True)
-
-    def remove(self, rid):
-        del self._od[rid]
-
-    def tail(self):
-        return next(reversed(self._od)) if self._od else None
-
-    def pop_tail(self):
-        rid, _ = self._od.popitem(last=True)
-        return rid
+def _push_head(ids, rid):
+    ids[rid] = None
+    ids.move_to_end(rid, last=False)
 
 
 class RegionCache:
@@ -112,8 +82,8 @@ class RegionCache:
         self.store = store
         self.free_slots = list(range(config.cache_capacity_regions))
         self.free_slots.reverse()  # pop() yields lowest id first
-        self.main = RecencyList()
-        self.vop = RecencyList()
+        self.main = OrderedDict()  # region ids, most recent first
+        self.vop = OrderedDict()
         self.index = {}  # key -> (region id, offset, size)
         self.keys = [set() for _ in range(config.cache_capacity_regions)]
         self._buffer = None  # taken from the store for each buffered region
@@ -135,8 +105,8 @@ class RegionCache:
 
     def _rebalance(self):
         # single direction: demote the main tail until the split is satisfied
-        while len(self.vop) < self._vop_target() and len(self.main) > 0:
-            self.vop.push_head(self.main.pop_tail())
+        while len(self.vop) < self._vop_target() and self.main:
+            _push_head(self.vop, self.main.popitem()[0])
 
     def zlru_reorder(self) -> int:
         """Sink vop regions whose zone is a likely GC victim to the vop tail.
@@ -145,26 +115,16 @@ class RegionCache:
         regions than the average over zones holding any listed region.
         Relative order among moved regions is preserved. Returns move count.
         """
-        if self.config.policy is not Policy.ZLRU or not self.config.reorder_enabled:
-            return 0
-        main_count = {}
-        holding = set()
-        for rid in self.main:
-            z = self.store.zone_of(self.vaddr(rid))
-            holding.add(z)
-            main_count[z] = main_count.get(z, 0) + 1
-        vop_zone = {}
-        for rid in self.vop:
-            z = self.store.zone_of(self.vaddr(rid))
-            holding.add(z)
-            vop_zone[rid] = z
-        if not holding:
-            return 0
-        average = sum(main_count.values()) / len(holding)
-        candidates = {z for z in holding if main_count.get(z, 0) < average}
-        moved = [rid for rid in self.vop if vop_zone[rid] in candidates]
+        if (self.config.policy is not Policy.ZLRU or not self.config.reorder_enabled
+                or not self.main or not self.vop):
+            return 0  # an empty main averages 0; an empty vop has nothing to sink
+        zone = {rid: self.store.zone_of(self.vaddr(rid))
+                for ids in (self.main, self.vop) for rid in ids}
+        main_count = Counter(zone[rid] for rid in self.main)
+        average = len(self.main) / len(set(zone.values()))
+        moved = [rid for rid in self.vop if main_count[zone[rid]] < average]
         for rid in moved:  # head-first re-append keeps relative order
-            self.vop.move_to_tail(rid)
+            self.vop.move_to_end(rid)
         return len(moved)
 
     # -- buffer and flush -------------------------------------------------------
@@ -182,7 +142,7 @@ class RegionCache:
         # buffer, so the next region is filled in a new one
         self.store.write_region(self.vaddr(rid), self._buffer)
         self._buffer = None
-        self.main.push_head(rid)
+        _push_head(self.main, rid)
         self._rebalance()
         self.flushed_count += 1
         self._buffered = None
@@ -223,20 +183,21 @@ class RegionCache:
             data = self.store.read_region(self.vaddr(rid), offset, size)
             if self.config.policy is not Policy.FIFO:
                 if rid in self.vop:
-                    self.vop.remove(rid)
-                    self.main.push_head(rid)
+                    del self.vop[rid]
+                    _push_head(self.main, rid)
                     self._rebalance()  # demotes main tail into vop head
                 else:
-                    self.main.move_to_head(rid)
+                    self.main.move_to_end(rid, last=False)
         self.stats_counters.hit_count += 1
         return data
 
     def evict_one(self) -> int:
         """Top-down eviction of the least valuable flushed region: the vop
         tail, which only ZLRU fills, else the main tail."""
-        rid = self.vop.tail() if self.vop else self.main.tail()
-        if rid is None:
+        ids = self.vop or self.main
+        if not ids:
             raise errors.NothingToEvict("no flushed region to evict")
+        rid = next(reversed(ids))
         self._teardown(rid, invalidate=True)
         self.stats_counters.evicted_region_count += 1
         return rid
@@ -247,10 +208,7 @@ class RegionCache:
         self.keys[rid].clear()
         if invalidate:
             self.store.invalidate_region(self.vaddr(rid))
-        if rid in self.vop:
-            self.vop.remove(rid)
-        else:
-            self.main.remove(rid)
+        del (self.vop if rid in self.vop else self.main)[rid]
         self.free_slots.append(rid)
         self._rebalance()
 

@@ -158,6 +158,16 @@ def test_runtime_failure_exits_1(tmp_path, capsys):
     assert "op 0" in capsys.readouterr().err
 
 
+def test_trace_plus_synthetic_keys_exits_3(tmp_path, capsys):
+    (tmp_path / "t.trace").write_text("set a 1024\nget a\n")
+    conf = tmp_path / "exp.conf"
+    conf.write_text(TINY_CONF.replace("get_ratio = 0.5\nkey_space = 30\n"
+                                      "size_min = 2kib\nsize_max = 16kib\n",
+                                      "trace = t.trace\nzipf_alpha = 3\n"))
+    assert main(["run", "--config", str(conf)]) == 3
+    assert "pick one" in capsys.readouterr().err
+
+
 RESERVE_CONF = """\
 scheme = reg-lru
 zone_count = 32

@@ -13,8 +13,9 @@ import pytest
 from helpers import KIB, MIB, tiny_spec
 from zonecache import errors, harness
 from zonecache.harness import (CSV_HEADER, ExperimentConfig, _Clock, _Driver,
-                               _SCHEME_KEYS, check_scheme, parse_config_file,
-                               parse_config_text, parse_size, render_csv, run)
+                               _SCHEME_KEYS, _WORKLOAD_KEYS, check_scheme,
+                               parse_config_file, parse_config_text,
+                               parse_size, render_csv, run)
 from zonecache.schemes import SCHEME_NAMES, build
 from zonecache.workload import CacheOp, OpKind, WorkloadSpec, value_bytes
 
@@ -299,10 +300,19 @@ def test_config_errors(text, fragment):
     assert fragment in str(exc.value)
 
 
-def test_config_rejects_trace_plus_synthetic(tmp_path):
+SYNTHETIC_VALUES = {
+    "preset": "flat", "get_ratio": "0.5", "key_space": "30",
+    "zipf_alpha": "3", "size_min": "2kib", "size_max": "16kib",
+    "op_count": "5", "seed": "7",
+}
+
+
+@pytest.mark.parametrize("key", [k for k in _WORKLOAD_KEYS if k != "trace"])
+def test_config_rejects_trace_plus_synthetic(tmp_path, key):
     trace = tmp_path / "t.trace"
     trace.write_text("get a\n")
-    text = f"scheme = zcachelib\ntrace = {trace}\npreset = flat\n"
+    text = (f"scheme = zcachelib\ntrace = {trace}\n"
+            f"{key} = {SYNTHETIC_VALUES[key]}\n")
     with pytest.raises(errors.ConfigError) as exc:
         parse_config_text(text, base_dir=str(tmp_path))
     assert "pick one" in str(exc.value)

@@ -150,7 +150,7 @@ def test_zlru_evicts_vop_tail_first():
     flush_regions(cache, 4)
     # flush order r0..r3; half the list is demoted into vop
     assert len(cache.vop) == 2
-    vop_tail = cache.vop.tail()
+    vop_tail = next(reversed(cache.vop))
     assert cache.evict_one() == vop_tail
     assert vop_tail == 0                  # oldest region sank to the vop tail
 
@@ -218,10 +218,8 @@ def arrange(cache, main_zone, vop_zone):
         cache.free_slots.remove(rid)
         cache.store.zone_script[cache.vaddr(rid)] = zone
         cache.store.data[cache.vaddr(rid)] = b"\0" * RS
-    for rid in reversed(list(main_zone)):
-        cache.main.push_head(rid)
-    for rid in reversed(list(vop_zone)):
-        cache.vop.push_head(rid)
+    cache.main.update(dict.fromkeys(main_zone))
+    cache.vop.update(dict.fromkeys(vop_zone))
     check_structure(cache)
 
 
@@ -265,13 +263,32 @@ def test_reorder_disabled_or_wrong_policy_moves_nothing():
     assert lru.zlru_reorder() == 0
 
 
+@pytest.mark.parametrize("vop_ratio", [1.0, 0.0])
+def test_reorder_at_split_bounds_moves_nothing_and_asks_no_zone(vop_ratio):
+    # at either bound one list is empty: an empty main averages 0, so no
+    # zone is below it, and an empty vop has nothing to sink
+    cache, store = make_cache(capacity=8, policy=Policy.ZLRU,
+                              vop_ratio=vop_ratio, reorder=True)
+    asked = []
+    store.zone_of = asked.append
+    flush_regions(cache, 5)
+    cache.lookup("r1")
+    cache.lookup("r3")
+    before = list(cache.main), list(cache.vop)
+    assert sorted(before[0] + before[1]) == [0, 1, 2, 3, 4]
+    assert cache.zlru_reorder() == 0
+    assert (list(cache.main), list(cache.vop)) == before
+    assert asked == []
+    check_structure(cache)
+
+
 # --- drop filter -----------------------------------------------------------------------------
 
 def test_zdrop_drops_vop_region_in_victim_zone():
     cache, store = make_cache(capacity=8, policy=Policy.ZLRU, vop_ratio=0.5,
                               reorder=False)
     flush_regions(cache, 4)
-    rid = cache.vop.tail()
+    rid = next(reversed(cache.vop))
     key = f"r{rid}"
     verb = cache.zdrop_filter(cache.vaddr(rid))
     assert verb is DropVerb.DROP
