@@ -7,10 +7,11 @@ internal over-provisioning hidden from the host. GC runs inline during
 writes; there is no background thread.
 
 Bytes are held by logical address; physical placement is metadata only.
-The data is one private anonymous map of the exported capacity, and on
-Linux each erase-block-sized chunk is faulted in with one
-`MADV_POPULATE_WRITE` when a lend or a write first touches it. A read is
-one slice, and GC migration remaps pages without moving a byte.
+The data is one private anonymous map of the exported capacity, faulted
+in as it is filled: the borrower of a lent view asks for it a step at a
+time, just ahead of its writes (`fault_in`, one `memory.Populator`
+advice each), and any other write faults its pages in as it copies. A
+read is one slice, and GC migration remaps pages without moving a byte.
 `lend_buffer` hands out a view of the map that `ftl_write` commits in
 place; any other payload is copied as its runs are placed. The page maps
 are integer arrays, -1 meaning unmapped: `mapping` (logical -> physical)
@@ -25,15 +26,13 @@ order, one logical run at a time.
 
 import heapq
 import mmap
-import sys
 from array import array
 from dataclasses import dataclass
 
 from . import errors
+from .memory import Populator
 
 PAGE = 4096
-# Linux MADV_POPULATE_WRITE (5.14+), which Python 3.11's mmap does not name
-POPULATE_WRITE = 23 if sys.platform.startswith("linux") else None
 
 
 @dataclass
@@ -76,8 +75,7 @@ class PageMappedFtl:
         pages = config.block_count * config.pages_per_block
         self.arena = mmap.mmap(-1, config.exported_bytes, flags=mmap.MAP_PRIVATE)
         self.data = memoryview(self.arena)  # logical bytes
-        self.populate = POPULATE_WRITE  # None once the advice fails
-        self.populated = bytearray(config.block_count)  # per erase-block-sized chunk
+        self.populator = Populator()
         self.lent = {}  # logical address -> the view lent for it
         self.mapping = array("q", [-1]) * config.exported_pages  # logical -> physical
         self.reverse = array("q", [-1]) * pages  # physical -> logical, valid pages only
@@ -189,21 +187,11 @@ class PageMappedFtl:
     # -- host interface --------------------------------------------------------
 
     def _check_write(self, address, length):
-        """Check a write's range and populate its chunks on first touch."""
         ps = self.config.page_size
-        size = self.config.pages_per_block * ps
         if address % ps != 0 or length % ps != 0:
             raise errors.Misaligned("writes must be page-aligned in address and length")
         if address < 0 or address + length > self.config.exported_bytes:
             raise errors.OutOfRange("write outside exported capacity")
-        for chunk in range(address // size, -(-(address + length) // size)):
-            if self.populate is not None and not self.populated[chunk]:
-                self.populated[chunk] = 1
-                try:
-                    self.arena.madvise(self.populate, chunk * size, min(
-                        size, self.config.exported_bytes - chunk * size))
-                except OSError:  # older kernel, or an unaligned page size
-                    self.populate = None
 
     def lend_buffer(self, address: int, length: int):
         """A writable view of the bytes at `address`, which reads see as it
@@ -211,6 +199,11 @@ class PageMappedFtl:
         self._check_write(address, length)
         view = self.lent[address] = self.data[address:address + length]
         return view
+
+    def fault_in(self, address: int, length: int):
+        """Fault in `length` bytes of the map from `address`, ahead of a
+        borrower's writes there; an unaligned page size disables it."""
+        self.populator.populate(self.arena, address, length)
 
     def ftl_write(self, logical_address: int, payload):
         """If DeviceBusy stops a write part-way, the pages it did not place

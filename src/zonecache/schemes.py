@@ -206,6 +206,9 @@ class _FtlRegionStore:
         """The FTL's bytes at `vaddr`, filled in place, written with no copy."""
         return self.ftl.lend_buffer(vaddr, self.region_size)
 
+    def fault_in(self, vaddr, buffer, start, length):
+        self.ftl.fault_in(vaddr + start, length)
+
     def write_region(self, vaddr, payload):
         self.ftl.ftl_write(vaddr, payload)
         self.cache_region_bytes += len(payload)

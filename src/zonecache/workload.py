@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from hashlib import blake2b
+from itertools import accumulate
 
 from . import errors
 
@@ -101,13 +102,13 @@ def _tile(key: str) -> bytes:
     return blake2b(str(key).encode(), digest_size=8).digest()
 
 
-def value_bytes(key: str, size: int) -> bytes:
-    """Deterministic payload for a key: a keyed 8-byte pattern tiled to size.
-    Reconstructable from the key alone, so integrity checks never need to
-    store a second copy of the data."""
-    if size == 0:
-        return b""
-    return (_tile(key) * (size // 8 + 1))[:size]
+def value_bytes(key: str, size: int) -> memoryview:
+    """Deterministic payload for a key: a keyed 8-byte pattern tiled to size,
+    as a read-only view cut from the tiling, so it is built once and an
+    insert copies it only into its region. Reconstructable from the key
+    alone, so integrity checks never need to store a second copy of the
+    data."""
+    return memoryview(_tile(key) * (size // 8 + 1))[:size]
 
 
 def matches_value(key: str, data: bytes) -> bool:
@@ -123,13 +124,9 @@ class ZipfSampler:
     """Bounded zipf(alpha) over ranks 0..n-1 via an inverse-CDF table."""
 
     def __init__(self, n, alpha):
-        weights = [1.0 / (r + 1) ** alpha for r in range(n)]
-        total = 0.0
-        self._cumulative = []
-        for w in weights:
-            total += w
-            self._cumulative.append(total)
-        self._total = total
+        self._cumulative = list(accumulate(
+            1.0 / (r + 1) ** alpha for r in range(n)))
+        self._total = self._cumulative[-1] if n else 0.0
 
     def sample(self, u: float) -> int:
         return bisect.bisect_left(self._cumulative, u * self._total)
@@ -141,14 +138,15 @@ def generate(spec: WorkloadSpec):
     spec.validate()
     rng = random.Random(spec.seed)
     sampler = ZipfSampler(spec.key_space, spec.zipf_alpha)
-    sizes = {}  # key_size memo: it is a pure function of the key
+    keyed = [None] * spec.key_space  # rank -> (key, key_size), built on first draw
     for _ in range(spec.op_count):
         kind = OpKind.GET if rng.random() < spec.get_ratio else OpKind.SET
-        key = f"k{sampler.sample(rng.random())}"
-        size = sizes.get(key)
-        if size is None:
-            size = sizes[key] = key_size(spec, key)
-        yield CacheOp(kind, key, size)
+        rank = sampler.sample(rng.random())
+        entry = keyed[rank]
+        if entry is None:
+            key = f"k{rank}"
+            entry = keyed[rank] = (key, key_size(spec, key))
+        yield CacheOp(kind, entry[0], entry[1])
 
 
 def replay(path):

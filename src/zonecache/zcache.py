@@ -1,7 +1,11 @@
 """Log-structured region cache.
 
 Items are packed into a RAM buffer one region wide; full buffers are flushed
-to the backing store with a single large write. Flushed region ids live in
+to the backing store with a single large write. The store lends the buffer
+unfaulted, and the cache asks it to fault the buffer in `FAULT_STEP` bytes
+at a time, as the fill's end passes the faulted-in mark, so no single op
+pays for a whole region and a region's unfilled tail is never touched.
+Flushed region ids live in
 two OrderedDicts, `main` and the tail-side `vop`, each most recent first
 (the head is the first entry), which eviction policies operate on:
 
@@ -33,6 +37,7 @@ from . import errors
 from .zstorage import DropVerb
 
 MIB = 1024 * 1024
+FAULT_STEP = MIB  # region buffer bytes faulted in ahead of the fill at a time
 ZLRU_SETTINGS = ("vop_ratio", "reorder_enabled")  # read by ZLRU alone
 
 
@@ -89,6 +94,7 @@ class RegionCache:
         self._buffer = None  # taken from the store for each buffered region
         self._buffered = None  # region id currently accepting items
         self._fill = 0  # bytes used in the buffer
+        self._faulted = 0  # bytes of the buffer faulted in, from its start
         self.stats_counters = CacheStats()
         self.flushed_count = 0
 
@@ -135,6 +141,7 @@ class RegionCache:
         self._buffered = self.free_slots.pop()
         self._buffer = self.store.region_buffer(self.vaddr(self._buffered))
         self._fill = 0
+        self._faulted = 0
 
     def _flush(self):
         rid = self._buffered
@@ -161,8 +168,13 @@ class RegionCache:
             self._flush()
             self._alloc_buffer()
         offset = self._fill
-        self._buffer[offset:offset + len(value)] = value
         self._fill += len(value)
+        while self._faulted < self._fill:
+            step = min(FAULT_STEP, self.config.region_size - self._faulted)
+            self.store.fault_in(self.vaddr(self._buffered), self._buffer,
+                                self._faulted, step)
+            self._faulted += step
+        self._buffer[offset:self._fill] = value
         old = self.index.get(key)
         if old is not None:
             # superseded copy: it is no longer live in its old region

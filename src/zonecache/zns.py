@@ -13,6 +13,11 @@ buffer is shared by reference, not copied. A reset returns the zone's
 buffers to a free list, keyed by length, once no zone holds them any more;
 lending and copying draw from that list before mapping a new buffer.
 
+A new buffer is mapped without faulting its pages in. A lent buffer's
+borrower asks for it to be faulted in a step at a time, just ahead of its
+writes (`fault_in`); a buffer the device fills with a copy is faulted in
+whole before the copy. Either way it takes one `memory.Populator` advice.
+
 Like every layer above it, the device is driven from one thread: each
 operation completes before the next starts, so none locks or retries.
 """
@@ -23,11 +28,10 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import errors
+from .memory import Populator
 
 MIB = 1024 * 1024
 PAGE = 4096
-# fault a new buffer in with one call rather than one trap per page
-_MAP_FLAGS = mmap.MAP_PRIVATE | getattr(mmap, "MAP_POPULATE", 0)
 
 
 class ZoneState(Enum):
@@ -94,6 +98,7 @@ class ZnsDevice:
         self._free = {}     # length -> buffers no zone holds
         self._lent = {}     # id -> buffer lent out and not yet appended
         self._holders = {}  # id(buffer) -> zone chunks holding it
+        self._populator = Populator()
 
     # -- helpers -----------------------------------------------------------
 
@@ -114,15 +119,27 @@ class ZnsDevice:
         pool = self._free.get(length)
         if pool:
             return pool.pop()
-        return mmap.mmap(-1, length, flags=_MAP_FLAGS)
+        return mmap.mmap(-1, length, flags=mmap.MAP_PRIVATE)
+
+    def _copied(self, data):
+        """A buffer of the device's holding a copy of `data`."""
+        buf = self._take(len(data))
+        self._populator.populate(buf, 0, len(buf))
+        buf[:] = data
+        return buf
 
     def lend_buffer(self, length: int):
-        """A writable buffer of `length` bytes. Appending it whole gives it
-        to the device without a copy; after that its borrower must not
-        write to it."""
+        """A writable buffer of `length` bytes, not yet faulted in.
+        Appending it whole gives it to the device without a copy; after
+        that its borrower must not write to it."""
         buf = self._take(length)
         self._lent[id(buf)] = buf
         return buf
+
+    def fault_in(self, buf, start: int, length: int):
+        """Fault in `length` bytes of a lent buffer from `start`, a page
+        boundary, ahead of the borrower's writes there."""
+        self._populator.populate(buf, start, length)
 
     def _admit(self, zone_id, length) -> _Zone:
         """Check that `length` bytes fit at the zone's write pointer; a
@@ -185,8 +202,7 @@ class ZnsDevice:
             return zone_id * self.config.zone_capacity + zone.write_pointer
         buf = self._lent.pop(id(payload), None)
         if buf is None:
-            buf = self._take(len(payload))
-            buf[:] = payload
+            buf = self._copied(payload)
         return self._hold(zone, buf)
 
     def copy(self, src_paddr: int, length: int, zone_id: int) -> int:
@@ -202,8 +218,7 @@ class ZnsDevice:
         i = bisect.bisect_right(src.chunk_starts, offset) - 1
         buf = src.chunks[i]
         if src.chunk_starts[i] != offset or len(buf) != length:
-            buf = self._take(length)
-            buf[:] = self._slice(src, offset, length)
+            buf = self._copied(self._slice(src, offset, length))
         return self._hold(zone, buf)
 
     def read(self, physical_address: int, length: int) -> bytes:

@@ -185,6 +185,10 @@ class ZoneStore:
         it hands it to the device without a copy; take a new one after."""
         return self.device.lend_buffer(self.region_size)
 
+    def fault_in(self, vaddr, buffer, start, length):
+        """Fault in `length` bytes of a `region_buffer` from `start`."""
+        self.device.fault_in(buffer, start, length)
+
     def write_region(self, virtual_address: int, payload) -> int:
         """Append one region and map it. A buffer from `region_buffer`
         becomes the device's; any other payload is copied."""

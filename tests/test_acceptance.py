@@ -215,6 +215,9 @@ class _RamStore:
     def region_buffer(self, vaddr):
         return bytearray(self.region_size)
 
+    def fault_in(self, vaddr, buffer, start, length):
+        pass
+
     def write_region(self, vaddr, payload):
         self.data[vaddr] = bytes(payload)
         return vaddr

@@ -12,8 +12,7 @@ import random
 
 import pytest
 
-from zonecache import FtlConfig, PageMappedFtl, errors
-from zonecache import ftl as ftl_module
+from zonecache import FtlConfig, PageMappedFtl, errors, memory
 
 PAGE = 4096
 
@@ -446,39 +445,41 @@ def churn_and_check(ftl, seed=4):
         assert ftl.ftl_read(lpn * PAGE, PAGE) == data
 
 
-def test_each_chunk_is_populated_once_on_first_lend_or_write(monkeypatch):
-    # 179 exported pages are 22 whole chunks of 8 pages and a last chunk of 3
-    monkeypatch.setattr(ftl_module, "POPULATE_WRITE", 23)
+def test_only_fault_in_advises_one_call_per_request(monkeypatch):
+    # lending, writing and reading fault nothing in: the borrower of a
+    # lent view asks for each range, and each request is one advice
+    monkeypatch.setattr(memory, "POPULATE_WRITE", 23)
     ftl = make_ftl(ppb=8, blocks=24)
     ftl.arena = RecordingArena()
     chunk = 8 * PAGE
-    assert ftl.config.exported_pages == 179
-    ftl.lend_buffer(2 * chunk, chunk)
-    assert ftl.arena.calls == [(23, 2 * chunk, chunk)]
-    ftl.lend_buffer(2 * chunk, chunk)            # already advised
-    ftl.ftl_write(chunk + 4 * PAGE, b"x" * 2 * chunk)  # chunks 1 to 3
-    assert ftl.arena.calls[1:] == [(23, chunk, chunk), (23, 3 * chunk, chunk)]
-    ftl.ftl_read(chunk + 4 * PAGE, chunk)        # reads advise nothing
-    assert len(ftl.arena.calls) == 3
+    view = ftl.lend_buffer(2 * chunk, chunk)
+    ftl.ftl_write(chunk + 4 * PAGE, b"x" * 2 * chunk)
+    ftl.ftl_read(chunk + 4 * PAGE, chunk)
+    assert ftl.arena.calls == []
+    ftl.fault_in(2 * chunk, 3 * PAGE)
+    ftl.fault_in(2 * chunk + 3 * PAGE, 5 * PAGE)
+    view[:] = b"v" * chunk
+    ftl.ftl_write(2 * chunk, view)
+    assert ftl.ftl_read(2 * chunk, chunk) == b"v" * chunk
     churn_and_check(ftl)
-    want = [(23, c * chunk, chunk) for c in range(22)] + [(23, 22 * chunk, 3 * PAGE)]
-    assert sorted(ftl.arena.calls) == want
+    assert ftl.arena.calls == [(23, 2 * chunk, 3 * PAGE),
+                               (23, 2 * chunk + 3 * PAGE, 5 * PAGE)]
 
 
 @pytest.mark.parametrize("fallback", ["off_linux", "advice_fails"])
 def test_writes_read_back_without_populate_advice(monkeypatch, fallback):
-    if fallback == "off_linux":
-        monkeypatch.setattr(ftl_module, "POPULATE_WRITE", None)
-    else:
-        monkeypatch.setattr(ftl_module, "POPULATE_WRITE", 23)
+    monkeypatch.setattr(memory, "POPULATE_WRITE",
+                        None if fallback == "off_linux" else 23)
     ftl = make_ftl(ppb=8, blocks=24)
     ftl.arena = RecordingArena(fail=True)
-    view = ftl.lend_buffer(5 * PAGE, 2 * PAGE)
-    view[:] = b"L" * 2 * PAGE
-    ftl.ftl_write(5 * PAGE, view)
-    assert ftl.ftl_read(5 * PAGE, 2 * PAGE) == b"L" * 2 * PAGE
+    for address in (5 * PAGE, 9 * PAGE):
+        view = ftl.lend_buffer(address, 2 * PAGE)
+        ftl.fault_in(address, 2 * PAGE)
+        view[:] = bytes([address // PAGE]) * 2 * PAGE
+        ftl.ftl_write(address, view)
+        assert ftl.ftl_read(address, 2 * PAGE) == bytes([address // PAGE]) * 2 * PAGE
     churn_and_check(ftl)
-    assert ftl.populate is None
+    assert ftl.populator.advice is None
     # a failed advice is not retried
     assert len(ftl.arena.calls) == (0 if fallback == "off_linux" else 1)
 

@@ -9,7 +9,7 @@ import random
 import pytest
 
 from zonecache import errors
-from zonecache.zcache import CacheConfig, Policy, RegionCache
+from zonecache.zcache import FAULT_STEP, CacheConfig, Policy, RegionCache
 from zonecache.zstorage import DropVerb
 
 RS = 1024  # region size used throughout
@@ -23,6 +23,9 @@ class FakeStore:
 
     def region_buffer(self, vaddr):
         return bytearray(RS)
+
+    def fault_in(self, vaddr, buffer, start, length):
+        pass
 
     def write_region(self, vaddr, payload):
         self.data[vaddr] = bytes(payload)
@@ -115,6 +118,76 @@ def test_oversized_item_rejected():
     cache, _ = make_cache()
     with pytest.raises(errors.ItemTooLarge):
         cache.insert("big", val(0, RS + 1))
+
+
+class FaultedBuffer:
+    """A region buffer that only accepts writes to its faulted-in prefix."""
+
+    def __init__(self, size):
+        self.data, self.faulted = bytearray(size), 0
+
+    def __len__(self):
+        return len(self.data)
+
+    def __getitem__(self, key):
+        return self.data[key]
+
+    def __setitem__(self, key, value):
+        assert key.stop <= self.faulted, "write past the faulted-in mark"
+        self.data[key] = value
+
+    def __bytes__(self):
+        return bytes(self.data)
+
+
+class FaultRecordingStore(FakeStore):
+    """Records every fault-in request and checks it against the fill: each
+    region's requests start at 0, are contiguous and step-aligned, and
+    stop at the step holding the fill's end."""
+
+    def __init__(self, region_size):
+        super().__init__()
+        self.region_size = region_size
+        self.requests = {}  # vaddr -> [(start, length)] for its last buffer
+
+    def region_buffer(self, vaddr):
+        self.requests[vaddr] = []
+        return FaultedBuffer(self.region_size)
+
+    def fault_in(self, vaddr, buffer, start, length):
+        asked = self.requests[vaddr]
+        assert start == len(asked) * FAULT_STEP       # from 0, contiguous, aligned
+        assert length == min(FAULT_STEP, self.region_size - start)
+        asked.append((start, length))
+        buffer.faulted = start + length
+
+    def write_region(self, vaddr, payload):
+        super().write_region(vaddr, bytes(payload))
+
+
+def test_region_buffers_are_faulted_in_step_by_step_ahead_of_the_fill():
+    # a region of 4.5 steps; items from a few KiB to 2.5 steps, some ending
+    # exactly on a step boundary, so one insert may ask for several steps
+    region = 4 * FAULT_STEP + FAULT_STEP // 2
+    store = FaultRecordingStore(region)
+    cache = RegionCache(CacheConfig(cache_capacity_regions=3, region_size=region,
+                                    policy=Policy.LRU), store)
+    rng = random.Random(3)
+    sizes = [FAULT_STEP, FAULT_STEP // 4, 3 * FAULT_STEP // 4, 5 * FAULT_STEP // 2]
+    sizes += [rng.randrange(1, 700 * 1024) for _ in range(60)]
+    filled = 0
+    for i, size in enumerate(sizes):
+        if filled + size > region:
+            filled = 0  # this insert flushes the region and opens the next
+        cache.insert(f"k{i}", val(i, size))
+        filled += size
+        asked = store.requests[cache.vaddr(cache._buffered)]
+        # the steps asked for are exactly those the fill has reached
+        assert len(asked) == -(-filled // FAULT_STEP), i
+    assert len(store.write_calls) >= 6
+    for i, size in enumerate(sizes):
+        got = cache.lookup(f"k{i}")
+        assert got is None or got == val(i, size)
 
 
 # --- eviction policies ----------------------------------------------------------------

@@ -5,13 +5,17 @@ to a plain bytearray) so address math and payload contents are checked
 against a second implementation, not against the device itself.
 """
 
+import mmap
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
                                  precondition, rule)
 
-from zonecache import DeviceConfig, ZnsDevice, ZoneState, errors
+from zonecache import DeviceConfig, ZnsDevice, ZoneState, errors, memory
+from zonecache import zns as zns_module
 
 KIB = 1024
 MIB = 1024 * KIB
@@ -307,6 +311,46 @@ def test_migrated_regions_survive_reuse_of_every_freed_buffer():
         fill(dest)
         for addr, data in shadow.items():
             assert dev.read(addr, size) == data, f"round {round_}"
+
+
+# --- faulting buffers in -------------------------------------------------------
+
+@pytest.mark.parametrize("advice", ["works", "off_linux", "fails"])
+def test_buffers_are_faulted_in_once_per_request_and_read_back_without_it(
+        monkeypatch, advice):
+    # a lent buffer is faulted in only as its borrower asks, a buffer the
+    # device copies into is faulted in whole first, and the bytes are the
+    # same when the advice is missing or raises; a failed advice is not
+    # retried
+    calls = []
+
+    class RecordingMap(mmap.mmap):
+        def madvise(self, *args):
+            calls.append(args)
+            if advice == "fails":
+                raise OSError(22, "Invalid argument")
+
+    monkeypatch.setattr(memory, "POPULATE_WRITE",
+                        None if advice == "off_linux" else 23)
+    monkeypatch.setattr(zns_module, "mmap", SimpleNamespace(
+        mmap=RecordingMap, MAP_PRIVATE=mmap.MAP_PRIVATE))
+    dev = small_device()
+    buf = dev.lend_buffer(16 * KIB)
+    assert calls == []                         # lending faults nothing in
+    for start in range(0, 16 * KIB, 4 * KIB):
+        dev.fault_in(buf, start, 4 * KIB)
+        buf[start:start + 4 * KIB] = bytes([start // KIB + 1]) * 4 * KIB
+    want = bytes(buf)
+    addr = dev.append(0, buf)
+    moved = dev.copy(addr + 4 * KIB, 8 * KIB, 1)  # part of a buffer: a copy
+    copied = dev.append(1, b"z" * 4 * KIB)
+    assert dev.read(addr, 16 * KIB) == want
+    assert dev.read(moved, 8 * KIB) == want[4 * KIB:12 * KIB]
+    assert dev.read(copied, 4 * KIB) == b"z" * 4 * KIB
+    expected = {"works": [(23, start, 4 * KIB) for start in range(0, 16 * KIB, 4 * KIB)]
+                + [(23, 0, 8 * KIB), (23, 0, 4 * KIB)],
+                "off_linux": [], "fails": [(23, 0, 4 * KIB)]}
+    assert calls == expected[advice]
 
 
 # --- counters -------------------------------------------------------------------
