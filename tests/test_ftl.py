@@ -53,8 +53,10 @@ class OracleFtl:
         if len(self.free) >= self.trigger:
             return
         while len(self.free) < self.trigger:
+            # the active block is a candidate once it is full
             candidates = [b for b in range(len(self.blocks))
-                          if b != self.active and b not in self.free]
+                          if (b != self.active or self.fill == self.ppb)
+                          and b not in self.free]
             if not candidates:
                 break
             victim = min(candidates, key=lambda b: (self._valid(b), b))
