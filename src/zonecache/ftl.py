@@ -112,13 +112,15 @@ class PageMappedFtl:
         return identity
 
     def _select_victim(self):
-        # free blocks and the active block score past any valid count;
-        # index() of the minimum breaks ties on the lowest block
+        # free blocks and an active block with room score past any valid
+        # count; a full active block is a candidate like any other, so GC
+        # never leaves its invalid pages stranded there. index() of the
+        # minimum breaks ties on the lowest block
         ppb = self.config.pages_per_block
         scores = list(self.valid_counts)
         for block in self.free_blocks:
             scores[block] = ppb + 1
-        if self.active_block is not None:
+        if self.active_block is not None and self.active_fill < ppb:
             scores[self.active_block] = ppb + 1
         best = min(scores)
         return None if best > ppb else scores.index(best)
