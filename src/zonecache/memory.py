@@ -25,7 +25,7 @@ class Populator:
     def populate(self, mem, start, length):
         """Fault in `length` bytes of the map `mem` from `start`, a page
         boundary; a failed advice is not retried."""
-        if self.advice is None or length <= 0:
+        if self.advice is None:
             return
         try:
             mem.madvise(self.advice, start, length)

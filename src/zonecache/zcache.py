@@ -2,12 +2,13 @@
 
 Items are packed into a RAM buffer one region wide; full buffers are flushed
 to the backing store with a single large write. The store lends the buffer
-unfaulted, and the cache asks it to fault the buffer in `FAULT_STEP` bytes
-at a time, as the fill's end passes the faulted-in mark, so no single op
-pays for a whole region and a region's unfilled tail is never touched.
-Flushed region ids live in
-two OrderedDicts, `main` and the tail-side `vop`, each most recent first
-(the head is the first entry), which eviction policies operate on:
+with no page faulted in, and the cache asks it to fault in `FAULT_STEP`
+bytes at a time as the fill's end passes the faulted-in mark, so no single
+op pays for a whole region and a region's unfilled tail is never touched.
+
+Flushed region ids live in two OrderedDicts, `main` and the tail-side
+`vop`, each most recent first (the head is the first entry), which
+eviction policies operate on:
 
   FIFO  insertion order, no movement on hit
   LRU   hit moves the region to the head
