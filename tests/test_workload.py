@@ -163,7 +163,7 @@ def test_matches_value_is_the_payload_compare():
                                  for _ in range(40)]
     for n in lengths:
         key = f"k{rng.randrange(10 ** 6)}"
-        good = bytes(value_bytes(key, n))
+        good = value_bytes(key, n)
         cases = [good, value_bytes(key + "x", n), good[:-1], good + b"\0"]
         if n:
             last_tile = n - 1 - rng.randrange(n % 8 or 8)

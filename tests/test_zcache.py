@@ -161,9 +161,6 @@ class FaultRecordingStore(FakeStore):
         asked.append((start, length))
         buffer.faulted = start + length
 
-    def write_region(self, vaddr, payload):
-        super().write_region(vaddr, bytes(payload))
-
 
 def test_region_buffers_are_faulted_in_step_by_step_ahead_of_the_fill():
     # a region of 4.5 steps; items from a few KiB to 2.5 steps, some ending

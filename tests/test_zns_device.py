@@ -347,9 +347,9 @@ def test_buffers_are_faulted_in_once_per_request_and_read_back_without_it(
     assert dev.read(addr, 16 * KIB) == want
     assert dev.read(moved, 8 * KIB) == want[4 * KIB:12 * KIB]
     assert dev.read(copied, 4 * KIB) == b"z" * 4 * KIB
-    expected = {"works": [(23, start, 4 * KIB) for start in range(0, 16 * KIB, 4 * KIB)]
-                + [(23, 0, 8 * KIB), (23, 0, 4 * KIB)],
-                "off_linux": [], "fails": [(23, 0, 4 * KIB)]}
+    steps = [(23, start, 4 * KIB) for start in range(0, 16 * KIB, 4 * KIB)]
+    expected = {"works": steps + [(23, 0, 8 * KIB), (23, 0, 4 * KIB)],
+                "off_linux": [], "fails": steps[:1]}
     assert calls == expected[advice]
 
 
