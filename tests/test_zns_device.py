@@ -382,37 +382,70 @@ class DeviceMachine(RuleBasedStateMachine):
                                           zone_capacity=self.CAP,
                                           max_open_zones=self.MAX_OPEN))
         self.model = {z: bytearray() for z in range(self.ZONES)}
+        # per zone, the (start, length) of each write it holds
+        self.spans = {z: [] for z in range(self.ZONES)}
+        self.appended = self.read = 0
         self.counter = 0
 
     def _model_open(self):
         return sum(1 for buf in self.model.values() if 0 < len(buf) < self.CAP)
 
+    def _write(self, zone, payload, write):
+        """Run `write()`, which puts `payload` at the zone's write pointer,
+        and check its outcome against the model."""
+        buf = self.model[zone]
+        full = len(buf) == self.CAP
+        overflow = len(buf) + len(payload) > self.CAP
+        blocked = (len(buf) == 0 and len(payload) > 0
+                   and self._model_open() >= self.MAX_OPEN)
+        if full:
+            with pytest.raises(errors.ZoneNotWritable):
+                write()
+        elif overflow:
+            with pytest.raises(errors.ZoneFull):
+                write()
+        elif blocked:
+            with pytest.raises(errors.MaxOpenZonesExceeded):
+                write()
+        else:
+            addr = write()
+            assert addr == zone * self.CAP + len(buf)
+            if payload:
+                self.spans[zone].append((len(buf), len(payload)))
+            buf += payload
+            self.appended += len(payload)
+            return True
+        return False
+
     @rule(zone=st.integers(0, ZONES - 1), size=st.integers(1, 3 * KIB))
     def append(self, zone, size):
         self.counter += 1
         payload = bytes([self.counter % 256]) * size
-        buf = self.model[zone]
-        full = len(buf) == self.CAP
-        overflow = len(buf) + size > self.CAP
-        blocked = len(buf) == 0 and self._model_open() >= self.MAX_OPEN
-        if full:
-            with pytest.raises(errors.ZoneNotWritable):
-                self.dev.append(zone, payload)
-        elif overflow:
-            with pytest.raises(errors.ZoneFull):
-                self.dev.append(zone, payload)
-        elif blocked:
-            with pytest.raises(errors.MaxOpenZonesExceeded):
-                self.dev.append(zone, payload)
+        self._write(zone, payload, lambda: self.dev.append(zone, payload))
+
+    @rule(src=st.integers(0, ZONES - 1), zone=st.integers(0, ZONES - 1),
+          whole=st.booleans(), data=st.data())
+    def copy(self, src, zone, whole, data):
+        # a whole earlier write is shared by reference, any other range is
+        # copied; the model copies bytes either way
+        buf = self.model[src]
+        if not buf:
+            return
+        if whole:
+            start, length = data.draw(st.sampled_from(self.spans[src]))
         else:
-            addr = self.dev.append(zone, payload)
-            assert addr == zone * self.CAP + len(buf)
-            buf += payload
+            start = data.draw(st.integers(0, len(buf) - 1))
+            length = data.draw(st.integers(0, len(buf) - start))
+        payload = bytes(buf[start:start + length])
+        if self._write(zone, payload, lambda: self.dev.copy(
+                src * self.CAP + start, length, zone)):
+            self.read += length
 
     @rule(zone=st.integers(0, ZONES - 1))
     def reset(self, zone):
         self.dev.reset(zone)
         self.model[zone] = bytearray()
+        self.spans[zone] = []
 
     @rule(zone=st.integers(0, ZONES - 1), data=st.data())
     def read_back(self, zone, data):
@@ -423,6 +456,7 @@ class DeviceMachine(RuleBasedStateMachine):
         length = data.draw(st.integers(0, len(buf) - start))
         got = self.dev.read(zone * self.CAP + start, length)
         assert got == bytes(buf[start:start + length])
+        self.read += length
 
     @invariant()
     def states_match_model(self):
@@ -438,6 +472,8 @@ class DeviceMachine(RuleBasedStateMachine):
                 assert state is ZoneState.EMPTY
             else:
                 assert state is ZoneState.OPEN
+        assert self.dev.counters.total_appended_bytes == self.appended
+        assert self.dev.counters.total_read_bytes == self.read
         _, counters = self.dev.report()
         assert counters.open_zone_count == self._model_open()
         assert counters.open_zone_count <= self.MAX_OPEN
