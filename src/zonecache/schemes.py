@@ -132,7 +132,9 @@ class _Engine:
         return EngineMetrics(
             hits=c.hit_count, misses=c.miss_count,
             inserted_bytes=c.inserted_bytes,
-            cache_bytes_written=self.store.cache_region_bytes,
+            # every flush writes one whole region
+            cache_bytes_written=(self.cache.flushed_count
+                                 * self.cache.config.region_size),
             evicted_regions=c.evicted_region_count,
             dropped_regions=c.dropped_region_count,
             **self._backend_metrics())
@@ -200,7 +202,6 @@ class _FtlRegionStore:
     def __init__(self, ftl, region_size):
         self.ftl = ftl
         self.region_size = region_size
-        self.cache_region_bytes = 0
 
     def region_buffer(self, vaddr):
         """The FTL's bytes at `vaddr`, filled in place, written with no copy."""
@@ -211,7 +212,6 @@ class _FtlRegionStore:
 
     def write_region(self, vaddr, payload):
         self.ftl.ftl_write(vaddr, payload)
-        self.cache_region_bytes += len(payload)
         return vaddr
 
     def read_region(self, vaddr, offset, length):

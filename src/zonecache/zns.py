@@ -1,8 +1,11 @@
 """In-memory emulation of a zoned (ZNS-style) SSD.
 
 Zones are append-only: each zone accepts writes only at its write pointer
-and is cleaned as a whole by reset. Payloads are stored byte-faithfully so
-read-back and migration tests can compare actual buffers, not just sizes.
+and is cleaned as a whole by reset. The write pointer is a zone's only
+state: a zone is EMPTY at 0, FULL at capacity and (implicitly) OPEN in
+between, since the device has no explicit open, close or finish command.
+Payloads are stored byte-faithfully so read-back and migration tests can
+compare actual buffers, not just sizes.
 
 The device owns the buffers that hold its data. It lends out writable
 buffers (`lend_buffer`); appending a lent buffer whole hands it back
@@ -24,7 +27,7 @@ operation completes before the next starts, so none locks or retries.
 
 import bisect
 import mmap
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from . import errors
@@ -62,7 +65,6 @@ class ZoneSnapshot:
     id: int
     state: ZoneState
     write_pointer: int
-    reset_count: int
 
 
 @dataclass
@@ -70,18 +72,14 @@ class DeviceCounters:
     total_appended_bytes: int = 0
     total_read_bytes: int = 0
     total_resets: int = 0
-    open_zone_count: int = 0
 
 
 class _Zone:
-    __slots__ = ("id", "state", "write_pointer", "reset_count",
-                 "chunks", "chunk_starts")
+    __slots__ = ("id", "write_pointer", "chunks", "chunk_starts")
 
     def __init__(self, zone_id):
         self.id = zone_id
-        self.state = ZoneState.EMPTY
         self.write_pointer = 0
-        self.reset_count = 0
         # buffers in append order; chunk_starts[i] is the zone offset of chunks[i]
         self.chunks = []
         self.chunk_starts = []
@@ -108,7 +106,16 @@ class ZnsDevice:
         return self._zones[zone_id]
 
     def zone_state(self, zone_id) -> ZoneState:
-        return self._zone(zone_id).state
+        wp = self._zone(zone_id).write_pointer
+        if wp == 0:
+            return ZoneState.EMPTY
+        if wp == self.config.zone_capacity:
+            return ZoneState.FULL
+        return ZoneState.OPEN
+
+    def open_zone_count(self) -> int:
+        cap = self.config.zone_capacity
+        return sum(1 for z in self._zones if 0 < z.write_pointer < cap)
 
     def write_pointer(self, zone_id) -> int:
         return self._zone(zone_id).write_pointer
@@ -146,19 +153,17 @@ class ZnsDevice:
         non-empty write opens an empty zone implicitly."""
         cap = self.config.zone_capacity
         zone = self._zone(zone_id)
-        if zone.state is ZoneState.FULL:
+        wp = zone.write_pointer
+        if wp == cap:
             raise errors.ZoneNotWritable(f"zone {zone_id} is full")
-        if zone.write_pointer + length > cap:
+        if wp + length > cap:
             raise errors.ZoneFull(
-                f"zone {zone_id}: {length} bytes exceed remaining "
-                f"{cap - zone.write_pointer}")
-        if length and zone.state is ZoneState.EMPTY:
-            if self.counters.open_zone_count >= self.config.max_open_zones:
-                raise errors.MaxOpenZonesExceeded(
-                    f"opening zone {zone_id} would exceed "
-                    f"{self.config.max_open_zones} open zones")
-            zone.state = ZoneState.OPEN
-            self.counters.open_zone_count += 1
+                f"zone {zone_id}: {length} bytes exceed remaining {cap - wp}")
+        if (length and wp == 0
+                and self.open_zone_count() >= self.config.max_open_zones):
+            raise errors.MaxOpenZonesExceeded(
+                f"opening zone {zone_id} would exceed "
+                f"{self.config.max_open_zones} open zones")
         return zone
 
     def _hold(self, zone, buf) -> int:
@@ -170,9 +175,6 @@ class ZnsDevice:
         self._holders[id(buf)] = self._holders.get(id(buf), 0) + 1
         zone.write_pointer += len(buf)
         self.counters.total_appended_bytes += len(buf)
-        if zone.write_pointer == cap:
-            zone.state = ZoneState.FULL
-            self.counters.open_zone_count -= 1
         return addr
 
     def _locate(self, physical_address, length):
@@ -245,28 +247,20 @@ class ZnsDevice:
         """Wipe the zone and return it to EMPTY. Each of its buffers goes
         back to the free list once no other zone holds it."""
         zone = self._zone(zone_id)
-        if zone.state is ZoneState.OPEN:
-            self.counters.open_zone_count -= 1
         for buf in zone.chunks:
             held = self._holders.pop(id(buf)) - 1
             if held:
                 self._holders[id(buf)] = held
             else:
                 self._free.setdefault(len(buf), []).append(buf)
-        zone.state = ZoneState.EMPTY
         zone.write_pointer = 0
         zone.chunks = []
         zone.chunk_starts = []
-        zone.reset_count += 1
         self.counters.total_resets += 1
 
     def report(self):
         """Point-in-time snapshot of all zones plus the device counters."""
-        snaps = [ZoneSnapshot(z.id, z.state, z.write_pointer, z.reset_count)
+        # perfbench/tracer.py patches this by name; ROADMAP item 5 deletes it
+        snaps = [ZoneSnapshot(z.id, self.zone_state(z.id), z.write_pointer)
                  for z in self._zones]
-        counters = DeviceCounters(
-            self.counters.total_appended_bytes,
-            self.counters.total_read_bytes,
-            self.counters.total_resets,
-            self.counters.open_zone_count)
-        return snaps, counters
+        return snaps, replace(self.counters)

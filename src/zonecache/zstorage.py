@@ -119,7 +119,6 @@ class ZoneStore:
         self.reverse = {z: {} for z in range(self.zone_count)}  # per zone: paddr -> vaddr
         self.valid_bytes = {z: 0 for z in range(self.zone_count)}
 
-        self.cache_region_bytes = 0  # bytes issued through write_region
         self.migrated_bytes = 0
         self.gc_log = []             # (empty count at entry, empty count at exit)
 
@@ -202,7 +201,6 @@ class ZoneStore:
         if virtual_address in self.forward:
             self._unmap(virtual_address)
         self._map(virtual_address, paddr)
-        self.cache_region_bytes += len(payload)
         return paddr
 
     def read_region(self, virtual_address: int, offset: int = 0,

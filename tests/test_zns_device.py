@@ -48,10 +48,10 @@ def test_config_defaults_are_valid():
 def test_large_zone_count_device_builds():
     dev = ZnsDevice(DeviceConfig(zone_count=904, zone_capacity=4096,
                                  max_open_zones=14))
-    snaps, counters = dev.report()
-    assert len(snaps) == 904
-    assert all(s.state is ZoneState.EMPTY for s in snaps)
-    assert counters.open_zone_count == 0
+    assert all(dev.zone_state(z) is ZoneState.EMPTY for z in range(904))
+    assert dev.open_zone_count() == 0
+    with pytest.raises(errors.OutOfRange):
+        dev.zone_state(904)
 
 
 # --- append addressing --------------------------------------------------------
@@ -102,7 +102,7 @@ def test_zero_length_copy_charges_nothing_and_opens_no_zone():
     assert dev.zone_state(3) is ZoneState.EMPTY
     assert dev.counters.total_read_bytes == 0
     assert dev.counters.total_appended_bytes == 0
-    assert dev.counters.open_zone_count == 0
+    assert dev.open_zone_count() == 0
 
 
 def test_append_to_unknown_zone():
@@ -192,6 +192,17 @@ def test_reset_open_zone_releases_open_slot():
     dev.append(1, b"b")  # would raise if the slot leaked
 
 
+def test_append_the_device_cannot_copy_opens_no_zone():
+    # a payload that is not bytes-like fails inside the copy, after the
+    # checks; the zone stays empty and its slot stays free
+    dev = small_device(zone_count=4, max_open=1)
+    with pytest.raises(TypeError):
+        dev.append(0, "x" * 4096)
+    assert dev.zone_state(0) is ZoneState.EMPTY
+    dev.append(1, b"y" * 4096)  # would raise if the slot leaked
+    assert dev.open_zone_count() == 1
+
+
 # --- buffer ownership -------------------------------------------------------------
 
 def lent(dev, tag, size):
@@ -237,7 +248,7 @@ def test_copy_charges_a_read_and_an_append_of_its_length():
     src = dev.append(0, lent(dev, 1, 8 * KIB))
     dev.copy(src + 1000, 3000, 1)
     dev.copy(src, 8 * KIB, 2)
-    _, c = dev.report()
+    c = dev.counters
     assert c.total_read_bytes == 3000 + 8 * KIB
     assert c.total_appended_bytes == 8 * KIB + 3000 + 8 * KIB
 
@@ -262,7 +273,7 @@ def test_failed_copy_changes_nothing():
     with pytest.raises(errors.ZoneNotWritable):
         dev.copy(src, 4096, 1)
     assert dev.zone_state(2) is ZoneState.EMPTY
-    _, c = dev.report()
+    c = dev.counters
     assert c.total_read_bytes == 0
     assert c.total_appended_bytes == 4096 + 8 * KIB
 
@@ -361,7 +372,7 @@ def test_counters_accumulate():
     dev.append(0, b"b" * 500)
     dev.read(0, 700)
     dev.reset(0)
-    _, c = dev.report()
+    c = dev.counters
     assert c.total_appended_bytes == 1500
     assert c.total_read_bytes == 700
     assert c.total_resets == 1
@@ -474,9 +485,8 @@ class DeviceMachine(RuleBasedStateMachine):
                 assert state is ZoneState.OPEN
         assert self.dev.counters.total_appended_bytes == self.appended
         assert self.dev.counters.total_read_bytes == self.read
-        _, counters = self.dev.report()
-        assert counters.open_zone_count == self._model_open()
-        assert counters.open_zone_count <= self.MAX_OPEN
+        assert self.dev.open_zone_count() == self._model_open()
+        assert self.dev.open_zone_count() <= self.MAX_OPEN
 
 
 DeviceMachine.TestCase.settings = settings(max_examples=60,

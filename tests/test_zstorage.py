@@ -340,13 +340,13 @@ def test_gc_accounting_identity():
     dev, store = make_store()
     rng = random.Random(11)
     vaddrs = [i * 32 * KIB for i in range(6)]
-    for step in range(300):
+    steps = 300
+    for step in range(steps):
         store.write_region(rng.choice(vaddrs), payload(step))
         if store.gc_needed():
             store.gc_cycle(migrate_all)
-    _, counters = dev.report()
-    assert counters.total_appended_bytes == \
-        store.cache_region_bytes + store.migrated_bytes
+    assert dev.counters.total_appended_bytes == \
+        steps * store.region_size + store.migrated_bytes
 
 
 def test_gc_migration_shares_buffers_that_stay_intact_after_reuse():
@@ -382,10 +382,10 @@ def test_gc_migration_shares_buffers_that_stay_intact_after_reuse():
                 buf[:] = b"\xee" * store.region_size
                 if fresh:
                     break
-            _, counters = dev.report()
+            counters = dev.counters
             assert counters.total_read_bytes == store.migrated_bytes + checked
             assert counters.total_appended_bytes == \
-                store.cache_region_bytes + store.migrated_bytes
+                (step + 1) * store.region_size + store.migrated_bytes
             for vaddr, data in shadow.items():
                 assert store.read_region(vaddr) == data
                 checked += store.region_size
