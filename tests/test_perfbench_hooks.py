@@ -48,3 +48,7 @@ def test_traced_run_matches_untraced_run(name):
         assert layers["zcache.reorder_calls"] > 0
     else:
         assert layers["zcache.reorder_calls"] == 0
+    # the tracer reads GC victims from the store by name (`valid_bytes`)
+    if name in ("zcachelib", "zns-middle-lru", "zns-middle-fifo"):
+        assert layers["zstorage.gc_reclaimed_zones"] > 0
+        assert 0 < layers["zstorage.gc_victim_valid_ratio"] < 1

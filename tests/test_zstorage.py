@@ -54,14 +54,16 @@ def test_write_zone_bounds_validated():
 def test_second_region_lands_at_second_zone_start():
     # two rotating write zones, 1 MiB zones, 128 KiB regions: the second
     # write goes to the start of the second zone, so virtual 131072 maps to
-    # physical 1048576 and the reverse entry mirrors it
+    # physical 1048576, and it is the only region mapped in zone 1
     dev, store = make_store(zone_count=4, zone_capacity=1 * MIB,
                             region_size=128 * KIB)
     store.write_region(0, payload(0, 128 * KIB))
     paddr = store.write_region(131072, payload(1, 128 * KIB))
     assert paddr == 1048576
     assert store.forward[131072] == 1048576
-    assert store.reverse[1][1048576] == 131072
+    assert [v for v, p in store.forward.items()
+            if p // MIB == 1] == [131072]
+    assert store.valid_bytes[1] == 128 * KIB
 
 
 def test_rewrite_decrements_previous_zone_stats():
@@ -268,7 +270,11 @@ def test_gc_migration_keeps_victim_append_order():
     dev, store = make_store()
     drain_to_trigger(store)
     victim = store.select_victim()
-    expected = list(store.reverse[victim].values())
+    cap = store.device.config.zone_capacity
+    # a zone is append-only, so address order is append order
+    expected = sorted((v for v in store.forward
+                       if store.forward[v] // cap == victim),
+                      key=store.forward.get)
     seen = []
 
     def spy(vaddr):
@@ -423,14 +429,30 @@ def test_cache_buffer_written_after_flush_leaves_device_unchanged():
 # --- map consistency under random interleavings ----------------------------------------
 
 def check_bijection(store):
-    seen = set()
-    for zone, table in store.reverse.items():
-        for paddr, vaddr in table.items():
-            assert store.forward[vaddr] == paddr
-            assert paddr // store.device.config.zone_capacity == zone
-            seen.add(vaddr)
-        assert store.valid_bytes[zone] == len(table) * store.region_size
-    assert seen == set(store.forward)
+    # no two regions share an address, and every address is a region-aligned
+    # slot below its zone's write pointer
+    cap = store.device.config.zone_capacity
+    paddrs = list(store.forward.values())
+    assert len(set(paddrs)) == len(paddrs)
+    for paddr in paddrs:
+        assert paddr % store.region_size == 0
+        assert paddr % cap < store.device.write_pointer(paddr // cap)
+
+
+def check_groups(store):
+    empty, write, read = store.groups()
+    zones = list(range(store.zone_count))
+    assert sorted(empty + write + list(read)) == zones
+    cap = store.device.config.zone_capacity
+    wp = store.device.write_pointer
+    assert all(wp(z) == cap for z in read)
+    assert all(wp(z) == 0 for z in empty)
+    assert all(wp(z) < cap for z in write)
+    mapped = {z: 0 for z in zones}
+    for paddr in store.forward.values():
+        mapped[paddr // cap] += 1
+    assert store.valid_bytes == {z: n * store.region_size
+                                 for z, n in mapped.items()}
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
@@ -452,7 +474,9 @@ def test_map_stays_bijective_under_random_ops(seed):
             store.gc_cycle(migrate_all)
         if step % 50 == 0:
             check_bijection(store)
+            check_groups(store)
     check_bijection(store)
+    check_groups(store)
     for addr, data in shadow.items():
         assert store.read_region(addr) == data
     assert set(store.forward) == set(shadow)
