@@ -132,7 +132,11 @@ class ZnsDevice:
         """A buffer of the device's holding a copy of `data`."""
         buf = self._take(len(data))
         self._populator.populate(buf, 0, len(buf))
-        buf[:] = data
+        try:
+            buf[:] = data
+        except Exception:
+            self._free.setdefault(len(buf), []).append(buf)
+            raise
         return buf
 
     def lend_buffer(self, length: int):

@@ -203,6 +203,21 @@ def test_append_the_device_cannot_copy_opens_no_zone():
     assert dev.open_zone_count() == 1
 
 
+def test_append_the_device_cannot_copy_keeps_the_buffer_it_took():
+    # the failed copy took the freed buffer from the free list; it goes
+    # back there, so the next copied append fills that same buffer
+    dev = small_device()
+    freed = dev.lend_buffer(4096)
+    freed[:] = b"a" * 4096
+    dev.append(0, freed)
+    dev.reset(0)
+    with pytest.raises(TypeError):
+        dev.append(1, "x" * 4096)
+    addr = dev.append(1, b"y" * 4096)
+    assert freed[:] == b"y" * 4096
+    assert dev.read(addr, 4096) == b"y" * 4096
+
+
 # --- buffer ownership -------------------------------------------------------------
 
 def lent(dev, tag, size):
