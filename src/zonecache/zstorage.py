@@ -5,10 +5,12 @@ zones (append targets, rotated round-robin), and read zones (full, eligible
 GC victims). The store keeps `min_write_zones` write zones open, within the
 device's open-zone limit: before each append it tops them up from the
 lowest-numbered empty zones, and it runs with fewer only when none is left.
+Only write zones are appended to, and a write zone leaves the rotation as it
+fills, so the other groups are read from the device's write pointers.
 
-A bidirectional map links region virtual addresses to device physical
-addresses; both directions are updated as one atomic pair, and the data
-append always lands before the map update.
+One map links region virtual addresses to device physical addresses, and
+the data append always lands before the map update. Zones are append-only,
+so a zone's regions in address order are its regions in append order.
 
 Background GC is watermark-driven: it starts when the empty-zone count
 falls below the low watermark and stops once the high watermark is reached.
@@ -23,7 +25,6 @@ there until the drop filter answers; the filter only decides and never
 touches the map.
 """
 
-import heapq
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -89,7 +90,7 @@ class GcStats:
 
 
 class ZoneStore:
-    """Owns zone grouping, the region map, and GC for one device, and keeps
+    """Owns the write zones, the region map, and GC for one device, and keeps
     `min_write_zones` write zones open, fewer only when no zone is empty."""
 
     def __init__(self, device, region_size: int, gc_config: GcConfig = None,
@@ -109,54 +110,51 @@ class ZoneStore:
         self.zone_count = device.config.zone_count
         self.gc_trigger_zones = watermark_zones(self.gc_config.w_low, self.zone_count)
         self.gc_stop_zones = watermark_zones(self.gc_config.w_high, self.zone_count)
-        self.empty_zones = list(range(self.zone_count))  # heap, lowest id first
-        heapq.heapify(self.empty_zones)
         self.write_zones = []        # rotation order
-        self.read_zones = set()
         self._rr = 0
 
         self.forward = {}            # region virtual address -> physical address
-        self.reverse = {z: {} for z in range(self.zone_count)}  # per zone: paddr -> vaddr
         self.valid_bytes = {z: 0 for z in range(self.zone_count)}
 
         self.migrated_bytes = 0
         self.gc_log = []             # (empty count at entry, empty count at exit)
 
-    # -- zone group bookkeeping ------------------------------------------------
+    # -- zone groups ---------------------------------------------------------
+
+    @property
+    def empty_zones(self) -> list:
+        """Zones at write pointer 0 outside the rotation, lowest id first."""
+        wp = self.device.write_pointer
+        return [z for z in range(self.zone_count)
+                if wp(z) == 0 and z not in self.write_zones]
+
+    @property
+    def read_zones(self) -> list:
+        """Zones at capacity, lowest id first."""
+        wp, cap = self.device.write_pointer, self.device.config.zone_capacity
+        return [z for z in range(self.zone_count) if wp(z) == cap]
 
     def gc_needed(self) -> bool:
         return len(self.empty_zones) < self.gc_trigger_zones
 
     def groups(self):
-        return (sorted(self.empty_zones), list(self.write_zones),
-                set(self.read_zones))
+        return self.empty_zones, list(self.write_zones), set(self.read_zones)
 
-    def _replenish_write_zones(self):
-        while len(self.write_zones) < self.min_write_zones and self.empty_zones:
-            self.write_zones.append(heapq.heappop(self.empty_zones))
-
-    def _pick_write_zone(self) -> int:
-        self._replenish_write_zones()
+    def _place(self, write) -> int:
+        """Run `write(zone_id)` on the next write zone, topped up from the
+        empty zones; returns its address. A zone it fills is retired."""
+        self.write_zones += \
+            self.empty_zones[:self.min_write_zones - len(self.write_zones)]
         if not self.write_zones:
             raise errors.NoWritableZone(
                 "no empty zones left and every write zone is full")
         idx = self._rr % len(self.write_zones)
         self._rr = idx + 1
-        return self.write_zones[idx]
-
-    def _retire_if_full(self, zone_id):
-        if self.device.write_pointer(zone_id) == self.device.config.zone_capacity:
-            idx = self.write_zones.index(zone_id)
-            self.write_zones.pop(idx)
-            if idx < self._rr:
-                self._rr -= 1
-            self.read_zones.add(zone_id)
-
-    def _place(self, write) -> int:
-        """Run `write(zone_id)` on the next write zone; returns its address."""
-        zone_id = self._pick_write_zone()
+        zone_id = self.write_zones[idx]
         paddr = write(zone_id)
-        self._retire_if_full(zone_id)
+        if self.device.write_pointer(zone_id) == self.device.config.zone_capacity:
+            del self.write_zones[idx]
+            self._rr = idx
         return paddr
 
     # -- mapping ---------------------------------------------------------------
@@ -164,13 +162,11 @@ class ZoneStore:
     def _unmap(self, vaddr):
         paddr = self.forward.pop(vaddr)
         zone = paddr // self.device.config.zone_capacity
-        del self.reverse[zone][paddr]
         self.valid_bytes[zone] -= self.region_size
 
     def _map(self, vaddr, paddr):
         zone = paddr // self.device.config.zone_capacity
         self.forward[vaddr] = paddr
-        self.reverse[zone][paddr] = vaddr
         self.valid_bytes[zone] += self.region_size
 
     def zone_of(self, vaddr):
@@ -235,8 +231,7 @@ class ZoneStore:
         stats = GcStats()
         if not self.gc_needed():
             return stats
-        entry_empty = len(self.empty_zones)
-        stop = self.gc_stop_zones
+        entry_empty = empty = best = len(self.empty_zones)
         # cleaning can make no net progress: a victim's migrations eat the
         # space its reset frees, or the empty count see-saws below a stop
         # target that valid data plus write zones leave no room for; bound
@@ -244,28 +239,30 @@ class ZoneStore:
         # misconfiguration (OP too small) fails loudly instead of spinning
         regions_per_zone = self.device.config.zone_capacity // self.region_size
         stagnant_limit = max(self.zone_count, regions_per_zone) + 1
-        best = entry_empty
         stagnant = 0
-        while len(self.empty_zones) < stop:
+        while empty < self.gc_stop_zones:
             try:
                 victim = self.select_victim()
             except errors.NoVictimAvailable:
                 raise errors.GcStalled(
                     "below low watermark with no victim available")
             self._clean_zone(victim, drop_filter, stats)
-            if len(self.empty_zones) > best:
-                best = len(self.empty_zones)
+            empty = len(self.empty_zones)
+            if empty > best:
+                best = empty
                 stagnant = 0
             else:
                 stagnant += 1
             if stagnant > stagnant_limit:
                 raise errors.GcStalled(
                     "cleaning makes no net progress toward the stop watermark")
-        self.gc_log.append((entry_empty, len(self.empty_zones)))
+        self.gc_log.append((entry_empty, empty))
         return stats
 
     def _clean_zone(self, victim, drop_filter, stats):
-        snapshot = list(self.reverse[victim].items())  # append order
+        cap = self.device.config.zone_capacity
+        snapshot = sorted((paddr, vaddr) for vaddr, paddr in self.forward.items()
+                          if paddr // cap == victim)  # append order
         for paddr, vaddr in snapshot:
             verb = drop_filter(vaddr)
             if verb is DropVerb.MIGRATE:
@@ -281,22 +278,16 @@ class ZoneStore:
                 stats.dropped_regions += 1
             else:
                 raise errors.InvalidConfig(f"drop filter returned {verb!r}")
-        if self.reverse[victim]:
+        if self.valid_bytes[victim]:
             raise RuntimeError(
                 f"zone {victim} still holds mapped regions after cleaning")
         self.device.reset(victim)
-        self.read_zones.discard(victim)
-        heapq.heappush(self.empty_zones, victim)
         stats.reclaimed_zones += 1
 
     def reclaim_invalid_read_zones(self) -> int:
         """Reset read zones holding no valid regions. This is plain space
         reclamation (zero migration), used by the GC-free direct layout."""
-        reclaimed = 0
-        for zone in sorted(self.read_zones):
-            if self.valid_bytes[zone] == 0:
-                self.device.reset(zone)
-                self.read_zones.discard(zone)
-                heapq.heappush(self.empty_zones, zone)
-                reclaimed += 1
-        return reclaimed
+        dead = [z for z in self.read_zones if self.valid_bytes[z] == 0]
+        for zone in dead:
+            self.device.reset(zone)
+        return len(dead)
