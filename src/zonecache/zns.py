@@ -134,7 +134,7 @@ class ZnsDevice:
         self._populator.populate(buf, 0, len(buf))
         try:
             buf[:] = data
-        except Exception:
+        except BaseException:
             self._free.setdefault(len(buf), []).append(buf)
             raise
         return buf

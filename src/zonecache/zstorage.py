@@ -143,8 +143,8 @@ class ZoneStore:
     def _place(self, write) -> int:
         """Run `write(zone_id)` on the next write zone, topped up from the
         empty zones; returns its address. A zone it fills is retired."""
-        self.write_zones += \
-            self.empty_zones[:self.min_write_zones - len(self.write_zones)]
+        missing = self.min_write_zones - len(self.write_zones)
+        self.write_zones += self.empty_zones[:missing]
         if not self.write_zones:
             raise errors.NoWritableZone(
                 "no empty zones left and every write zone is full")
