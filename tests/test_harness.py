@@ -73,6 +73,32 @@ def test_interval_row_op_counts():
     assert [r.interval for r in report.rows] == [1, 2, 3]
 
 
+def test_trace_run_ends_with_a_partial_row(tmp_path):
+    trace = tmp_path / "t.trace"
+    lines = [f"set k{i % 7} 1024" if i % 3 else f"get k{i % 5}"
+             for i in range(23)]
+    trace.write_text("# seven keys\n" + "\n".join(lines) + "\n")
+    report = run(ExperimentConfig(scheme=tiny_spec("zns-middle-lru"),
+                                  trace_path=str(trace), interval_ops=10))
+    assert [r.ops for r in report.rows] == [10, 10, 3]
+    assert sum(r.ops for r in report.rows) == len(lines)
+
+
+def test_comment_only_trace_gives_no_rows(tmp_path):
+    trace = tmp_path / "t.trace"
+    trace.write_text("# nothing but comments\n\n# here\n")
+    report = run(ExperimentConfig(scheme=tiny_spec("zns-middle-lru"),
+                                  trace_path=str(trace), interval_ops=10))
+    assert report.rows == []
+    assert report.summary.stable_hit_ratio is None
+    assert report.summary.final_wa == 1.0
+
+
+def test_final_metrics_are_the_engine_after_the_run():
+    report = run(tiny_config(ops=250, interval=100))
+    assert report.final_metrics == report.engine.metrics()
+
+
 def test_per_row_accounting_closes():
     for name in ("zns-middle-lru", "zcachelib", "zns-direct", "reg-lru"):
         report = run(tiny_config(name))
