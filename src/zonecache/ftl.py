@@ -84,9 +84,9 @@ class PageMappedFtl:
         self.free_blocks = list(range(config.block_count))
         heapq.heapify(self.free_blocks)
         self.active_block = None
-        self.active_fill = 0         # pages consumed in the active block
+        # pages consumed in the active block; full until the first is taken
+        self.active_fill = config.pages_per_block
         self.host_bytes_written = 0
-        self.nand_bytes_written = 0
         self.read_bytes = 0
         self.migrated_bytes = 0
         self.gc_runs = 0
@@ -97,6 +97,10 @@ class PageMappedFtl:
     @property
     def free_block_count(self) -> int:
         return len(self.free_blocks)
+
+    @property
+    def nand_bytes_written(self) -> int:
+        return self.host_bytes_written + self.migrated_bytes
 
     def _take_active(self):
         if not self.free_blocks:
@@ -120,7 +124,7 @@ class PageMappedFtl:
         scores = list(self.valid_counts)
         for block in self.free_blocks:
             scores[block] = ppb + 1
-        if self.active_block is not None and self.active_fill < ppb:
+        if self.active_fill < ppb:
             scores[self.active_block] = ppb + 1
         best = min(scores)
         return None if best > ppb else scores.index(best)
@@ -147,7 +151,7 @@ class PageMappedFtl:
                     continue  # the run goes on
                 lpage, end = lpages[start], last + 1
                 while lpage < end:
-                    if self.active_block is None or self.active_fill == ppb:
+                    if self.active_fill == ppb:
                         self._take_active()  # GC never starts GC
                     run = self._remap(lpage, end)
                     self.migrated_bytes += run * self.config.page_size
@@ -183,7 +187,6 @@ class PageMappedFtl:
         self.mapping[lpage:lpage + run] = identity[ppage:ppage + run]
         self.reverse[ppage:ppage + run] = identity[lpage:lpage + run]
         self.valid_counts[self.active_block] += run
-        self.nand_bytes_written += run * self.config.page_size
         return run
 
     # -- host interface --------------------------------------------------------
@@ -221,10 +224,10 @@ class PageMappedFtl:
             # GC fires only when a fresh erase block is about to be taken;
             # checking per page instead would evict victims mid-drain and
             # inflate WA even for strictly sequential overwrites
-            if (self.active_block is None or self.active_fill == ppb) \
+            if self.active_fill == ppb \
                     and self.free_block_count < self.config.gc_trigger_free_blocks:
                 self.ftl_internal_gc()
-            if self.active_block is None or self.active_fill == ppb:
+            if self.active_fill == ppb:
                 self._take_active()  # GC may have left room in the active block
             run = self._remap(lpage, end)
             if view is not None:

@@ -2,11 +2,11 @@
 advances an optional simulated clock, and reports per-interval metrics.
 
 A run moves through three stages. It starts out `filling` (the cache is
-cold), becomes `evicting` at the first top-down eviction, and `stable` once
-background reclamation has fired for the first time (first GC cycle entry,
-or the first zone reset for the GC-free direct layout, or the first
-internal FTL GC for the block baselines). Headline numbers are stable-stage
-averages.
+cold), becomes `evicting` at the first region eviction, top-down or a GC
+drop, and `stable` once background reclamation has fired for the first
+time (first GC cycle entry, or the first zone reset for the GC-free direct
+layout, or the first internal FTL GC for the block baselines). Headline
+numbers are stable-stage averages.
 
 The simulated clock charges device traffic against two independent
 bandwidth channels: all writes (foreground flushes plus GC migrations)
@@ -15,10 +15,11 @@ per interval is whichever channel is busier.
 """
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from itertools import islice
 
 from . import errors
-from .schemes import SchemeSpec, build, wa_factor
+from .schemes import EngineMetrics, SchemeSpec, build, wa_factor
 from .workload import (CacheOp, OpKind, WorkloadSpec, generate,
                        matches_value, preset_spec, replay, value_bytes)
 from .zcache import ZLRU_SETTINGS, CacheConfig, Policy
@@ -176,46 +177,37 @@ def run(config: ExperimentConfig) -> MetricsReport:
     clock = _Clock(engine.write_bandwidth, engine.read_bandwidth)
 
     rows = []
-    interval_ops = 0
-    last_hits = last_misses = 0
-    stable_hits = stable_lookups = stable_ops = 0
+    last = EngineMetrics()
     stable_seconds = 0.0
-
-    def close_interval():
-        nonlocal interval_ops, last_hits, last_misses
-        nonlocal stable_hits, stable_lookups, stable_ops, stable_seconds
+    ops = iter(ops)  # a list would restart at every islice
+    while True:
+        start = driver.op_index
+        for op in islice(ops, config.interval_ops):
+            driver.step(op)
+        if driver.op_index == start:
+            break
         m = engine.metrics()
         delta = clock.advance(m.device_bytes_written, m.device_bytes_read)
-        hits = m.hits - last_hits
-        misses = m.misses - last_misses
-        last_hits, last_misses = m.hits, m.misses
+        hits, misses = m.hits - last.hits, m.misses - last.misses
         lookups = hits + misses
         rows.append(IntervalRow(
-            interval=len(rows) + 1, ops=interval_ops, hits=hits, misses=misses,
-            hit_ratio=hits / lookups if lookups else 0.0,
+            interval=len(rows) + 1, ops=driver.op_index - start, hits=hits,
+            misses=misses, hit_ratio=hits / lookups if lookups else 0.0,
             cache_bytes=m.cache_bytes_written,
             device_bytes=m.device_bytes_written, wa_cum=wa_factor(m),
             gc_migrated_bytes=m.gc_migrated_bytes,
             empty_zones=m.empty_zones, stage=driver.stage))
         if driver.stage == "stable":
-            stable_hits += hits
-            stable_lookups += lookups
-            stable_ops += interval_ops
             stable_seconds += delta
-        interval_ops = 0
-
-    for op in ops:
-        driver.step(op)
-        interval_ops += 1
-        if interval_ops == config.interval_ops:
-            close_interval()
-    if interval_ops:
-        close_interval()
+        last = m
 
     final = engine.metrics()
+    stable = [row for row in rows if row.stage == "stable"]
+    stable_hits = sum(row.hits for row in stable)
+    stable_lookups = stable_hits + sum(row.misses for row in stable)
     throughput = None
     if config.timing_enabled and stable_seconds > 0:
-        throughput = stable_ops / stable_seconds
+        throughput = sum(row.ops for row in stable) / stable_seconds
     summary = RunSummary(
         stable_ops_per_sec=throughput,
         stable_hit_ratio=stable_hits / stable_lookups if stable_lookups else None,

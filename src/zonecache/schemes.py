@@ -20,7 +20,7 @@ from . import errors
 from .ftl import FtlConfig, PageMappedFtl
 from .zcache import CacheConfig, Policy, RegionCache
 from .zns import DeviceConfig, ZnsDevice
-from .zstorage import DropVerb, GcConfig, ZoneStore
+from .zstorage import GcConfig, ZoneStore
 
 MIB = 1024 * 1024
 
@@ -156,10 +156,6 @@ class _ZnsEngine(_Engine):
                           else spec.min_write_zones)
         super().__init__(spec, store)
         self._checked_flushes = 0
-        if spec.name == "zcachelib":
-            self._filter = self.cache.zdrop_filter
-        else:
-            self._filter = lambda vaddr: DropVerb.MIGRATE
 
     def tick_gc(self):
         # only an append takes an empty zone, and between flushes nothing
@@ -173,7 +169,8 @@ class _ZnsEngine(_Engine):
             if not self.store.empty_zones:
                 self.store.reclaim_invalid_read_zones()
         elif self.store.gc_needed():
-            self.store.gc_cycle(self._filter)
+            # an LRU or FIFO cache never fills vop, so its filter migrates all
+            self.store.gc_cycle(self.cache.zdrop_filter)
         self._checked_flushes = flushed  # a check that raised runs again
 
     @property

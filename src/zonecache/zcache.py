@@ -122,8 +122,7 @@ class RegionCache:
         regions than the average over zones holding any listed region.
         Relative order among moved regions is preserved. Returns move count.
         """
-        if (self.config.policy is not Policy.ZLRU or not self.config.reorder_enabled
-                or not self.main or not self.vop):
+        if not self.config.reorder_enabled or not self.main or not self.vop:
             return 0  # an empty main averages 0; an empty vop has nothing to sink
         zone = {rid: self.store.zone_of(self.vaddr(rid))
                 for ids in (self.main, self.vop) for rid in ids}

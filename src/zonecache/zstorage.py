@@ -9,8 +9,10 @@ Only write zones are appended to, and a write zone leaves the rotation as it
 fills, so the other groups are read from the device's write pointers.
 
 One map links region virtual addresses to device physical addresses, and
-the data append always lands before the map update. Zones are append-only,
-so a zone's regions in address order are its regions in append order.
+the data append always lands before the map update. It is the store's only
+record of regions: a zone's valid bytes are counted from it. Zones are
+append-only, so a zone's regions in address order are its regions in append
+order.
 
 Background GC is watermark-driven: it starts when the empty-zone count
 falls below the low watermark and stops once the high watermark is reached.
@@ -114,7 +116,6 @@ class ZoneStore:
         self._rr = 0
 
         self.forward = {}            # region virtual address -> physical address
-        self.valid_bytes = {z: 0 for z in range(self.zone_count)}
 
         self.migrated_bytes = 0
         self.gc_log = []             # (empty count at entry, empty count at exit)
@@ -140,6 +141,15 @@ class ZoneStore:
     def groups(self):
         return self.empty_zones, list(self.write_zones), set(self.read_zones)
 
+    @property
+    def valid_bytes(self) -> dict:
+        """Mapped bytes per zone, every zone listed, counted from `forward`."""
+        cap = self.device.config.zone_capacity
+        valid = dict.fromkeys(range(self.zone_count), 0)
+        for paddr in self.forward.values():
+            valid[paddr // cap] += self.region_size
+        return valid
+
     def _place(self, write) -> int:
         """Run `write(zone_id)` on the next write zone, topped up from the
         empty zones; returns its address. A zone it fills is retired."""
@@ -158,16 +168,6 @@ class ZoneStore:
         return paddr
 
     # -- mapping ---------------------------------------------------------------
-
-    def _unmap(self, vaddr):
-        paddr = self.forward.pop(vaddr)
-        zone = paddr // self.device.config.zone_capacity
-        self.valid_bytes[zone] -= self.region_size
-
-    def _map(self, vaddr, paddr):
-        zone = paddr // self.device.config.zone_capacity
-        self.forward[vaddr] = paddr
-        self.valid_bytes[zone] += self.region_size
 
     def zone_of(self, vaddr):
         paddr = self.forward.get(vaddr)
@@ -194,9 +194,7 @@ class ZoneStore:
             raise errors.Misaligned("virtual address must be region-aligned")
         # data lands before metadata
         paddr = self._place(lambda zone: self.device.append(zone, payload))
-        if virtual_address in self.forward:
-            self._unmap(virtual_address)
-        self._map(virtual_address, paddr)
+        self.forward[virtual_address] = paddr
         return paddr
 
     def read_region(self, virtual_address: int, offset: int = 0,
@@ -209,16 +207,16 @@ class ZoneStore:
         return self.device.read(paddr + offset, length)
 
     def invalidate_region(self, virtual_address: int):
-        if virtual_address not in self.forward:
+        if self.forward.pop(virtual_address, None) is None:
             raise errors.UnmappedRegion(f"virtual address {virtual_address}")
-        self._unmap(virtual_address)
 
     # -- garbage collection ------------------------------------------------------
 
     def select_victim(self) -> int:
         if not self.read_zones:
             raise errors.NoVictimAvailable("read zone group is empty")
-        return min(self.read_zones, key=lambda z: (self.valid_bytes[z], z))
+        valid = self.valid_bytes
+        return min(self.read_zones, key=lambda z: (valid[z], z))
 
     def gc_cycle(self, drop_filter) -> GcStats:
         """One watermark-bounded cleaning pass.
@@ -266,15 +264,13 @@ class ZoneStore:
         for paddr, vaddr in snapshot:
             verb = drop_filter(vaddr)
             if verb is DropVerb.MIGRATE:
-                new_paddr = self._place(
+                self.forward[vaddr] = self._place(
                     lambda zone: self.device.copy(paddr, self.region_size, zone))
-                self._unmap(vaddr)
-                self._map(vaddr, new_paddr)
                 self.migrated_bytes += self.region_size
                 stats.migrated_bytes += self.region_size
                 stats.migrated_regions += 1
             elif verb is DropVerb.DROP:
-                self._unmap(vaddr)
+                del self.forward[vaddr]
                 stats.dropped_regions += 1
             else:
                 raise errors.InvalidConfig(f"drop filter returned {verb!r}")
@@ -287,7 +283,8 @@ class ZoneStore:
     def reclaim_invalid_read_zones(self) -> int:
         """Reset read zones holding no valid regions. This is plain space
         reclamation (zero migration), used by the GC-free direct layout."""
-        dead = [z for z in self.read_zones if self.valid_bytes[z] == 0]
+        valid = self.valid_bytes
+        dead = [z for z in self.read_zones if valid[z] == 0]
         for zone in dead:
             self.device.reset(zone)
         return len(dead)

@@ -48,6 +48,11 @@ def test_traced_run_matches_untraced_run(name):
         assert layers["zcache.reorder_calls"] > 0
     else:
         assert layers["zcache.reorder_calls"] == 0
+    # every zoned GC scheme asks the cache's drop filter; a cache that
+    # never fills vop migrates every region it is asked about
+    if name in ("zns-middle-lru", "zns-middle-fifo"):
+        assert layers["zcache.drop_filter_calls"] > 0
+        assert layers["zcache.drops"] == 0
     # the tracer reads GC victims from the store by name (`valid_bytes`)
     if name in ("zcachelib", "zns-middle-lru", "zns-middle-fifo"):
         assert layers["zstorage.gc_reclaimed_zones"] > 0

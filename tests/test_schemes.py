@@ -96,12 +96,17 @@ def test_direct_never_garbage_collects():
     assert wa_factor(m) == 1.0                 # exact, not approximate
 
 
-def test_middle_schemes_migrate_during_gc():
-    engine = build(tiny_spec("zns-middle-lru"))
+@pytest.mark.parametrize("name", ["zns-middle-lru", "zns-middle-fifo"])
+def test_middle_schemes_migrate_during_gc(name):
+    # the cache's own drop filter migrates every region of a cache that
+    # never fills vop
+    engine = build(tiny_spec(name))
     drive(engine, make_script(seed=3, ops=600))
     m = engine.metrics()
     assert m.gc_cycles > 0
     assert m.gc_migrated_bytes > 0
+    assert m.dropped_regions == 0
+    assert not engine.cache.vop
     assert wa_factor(m) > 1.0
     assert m.device_bytes_written == m.cache_bytes_written + m.gc_migrated_bytes
 

@@ -126,7 +126,7 @@ def test_read_region_offsets_and_errors():
 
 def test_invalidate_region_clears_stats_and_rejects_double_free():
     dev, store = make_store()
-    store.write_region(0, payload(1))
+    assert store.write_region(0, payload(1)) == 0  # mapped at address 0
     zone = store.zone_of(0)
     store.invalidate_region(0)
     assert store.valid_bytes[zone] == 0
