@@ -208,7 +208,8 @@ class FtlModel:
         free = set(self.free)
         best = None
         for b in range(self.blocks):
-            if b == self.active or b in free:
+            # the active block is a candidate once it is full
+            if (b == self.active and self.filled < self.ppb) or b in free:
                 continue
             if best is None or self.valid[b] < self.valid[best]:
                 best = b
