@@ -9,6 +9,7 @@ zone or block states, and traffic counters all have to agree exactly.
 
 import bisect
 import math
+from decimal import Decimal
 
 
 class ModelError(Exception):
@@ -31,8 +32,10 @@ class ZoneModel:
         self.zone_cap = zone_cap
         self.region = region
         self.min_w = min_w
-        self.trigger = math.ceil(w_low * zones / 100)
-        self.stop = math.ceil(w_high * zones / 100)
+        # percent of the zones, rounded up; in floats 4.4 * 750 / 100 lands
+        # above 33 and would round up to 34, so compute in decimal
+        self.trigger = math.ceil(Decimal(str(w_low)) * zones / 100)
+        self.stop = math.ceil(Decimal(str(w_high)) * zones / 100)
         self.empty = list(range(zones))          # ascending
         self.write = []                          # rotation order
         self.rr = 0

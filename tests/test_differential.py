@@ -11,12 +11,15 @@ its configuration. Examples are derandomised, so a run is reproducible
 and needs no example database.
 """
 
+import math
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import KIB, make_script, step, tiny_spec
-from reference_model import ModelError, SchemeModel, engine_snapshot
-from zonecache import build, errors
+from reference_model import ModelError, SchemeModel, ZoneModel, engine_snapshot
+from zonecache import build, errors, watermark_zones
 from zonecache.schemes import SCHEME_NAMES
 
 REGION = 16 * KIB
@@ -92,3 +95,21 @@ def test_engine_matches_reference_model(case):
     if failed_at is None:
         real, want = engine_snapshot(engine, name), model.snapshot()
         assert {key: real.get(key) for key in want} == want
+
+
+def test_model_watermarks_match_engine():
+    # where a one-decimal percentage of 1-1024 zones is a whole number, a
+    # float product can land just above it and round one zone too high
+    edges = [(tenths / 10, zones) for tenths in range(1, 1001)
+             for zones in range(1, 1025)
+             if tenths * zones % 1000 == 0
+             and math.ceil(tenths / 10 * zones / 100) != tenths * zones // 1000]
+    assert (4.4, 750) in edges and (8.8, 375) in edges
+    rng = random.Random(21)
+    sample = [(round(rng.uniform(0.01, 100), rng.choice([0, 1, 2])),
+               rng.randint(1, 1024)) for _ in range(300)]
+    for w, zones in edges + sample:
+        # the model checks no settings, so one w can set both watermarks
+        model = ZoneModel(zones, REGION, REGION, 1, w, w)
+        assert model.trigger == model.stop == watermark_zones(w, zones), \
+            (w, zones)
