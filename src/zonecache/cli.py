@@ -5,7 +5,8 @@
     zonecache op-calc --t-cache 200 --t-gc 600 --k 6
     zonecache gen-trace --preset l2_wc --cache-bytes 4000000000 --out t.trace
 
-Exit codes: 0 success, 2 usage error, 3 config error, 1 runtime failure.
+Exit codes: 0 success, 2 usage error, 3 invalid configuration or input
+value, 1 runtime failure.
 """
 
 import argparse
@@ -74,7 +75,7 @@ def _sweep_apply(config, param, value):
     try:
         parsed = _SCHEME_KEYS[field](value)
     except ValueError as e:
-        raise errors.ConfigError(f"bad value for {param}: {e}")
+        raise errors.InvalidConfig(f"bad value for {param}: {e}")
     scheme = replace(config.scheme, **{field: parsed})
     check_scheme(scheme, [field])
     return replace(config, scheme=scheme)
@@ -84,7 +85,7 @@ def _cmd_sweep(args) -> int:
     base = parse_config_file(args.config)
     raw_values = [v for v in (s.strip() for s in args.values.split(",")) if v]
     if not raw_values:
-        raise errors.ConfigError("--values must list at least one value")
+        raise errors.InvalidConfig("--values must list at least one value")
     points = [_sweep_apply(base, args.param, value) for value in raw_values]
     for value, point in zip(raw_values, points):
         out = f"{args.out_prefix}_{args.param}_{value}.csv"
@@ -120,7 +121,7 @@ def main(argv=None) -> int:
         return e.code if e.code is not None else 2
     try:
         return _COMMANDS[args.command](args)
-    except errors.ConfigError as e:
+    except errors.InvalidConfig as e:
         print(f"config error: {e}", file=sys.stderr)
         return 3
     except errors.SimError as e:

@@ -5,11 +5,11 @@ class SimError(Exception):
     """Base class for every error raised by this package."""
 
 
-# --- zoned device ---
-
 class InvalidConfig(SimError):
-    pass
+    """An invalid configuration or input value, in any layer."""
 
+
+# --- zoned device ---
 
 class ZoneFull(SimError):
     pass
@@ -63,10 +63,6 @@ class UnmappedRegion(SimError):
     pass
 
 
-class NoVictimAvailable(SimError):
-    pass
-
-
 class GcStalled(SimError):
     pass
 
@@ -85,23 +81,7 @@ class NothingToEvict(SimError):
     pass
 
 
-# --- scheme assembly ---
-
-class IncompatibleSpec(SimError):
-    pass
-
-
-# --- workload ---
-
-class InvalidSpec(SimError):
-    pass
-
-
 # --- harness ---
-
-class ConfigError(SimError):
-    pass
-
 
 class ExperimentError(SimError):
     def __init__(self, message, op_index=None):

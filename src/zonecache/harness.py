@@ -1,5 +1,5 @@
 """Experiment runner: wires a scheme to a workload, tracks run stages,
-advances an optional simulated clock, and reports per-interval metrics.
+advances a simulated clock, and reports per-interval metrics.
 
 A run moves through three stages. It starts out `filling` (the cache is
 cold), becomes `evicting` at the first region eviction, top-down or a GC
@@ -275,23 +275,23 @@ def parse_config_text(text, base_dir=".") -> ExperimentConfig:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise errors.ConfigError(f"line {number}: expected key = value")
+            raise errors.InvalidConfig(f"line {number}: expected key = value")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if key in values:
-            raise errors.ConfigError(f"line {number}: duplicate key {key!r}")
+            raise errors.InvalidConfig(f"line {number}: duplicate key {key!r}")
         if key not in _CONFIG_KEYS:
-            raise errors.ConfigError(f"line {number}: unknown key {key!r}")
+            raise errors.InvalidConfig(f"line {number}: unknown key {key!r}")
         try:
             values[key] = _CONFIG_KEYS[key](value)
         except (ValueError, TypeError) as e:
-            raise errors.ConfigError(f"line {number}: bad value for {key}: {e}")
+            raise errors.InvalidConfig(f"line {number}: bad value for {key}: {e}")
     return config_from_values(values, base_dir)
 
 
 def config_from_values(values, base_dir=".") -> ExperimentConfig:
     if "scheme" not in values:
-        raise errors.ConfigError("missing required key: scheme")
+        raise errors.InvalidConfig("missing required key: scheme")
     spec_kwargs = {k: v for k, v in values.items() if k in _SCHEME_KEYS}
     spec_kwargs["name"] = spec_kwargs.pop("scheme")
     scheme = SchemeSpec(**spec_kwargs)
@@ -302,12 +302,12 @@ def config_from_values(values, base_dir=".") -> ExperimentConfig:
     if trace is not None:
         clash = [k for k in _SYNTHETIC_KEYS if k in values]
         if clash:
-            raise errors.ConfigError(
+            raise errors.InvalidConfig(
                 f"config names both a trace and a synthetic workload "
                 f"({', '.join(clash)}); pick one")
         trace = os.path.join(base_dir, trace) if not os.path.isabs(trace) else trace
         if not os.path.exists(trace):
-            raise errors.ConfigError(f"trace file not found: {trace}")
+            raise errors.InvalidConfig(f"trace file not found: {trace}")
     else:
         workload = _workload_from_values(values, cache)
 
@@ -316,25 +316,19 @@ def config_from_values(values, base_dir=".") -> ExperimentConfig:
         interval_ops=values.get("interval_ops", 10_000),
         timing_enabled=values.get("timing", False),
         output_path=values.get("output"))
-    try:
-        config.validate()
-    except errors.InvalidConfig as e:
-        raise errors.ConfigError(str(e))
+    config.validate()
     return config
 
 
 def check_scheme(scheme: SchemeSpec, keys) -> CacheConfig:
-    """Build the scheme once and drop it, failing with a ConfigError: a
+    """Build the scheme once and drop it, failing with InvalidConfig: a
     spec that `build` rejects, or that sets (in `keys`) a setting its
     cache never reads, is caught while the config loads. Returns the
     built cache's config."""
-    try:
-        cache = build(scheme).cache.config
-    except (errors.IncompatibleSpec, errors.InvalidConfig) as e:
-        raise errors.ConfigError(str(e))
+    cache = build(scheme).cache.config
     unread = [key for key in ZLRU_SETTINGS if key in keys]
     if unread and cache.policy is not Policy.ZLRU:
-        raise errors.ConfigError(
+        raise errors.InvalidConfig(
             f"{scheme.name} ignores {', '.join(unread)}, which only "
             f"zcachelib's ZLRU cache reads")
     return cache
@@ -344,22 +338,18 @@ def _workload_from_values(values, cache: CacheConfig) -> WorkloadSpec:
     preset = values.get("preset")
     if preset is None and ("get_ratio" not in values
                            or "key_space" not in values):
-        raise errors.ConfigError(
+        raise errors.InvalidConfig(
             "workload needs a preset, a trace, or get_ratio + key_space")
     overrides = {key: values[key] for key in _SYNTHETIC_KEYS
                  if key in values and key != "preset"}
-    try:
-        if preset is not None:
-            spec = preset_spec(preset,
-                               cache.cache_capacity_regions * cache.region_size)
-        else:
-            spec = WorkloadSpec(name="custom",
-                                get_ratio=values["get_ratio"],
-                                key_space=values["key_space"], op_count=100_000)
-        spec = replace(spec, **overrides)
-        spec.validate()
-    except errors.InvalidSpec as e:
-        raise errors.ConfigError(str(e))
+    if preset is not None:
+        spec = preset_spec(preset,
+                           cache.cache_capacity_regions * cache.region_size)
+    else:
+        spec = WorkloadSpec(name="custom", get_ratio=values["get_ratio"],
+                            key_space=values["key_space"], op_count=100_000)
+    spec = replace(spec, **overrides)
+    spec.validate()
     return spec
 
 
@@ -368,5 +358,5 @@ def parse_config_file(path) -> ExperimentConfig:
         with open(path) as fh:
             text = fh.read()
     except OSError as e:
-        raise errors.ConfigError(f"cannot read config {path}: {e.strerror}")
+        raise errors.InvalidConfig(f"cannot read config {path}: {e.strerror}")
     return parse_config_text(text, base_dir=os.path.dirname(path) or ".")

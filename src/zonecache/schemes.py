@@ -87,16 +87,16 @@ def default_region_size(spec) -> int:
 def _capacity_regions(spec) -> int:
     region = default_region_size(spec)
     if region < 1:
-        raise errors.IncompatibleSpec("region_size must be >= 1")
+        raise errors.InvalidConfig("region_size must be >= 1")
     if spec.op_ratio < 0:
-        raise errors.IncompatibleSpec("op_ratio must be >= 0")
+        raise errors.InvalidConfig("op_ratio must be >= 0")
     if spec.cache_capacity_regions is not None:
         return spec.cache_capacity_regions
     device_bytes = spec.zone_count * spec.zone_capacity
     usable = int(device_bytes / (1.0 + spec.op_ratio))
     count = usable // region
     if count < 1:
-        raise errors.IncompatibleSpec("device too small for one region of cache")
+        raise errors.InvalidConfig("device too small for one region of cache")
     return count
 
 
@@ -146,7 +146,7 @@ class _ZnsEngine(_Engine):
     def __init__(self, spec):
         self.gc_free = spec.name == "zns-direct"
         if self.gc_free and spec.region_size != spec.zone_capacity:
-            raise errors.IncompatibleSpec(
+            raise errors.InvalidConfig(
                 "zns-direct requires region_size == zone_capacity")
         self.device = ZnsDevice(DeviceConfig(
             spec.zone_count, spec.zone_capacity, spec.max_open_zones))
@@ -229,13 +229,13 @@ class _RegEngine(_Engine):
             internal_op_ratio=spec.op_ratio,
             gc_trigger_free_blocks=spec.gc_trigger_free_blocks))
         if device_bytes % block_bytes != 0:
-            raise errors.IncompatibleSpec(
+            raise errors.InvalidConfig(
                 "device size must be a whole number of erase blocks")
         if spec.region_size % spec.page_size != 0:
-            raise errors.IncompatibleSpec("region size must be page-aligned")
+            raise errors.InvalidConfig("region size must be page-aligned")
         if (_capacity_regions(spec) * spec.region_size
                 > self.ftl.config.exported_bytes):
-            raise errors.IncompatibleSpec(
+            raise errors.InvalidConfig(
                 "cache regions exceed the FTL's exported capacity")
         super().__init__(spec, _FtlRegionStore(self.ftl, spec.region_size))
 
@@ -260,10 +260,10 @@ def build(spec: SchemeSpec):
     """Wire a fully configured engine for one scheme. This is the only
     check of a spec: `build` makes the scheme-level ones, and the engine
     and each component it constructs check their own settings. Raises
-    IncompatibleSpec or InvalidConfig."""
+    InvalidConfig."""
     if spec.name not in SCHEME_NAMES:
-        raise errors.IncompatibleSpec(f"unknown scheme {spec.name!r}; "
-                                      f"choose one of {', '.join(SCHEME_NAMES)}")
+        raise errors.InvalidConfig(f"unknown scheme {spec.name!r}; "
+                                   f"choose one of {', '.join(SCHEME_NAMES)}")
     if spec.read_bandwidth < 1 or spec.write_bandwidth < 1:
         raise errors.InvalidConfig("bandwidths must be >= 1")
     spec = replace(spec, region_size=default_region_size(spec))

@@ -47,15 +47,15 @@ class WorkloadSpec:
 
     def validate(self):
         if not 0.0 <= self.get_ratio <= 1.0:
-            raise errors.InvalidSpec("get_ratio must be in [0, 1]")
+            raise errors.InvalidConfig("get_ratio must be in [0, 1]")
         if self.key_space < 1:
-            raise errors.InvalidSpec("key_space must be >= 1")
+            raise errors.InvalidConfig("key_space must be >= 1")
         if self.op_count < 1:
-            raise errors.InvalidSpec("op_count must be >= 1")
+            raise errors.InvalidConfig("op_count must be >= 1")
         if self.zipf_alpha < 0:
-            raise errors.InvalidSpec("zipf_alpha must be >= 0")
+            raise errors.InvalidConfig("zipf_alpha must be >= 0")
         if not 1 <= self.size_min <= self.size_max:
-            raise errors.InvalidSpec("need 1 <= size_min <= size_max")
+            raise errors.InvalidConfig("need 1 <= size_min <= size_max")
 
 
 # get ratios for the shipped workload profiles
@@ -73,7 +73,7 @@ def preset_spec(preset: str, cache_bytes: int, seed: int = 1,
     """Build a workload spec for one of the named profiles, with the key
     space sized so the working set is about 1.5x the cache."""
     if preset not in PRESET_GET_RATIOS:
-        raise errors.InvalidSpec(
+        raise errors.InvalidConfig(
             f"unknown preset {preset!r}; choose one of {', '.join(PRESET_GET_RATIOS)}")
     size_min, size_max = 2 * KIB, 256 * KIB
     keys = max(1, round(1.5 * cache_bytes / mean_object_size(size_min, size_max)))

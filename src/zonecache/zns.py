@@ -264,7 +264,7 @@ class ZnsDevice:
 
     def report(self):
         """Point-in-time snapshot of all zones plus the device counters."""
-        # perfbench/tracer.py patches this by name; ROADMAP item 5 deletes it
+        # perfbench/tracer.py patches this by name; ROADMAP item 6 deletes it
         snaps = [ZoneSnapshot(z.id, self.zone_state(z.id), z.write_pointer)
                  for z in self._zones]
         return snaps, replace(self.counters)

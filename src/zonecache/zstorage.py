@@ -214,7 +214,8 @@ class ZoneStore:
 
     def select_victim(self) -> int:
         if not self.read_zones:
-            raise errors.NoVictimAvailable("read zone group is empty")
+            raise errors.GcStalled(
+                "below low watermark with no victim available")
         valid = self.valid_bytes
         return min(self.read_zones, key=lambda z: (valid[z], z))
 
@@ -239,12 +240,7 @@ class ZoneStore:
         stagnant_limit = max(self.zone_count, regions_per_zone) + 1
         stagnant = 0
         while empty < self.gc_stop_zones:
-            try:
-                victim = self.select_victim()
-            except errors.NoVictimAvailable:
-                raise errors.GcStalled(
-                    "below low watermark with no victim available")
-            self._clean_zone(victim, drop_filter, stats)
+            self._clean_zone(self.select_victim(), drop_filter, stats)
             empty = len(self.empty_zones)
             if empty > best:
                 best = empty
@@ -273,7 +269,7 @@ class ZoneStore:
                 del self.forward[vaddr]
                 stats.dropped_regions += 1
             else:
-                raise errors.InvalidConfig(f"drop filter returned {verb!r}")
+                raise RuntimeError(f"drop filter returned {verb!r}")
         if self.valid_bytes[victim]:
             raise RuntimeError(
                 f"zone {victim} still holds mapped regions after cleaning")

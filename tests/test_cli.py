@@ -208,7 +208,23 @@ def test_op_calc_prints_plan(capsys):
 
 def test_op_calc_infeasible_exits_1(capsys):
     assert main(["op-calc", "--t-cache", "600", "--t-gc", "100", "--k", "1"]) == 1
-    assert "error" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (["gen-trace", "--preset", "l2_wc", "--ops", "0"], "op_count must be >= 1"),
+    (["op-calc", "--t-cache", "200", "--t-gc", "600", "--k", "0.5"],
+     "k must be >= 1"),
+    (["op-calc", "--t-cache", "0", "--t-gc", "600", "--k", "6"],
+     "rates must be positive"),
+])
+def test_bad_option_value_exits_3(tmp_path, capsys, argv, fragment):
+    # a command option is input like a config key: a bad value exits 3
+    if argv[0] == "gen-trace":
+        argv = argv + ["--out", str(tmp_path / "t.trace")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and fragment in err
 
 
 def test_gen_trace_roundtrips(tmp_path, capsys):

@@ -83,7 +83,7 @@ def test_engine_matches_reference_model(case):
     script = make_script(**script_kwargs)
     try:
         engine = build(tiny_spec(name, **spec))
-    except (errors.IncompatibleSpec, errors.InvalidConfig):
+    except errors.InvalidConfig:
         return  # rejected geometry (FTL too small, erase blocks misfit)
     hits, failed_at, exc = replay(
         lambda *op: step(engine, *op), script, errors.SimError)

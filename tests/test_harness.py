@@ -321,7 +321,7 @@ def test_parse_config_preset_expands_from_cache_size():
     ("scheme = zcachelib\npreset = flat\nget_ratio = 7\n", "get_ratio"),
 ])
 def test_config_errors(text, fragment):
-    with pytest.raises(errors.ConfigError) as exc:
+    with pytest.raises(errors.InvalidConfig) as exc:
         parse_config_text(text)
     assert fragment in str(exc.value)
 
@@ -339,7 +339,7 @@ def test_config_rejects_trace_plus_synthetic(tmp_path, key):
     trace.write_text("get a\n")
     text = (f"scheme = zcachelib\ntrace = {trace}\n"
             f"{key} = {SYNTHETIC_VALUES[key]}\n")
-    with pytest.raises(errors.ConfigError) as exc:
+    with pytest.raises(errors.InvalidConfig) as exc:
         parse_config_text(text, base_dir=str(tmp_path))
     assert "pick one" in str(exc.value)
 
@@ -355,13 +355,13 @@ def test_config_resolves_trace_relative_to_config_dir(tmp_path):
 def test_config_missing_trace_names_path(tmp_path):
     conf = tmp_path / "exp.conf"
     conf.write_text("scheme = zcachelib\ntrace = gone.trace\n")
-    with pytest.raises(errors.ConfigError) as exc:
+    with pytest.raises(errors.InvalidConfig) as exc:
         parse_config_file(conf)
     assert "gone.trace" in str(exc.value)
 
 
 def test_missing_config_file_names_path(tmp_path):
-    with pytest.raises(errors.ConfigError) as exc:
+    with pytest.raises(errors.InvalidConfig) as exc:
         parse_config_file(tmp_path / "absent.conf")
     assert "absent.conf" in str(exc.value)
 
@@ -411,12 +411,12 @@ def test_check_scheme_rejects_exactly_what_build_rejects():
         try:
             build(spec)
             built = True
-        except (errors.IncompatibleSpec, errors.InvalidConfig):
+        except errors.InvalidConfig:
             built = False
         try:
             check_scheme(spec, ())
             checked = True
-        except errors.ConfigError:
+        except errors.InvalidConfig:
             checked = False
         assert checked == built, spec
         accepted += built

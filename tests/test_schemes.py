@@ -18,21 +18,21 @@ from zonecache.workload import preset_spec, value_bytes
 # --- build validation ---------------------------------------------------------
 
 def test_unknown_scheme_rejected():
-    with pytest.raises(errors.IncompatibleSpec):
+    with pytest.raises(errors.InvalidConfig):
         build(SchemeSpec(name="quantum-lru"))
 
 
 def test_direct_requires_region_equal_to_zone():
-    with pytest.raises(errors.IncompatibleSpec):
+    with pytest.raises(errors.InvalidConfig):
         build(tiny_spec("zns-direct", region_size=16 * KIB))
 
 
 def test_reg_geometry_checks():
-    with pytest.raises(errors.IncompatibleSpec):
+    with pytest.raises(errors.InvalidConfig):
         build(tiny_spec("reg-lru", region_size=15 * KIB))  # not page aligned
-    with pytest.raises(errors.IncompatibleSpec):
+    with pytest.raises(errors.InvalidConfig):
         build(tiny_spec("reg-lru", pages_per_block=24))  # blocks don't tile device
-    with pytest.raises(errors.IncompatibleSpec):
+    with pytest.raises(errors.InvalidConfig):
         build(tiny_spec("reg-lru", cache_capacity_regions=100))  # over exported
 
 

@@ -38,12 +38,12 @@ def spec_for(**kw):
     dict(size_min=4096, size_max=2048),
 ])
 def test_spec_validation_rejects(bad):
-    with pytest.raises(errors.InvalidSpec):
+    with pytest.raises(errors.InvalidConfig):
         spec_for(**bad).validate()
 
 
 def test_unknown_preset_rejected():
-    with pytest.raises(errors.InvalidSpec):
+    with pytest.raises(errors.InvalidConfig):
         preset_spec("l3_turbo", cache_bytes=1 << 30)
 
 

@@ -170,7 +170,7 @@ def test_victim_tie_breaks_on_zone_id():
 
 def test_no_victim_without_read_zones():
     dev, store = make_store()
-    with pytest.raises(errors.NoVictimAvailable):
+    with pytest.raises(errors.GcStalled):
         store.select_victim()
 
 
@@ -290,8 +290,17 @@ def test_gc_stalls_without_victims():
     dev, store = make_store(zone_count=4, w_low=60.0, w_high=80.0)
     store.write_region(0, payload(0))
     assert store.gc_needed()
-    with pytest.raises(errors.GcStalled):
+    with pytest.raises(errors.GcStalled) as exc:
         store.gc_cycle(migrate_all)
+    assert "no victim available" in str(exc.value)
+
+
+def test_gc_unknown_drop_verb_is_a_program_fault():
+    # a filter is code, not input: an answer other than a DropVerb is a bug
+    dev, store = make_store()
+    drain_to_trigger(store)
+    with pytest.raises(RuntimeError, match="drop filter returned None"):
+        store.gc_cycle(lambda vaddr: None)
 
 
 def test_gc_stalls_when_every_victim_is_fully_valid():
