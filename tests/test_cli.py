@@ -212,16 +212,16 @@ def test_op_calc_infeasible_exits_1(capsys):
 
 
 @pytest.mark.parametrize("argv, fragment", [
-    (["gen-trace", "--preset", "l2_wc", "--ops", "0"], "op_count must be >= 1"),
+    (["gen-trace", "--preset", "l2_wc", "--ops", "0", "--out", "t.trace"],
+     "op_count must be >= 1"),
     (["op-calc", "--t-cache", "200", "--t-gc", "600", "--k", "0.5"],
      "k must be >= 1"),
     (["op-calc", "--t-cache", "0", "--t-gc", "600", "--k", "6"],
      "rates must be positive"),
 ])
-def test_bad_option_value_exits_3(tmp_path, capsys, argv, fragment):
+def test_bad_option_value_exits_3(tmp_path, capsys, monkeypatch, argv, fragment):
     # a command option is input like a config key: a bad value exits 3
-    if argv[0] == "gen-trace":
-        argv = argv + ["--out", str(tmp_path / "t.trace")]
+    monkeypatch.chdir(tmp_path)
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("config error") and fragment in err
