@@ -9,10 +9,11 @@ import pytest
 
 from helpers import KIB, MIB, drive, make_script, tiny_spec
 from zonecache import SchemeSpec, build, errors, wa_factor
-from zonecache.harness import ExperimentConfig, run
+from zonecache.harness import ExperimentConfig, _Driver, run
 from zonecache.schemes import _capacity_regions
 from zonecache.zcache import Policy
-from zonecache.workload import preset_spec, value_bytes
+from zonecache.workload import (CacheOp, OpKind, generate, preset_spec,
+                                value_bytes)
 
 
 # --- build validation ---------------------------------------------------------
@@ -118,6 +119,40 @@ def test_zcachelib_drops_instead_of_migrating():
     assert m.dropped_regions > 0
     assert m.gc_migrated_bytes == 0            # zdrop-100: nothing to migrate
     assert wa_factor(m) == 1.0
+
+
+def _golden_sized_run(name):
+    """The geometry and workload of tests/golden/: 32 x 8 MiB zones, 2 MiB
+    regions (whole zones for zns-direct), l2_wc at seed 1 for 20 000 ops."""
+    spec = SchemeSpec(name=name, zone_count=32, zone_capacity=8 * MIB,
+                      region_size=8 * MIB if name == "zns-direct" else 2 * MIB)
+    cache_bytes = _capacity_regions(spec) * spec.region_size
+    workload = preset_spec("l2_wc", cache_bytes, seed=1, op_count=20_000)
+    return build(spec), generate(workload)
+
+
+def _tiny_run(name):
+    ops = [CacheOp(OpKind.GET if is_get else OpKind.SET, key, size)
+           for is_get, key, size in make_script(seed=3, ops=600)]
+    return build(tiny_spec(name)), ops
+
+
+@pytest.mark.parametrize("setup", [_tiny_run, _golden_sized_run],
+                         ids=["tiny", "golden_sized"])
+@pytest.mark.parametrize("name", ["zcachelib", "zns-middle-lru",
+                                  "zns-middle-fifo", "zns-direct"])
+def test_open_zones_never_exceed_write_zones(name, setup):
+    # the store opens a zone only to keep its write zones (one for
+    # zns-direct, whose regions fill a zone at once), so a device that
+    # allows min_write_zones open zones never refuses an open
+    engine, ops = setup(name)
+    driver = _Driver(engine)
+    peak = 0
+    for op in ops:
+        driver.step(op)
+        peak = max(peak, engine.device.open_zone_count())
+        assert peak <= engine.store.min_write_zones
+    assert peak == (0 if name == "zns-direct" else engine.store.min_write_zones)
 
 
 @pytest.mark.parametrize("name", ["zcachelib", "zns-middle-lru"])
