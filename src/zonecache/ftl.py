@@ -30,42 +30,40 @@ from array import array
 from dataclasses import dataclass
 
 from . import errors
-from .memory import Populator
+from .memory import PAGE, Populator
 
-PAGE = 4096
+# GC runs when a write needs a fresh erase block and fewer than this many
+# are free; one more than the block it takes leaves one for migration
+GC_TRIGGER_FREE_BLOCKS = 2
 
 
 @dataclass
 class FtlConfig:
     pages_per_block: int
     block_count: int
-    page_size: int = PAGE
     internal_op_ratio: float = 0.07
-    gc_trigger_free_blocks: int = 2
 
     def validate(self):
-        if self.page_size < 1 or self.pages_per_block < 1 or self.block_count < 1:
+        if self.pages_per_block < 1 or self.block_count < 1:
             raise errors.InvalidConfig("page/block geometry must be >= 1")
         if self.internal_op_ratio < 0:
             raise errors.InvalidConfig("internal_op_ratio must be >= 0")
-        if self.gc_trigger_free_blocks < 1:
-            raise errors.InvalidConfig("gc_trigger_free_blocks must be >= 1")
-        if self.exported_bytes < self.page_size:
+        if self.exported_bytes < PAGE:
             raise errors.InvalidConfig("exported capacity under one page")
 
     @property
     def total_bytes(self) -> int:
-        return self.block_count * self.pages_per_block * self.page_size
+        return self.block_count * self.pages_per_block * PAGE
 
     @property
     def exported_bytes(self) -> int:
         # physical space split between exported capacity and reserved OP
         raw = int(self.total_bytes / (1.0 + self.internal_op_ratio))
-        return raw - raw % self.page_size
+        return raw - raw % PAGE
 
     @property
     def exported_pages(self) -> int:
-        return self.exported_bytes // self.page_size
+        return self.exported_bytes // PAGE
 
 
 class PageMappedFtl:
@@ -134,12 +132,12 @@ class PageMappedFtl:
         (a no-op when it is there already). Returns the migrated page count.
         A victim's valid pages move in physical order, one logically
         consecutive run at a time, through the same remap as a host write."""
-        if self.free_block_count >= self.config.gc_trigger_free_blocks:
+        if self.free_block_count >= GC_TRIGGER_FREE_BLOCKS:
             return 0
         self.gc_runs += 1
         ppb = self.config.pages_per_block
         migrated = 0
-        while self.free_block_count < self.config.gc_trigger_free_blocks:
+        while self.free_block_count < GC_TRIGGER_FREE_BLOCKS:
             victim = self._select_victim()
             if victim is None or self.valid_counts[victim] >= ppb:
                 break  # nothing reclaimable: every candidate is fully valid
@@ -154,7 +152,7 @@ class PageMappedFtl:
                     if self.active_fill == ppb:
                         self._take_active()  # GC never starts GC
                     run = self._remap(lpage, end)
-                    self.migrated_bytes += run * self.config.page_size
+                    self.migrated_bytes += run * PAGE
                     migrated += run
                     lpage += run
                 start = i
@@ -192,8 +190,7 @@ class PageMappedFtl:
     # -- host interface --------------------------------------------------------
 
     def _check_write(self, address, length):
-        ps = self.config.page_size
-        if address % ps != 0 or length % ps != 0:
+        if address % PAGE != 0 or length % PAGE != 0:
             raise errors.Misaligned("writes must be page-aligned in address and length")
         if address < 0 or address + length > self.config.exported_bytes:
             raise errors.OutOfRange("write outside exported capacity")
@@ -206,45 +203,43 @@ class PageMappedFtl:
         return view
 
     def fault_in(self, address: int, length: int):
-        """Fault in `length` bytes of the map from `address`, ahead of a
-        borrower's writes there; an unaligned page size disables it."""
+        """Fault in `length` bytes of the map from `address`, a page
+        boundary, ahead of a borrower's writes there."""
         self.populator.populate(self.arena, address, length)
 
     def ftl_write(self, logical_address: int, payload):
         """If DeviceBusy stops a write part-way, the pages it did not place
         keep their old bytes, unless the payload is a lent view."""
         self._check_write(logical_address, len(payload))
-        ps = self.config.page_size
         ppb = self.config.pages_per_block
         view = None if self.lent.pop(logical_address, None) is payload \
             else memoryview(payload)
-        first = lpage = logical_address // ps
-        end = first + len(payload) // ps
+        first = lpage = logical_address // PAGE
+        end = first + len(payload) // PAGE
         while lpage < end:
             # GC fires only when a fresh erase block is about to be taken;
             # checking per page instead would evict victims mid-drain and
             # inflate WA even for strictly sequential overwrites
             if self.active_fill == ppb \
-                    and self.free_block_count < self.config.gc_trigger_free_blocks:
+                    and self.free_block_count < GC_TRIGGER_FREE_BLOCKS:
                 self.ftl_internal_gc()
             if self.active_fill == ppb:
                 self._take_active()  # GC may have left room in the active block
             run = self._remap(lpage, end)
             if view is not None:
-                src = (lpage - first) * ps
-                self.data[lpage * ps:(lpage + run) * ps] = view[src:src + run * ps]
-            self.host_bytes_written += run * ps
+                src = (lpage - first) * PAGE
+                self.data[lpage * PAGE:(lpage + run) * PAGE] = view[src:src + run * PAGE]
+            self.host_bytes_written += run * PAGE
             lpage += run
 
     def ftl_read(self, logical_address: int, length: int) -> bytes:
-        ps = self.config.page_size
         if logical_address < 0 or length < 0 \
                 or logical_address + length > self.config.exported_bytes:
             raise errors.OutOfRange("read outside exported capacity")
         if length == 0:
             return b""
-        first = logical_address // ps
-        ppages = self.mapping[first:(logical_address + length - 1) // ps + 1]
+        first = logical_address // PAGE
+        ppages = self.mapping[first:(logical_address + length - 1) // PAGE + 1]
         if -1 in ppages:
             raise errors.Unmapped(
                 f"logical page {first + ppages.index(-1)} never written")

@@ -9,7 +9,8 @@ layout, or the first internal FTL GC for the block baselines). Headline
 numbers are stable-stage averages.
 
 The simulated clock charges device traffic against two independent
-bandwidth channels: all writes (foreground flushes plus GC migrations)
+bandwidth channels, 1000 MiB/s for writes and 3000 MiB/s for reads, the
+same for every scheme: all writes (foreground flushes plus GC migrations)
 share the write budget, all reads share the read budget, and elapsed time
 per interval is whichever channel is busier.
 """
@@ -19,7 +20,7 @@ from dataclasses import dataclass, replace
 from itertools import islice
 
 from . import errors
-from .schemes import EngineMetrics, SchemeSpec, build, wa_factor
+from .schemes import MIB, EngineMetrics, SchemeSpec, build, wa_factor
 from .workload import (CacheOp, OpKind, WorkloadSpec, generate,
                        matches_value, preset_spec, replay, value_bytes)
 from .zcache import ZLRU_SETTINGS, CacheConfig, Policy
@@ -102,12 +103,17 @@ def render_csv(report: MetricsReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+# the device bandwidths the clock charges, in bytes per second
+WRITE_BANDWIDTH = 1000 * MIB
+READ_BANDWIDTH = 3000 * MIB
+
+
 class _Clock:
     """Two-channel bandwidth budget; elapsed time is the busier channel."""
 
-    def __init__(self, write_bandwidth, read_bandwidth):
-        self.write_bw = float(write_bandwidth)
-        self.read_bw = float(read_bandwidth)
+    def __init__(self, write_bw, read_bw):
+        self.write_bw = float(write_bw)
+        self.read_bw = float(read_bw)
         self.seconds = 0.0
         self._written = 0
         self._read = 0
@@ -174,7 +180,7 @@ def run(config: ExperimentConfig) -> MetricsReport:
     else:
         ops = generate(config.workload)
     driver = _Driver(engine, config.verify_hits)
-    clock = _Clock(engine.write_bandwidth, engine.read_bandwidth)
+    clock = _Clock(WRITE_BANDWIDTH, READ_BANDWIDTH)
 
     rows = []
     last = EngineMetrics()
@@ -248,13 +254,11 @@ def _parse_bool(text):
 
 _SCHEME_KEYS = {
     "scheme": str, "zone_count": int, "zone_capacity": parse_size,
-    "max_open_zones": int, "region_size": parse_size, "op_ratio": float,
+    "region_size": parse_size, "op_ratio": float,
     "vop_ratio": float, "w_low": float, "w_high": float,
     "min_write_zones": int,
     "cache_capacity_regions": int, "reorder_enabled": _parse_bool,
-    "page_size": parse_size, "pages_per_block": int,
-    "gc_trigger_free_blocks": int,
-    "read_bandwidth": parse_size, "write_bandwidth": parse_size,
+    "pages_per_block": int,
 }
 _WORKLOAD_KEYS = {
     "preset": str, "get_ratio": float, "key_space": int, "zipf_alpha": float,

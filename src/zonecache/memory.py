@@ -10,6 +10,8 @@ plain writes fault the pages in one at a time: the bytes are the same.
 
 import sys
 
+PAGE = 4096  # FTL pages, zone capacities and fault-in ranges align to it
+
 # Linux MADV_POPULATE_WRITE, which Python 3.11's mmap does not name
 POPULATE_WRITE = 23 if sys.platform.startswith("linux") else None
 
@@ -23,11 +25,11 @@ class Populator:
         self.advice = POPULATE_WRITE  # None once the advice fails
 
     def populate(self, mem, start, length):
-        """Fault in `length` bytes of the map `mem` from `start`, a page
+        """Fault in `length` bytes of the map `mem` from `start`, a `PAGE`
         boundary; a failed advice is not retried."""
         if self.advice is None:
             return
         try:
             mem.madvise(self.advice, start, length)
-        except OSError:  # older kernel, or an unaligned start
+        except OSError:  # older kernel
             self.advice = None

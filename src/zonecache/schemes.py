@@ -18,8 +18,9 @@ from dataclasses import dataclass, field, replace
 
 from . import errors
 from .ftl import FtlConfig, PageMappedFtl
+from .memory import PAGE
 from .zcache import CacheConfig, Policy, RegionCache
-from .zns import DeviceConfig, ZnsDevice
+from .zns import MAX_OPEN_ZONES, DeviceConfig, ZnsDevice
 from .zstorage import GcConfig, ZoneStore
 
 MIB = 1024 * 1024
@@ -42,9 +43,6 @@ class SchemeSpec:
     name: str
     zone_count: int = 64
     zone_capacity: int = 64 * MIB
-    max_open_zones: int = 14
-    read_bandwidth: int = 3000 * MIB
-    write_bandwidth: int = 1000 * MIB
     region_size: int = None          # default 16 MiB; zone capacity for zns-direct
     op_ratio: float = 0.07           # reserved space / cache space
     vop_ratio: float = 1.0           # zcachelib only
@@ -53,10 +51,7 @@ class SchemeSpec:
     min_write_zones: int = 4
     cache_capacity_regions: int = None  # override the op_ratio sizing
     reorder_enabled: bool = True     # zcachelib only
-    # FTL geometry for the reg-* baselines
-    page_size: int = 4096
-    pages_per_block: int = 1024
-    gc_trigger_free_blocks: int = 2
+    pages_per_block: int = 1024      # FTL erase block, reg-* only
 
 
 @dataclass
@@ -101,13 +96,10 @@ def _capacity_regions(spec) -> int:
 
 
 class _Engine:
-    """One region cache over a backend store, plus the bandwidths the
-    harness clock charges. Subclasses build the backend and report its
-    counters."""
+    """One region cache over a backend store. Subclasses build the backend
+    and report its counters."""
 
     def __init__(self, spec, store):
-        self.read_bandwidth = spec.read_bandwidth
-        self.write_bandwidth = spec.write_bandwidth
         self.store = store
         self.cache = RegionCache(
             CacheConfig(_capacity_regions(spec), spec.region_size,
@@ -149,7 +141,8 @@ class _ZnsEngine(_Engine):
             raise errors.InvalidConfig(
                 "zns-direct requires region_size == zone_capacity")
         self.device = ZnsDevice(DeviceConfig(
-            spec.zone_count, spec.zone_capacity, spec.max_open_zones))
+            spec.zone_count, spec.zone_capacity,
+            min(MAX_OPEN_ZONES, spec.zone_count)))
         store = ZoneStore(self.device, spec.region_size,
                           GcConfig(spec.w_low, spec.w_high),
                           min_write_zones=1 if self.gc_free
@@ -221,17 +214,15 @@ class _FtlRegionStore:
 class _RegEngine(_Engine):
     def __init__(self, spec):
         device_bytes = spec.zone_count * spec.zone_capacity
-        block_bytes = spec.page_size * spec.pages_per_block
-        self.ftl = PageMappedFtl(FtlConfig(  # rejects a page or block under one
+        block_bytes = PAGE * spec.pages_per_block
+        self.ftl = PageMappedFtl(FtlConfig(  # rejects a block under one page
             pages_per_block=spec.pages_per_block,
             block_count=device_bytes // block_bytes if block_bytes > 0 else 0,
-            page_size=spec.page_size,
-            internal_op_ratio=spec.op_ratio,
-            gc_trigger_free_blocks=spec.gc_trigger_free_blocks))
+            internal_op_ratio=spec.op_ratio))
         if device_bytes % block_bytes != 0:
             raise errors.InvalidConfig(
                 "device size must be a whole number of erase blocks")
-        if spec.region_size % spec.page_size != 0:
+        if spec.region_size % PAGE != 0:
             raise errors.InvalidConfig("region size must be page-aligned")
         if (_capacity_regions(spec) * spec.region_size
                 > self.ftl.config.exported_bytes):
@@ -264,8 +255,6 @@ def build(spec: SchemeSpec):
     if spec.name not in SCHEME_NAMES:
         raise errors.InvalidConfig(f"unknown scheme {spec.name!r}; "
                                    f"choose one of {', '.join(SCHEME_NAMES)}")
-    if spec.read_bandwidth < 1 or spec.write_bandwidth < 1:
-        raise errors.InvalidConfig("bandwidths must be >= 1")
     spec = replace(spec, region_size=default_region_size(spec))
     if spec.name.startswith("reg-"):
         return _RegEngine(spec)

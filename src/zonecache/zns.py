@@ -31,10 +31,10 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from . import errors
-from .memory import Populator
+from .memory import PAGE, Populator
 
 MIB = 1024 * 1024
-PAGE = 4096
+MAX_OPEN_ZONES = 14  # as real ZNS drives cap them (Bjorling et al., ATC 2021)
 
 
 class ZoneState(Enum):
@@ -47,7 +47,7 @@ class ZoneState(Enum):
 class DeviceConfig:
     zone_count: int = 64
     zone_capacity: int = 64 * MIB
-    max_open_zones: int = 14
+    max_open_zones: int = MAX_OPEN_ZONES
 
     def validate(self):
         if self.zone_count < 1:
@@ -55,7 +55,7 @@ class DeviceConfig:
         if self.zone_capacity < 1:
             raise errors.InvalidConfig("zone_capacity must be >= 1")
         if self.zone_capacity % PAGE != 0:
-            raise errors.InvalidConfig("zone_capacity must be a multiple of 4096")
+            raise errors.InvalidConfig(f"zone_capacity must be a multiple of {PAGE}")
         if not (1 <= self.max_open_zones <= self.zone_count):
             raise errors.InvalidConfig("max_open_zones must be in [1, zone_count]")
 

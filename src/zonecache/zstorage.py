@@ -100,9 +100,11 @@ class ZoneStore:
         if region_size < 1 or device.config.zone_capacity % region_size != 0:
             raise errors.InvalidConfig(
                 "zone_capacity must be a positive multiple of region_size")
-        if not 1 <= min_write_zones <= device.config.max_open_zones:
+        limit = device.config.max_open_zones
+        if not 1 <= min_write_zones <= limit:
             raise errors.InvalidConfig(
-                "need 1 <= min_write_zones <= max_open_zones")
+                f"min_write_zones must be in [1, {limit}], the device's "
+                f"open-zone limit")
         self.device = device
         self.region_size = region_size
         self.gc_config = gc_config or GcConfig()

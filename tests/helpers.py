@@ -16,10 +16,9 @@ MIB = 1024 * KIB
 
 def tiny_spec(name, **overrides):
     base = dict(name=name, zone_count=8, zone_capacity=32 * KIB,
-                max_open_zones=8, region_size=16 * KIB,
-                min_write_zones=2,
+                region_size=16 * KIB, min_write_zones=2,
                 w_low=25.0, w_high=50.0, cache_capacity_regions=7,
-                page_size=2 * KIB, pages_per_block=4)
+                pages_per_block=2)
     if name == "zns-direct":
         base["region_size"] = 32 * KIB
         del base["min_write_zones"]

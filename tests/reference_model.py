@@ -440,7 +440,7 @@ class SchemeModel:
 
     def __init__(self, name, zones=8, zone_cap=32 * 1024, region=16 * 1024,
                  capacity=7, min_w=2, w_low=25.0, w_high=50.0,
-                 vop_ratio=1.0, page=2048, ppb=4, reorder=True):
+                 vop_ratio=1.0, page=4096, ppb=2, reorder=True):
         self.name = name
         self.kind = ("reg" if name.startswith("reg") else
                      "direct" if name == "zns-direct" else

@@ -164,7 +164,7 @@ SCRIPTED_CONFIGS = [
     ("zns-middle-fifo", {}),
     ("zns-direct", {}),
     ("reg-lru", {}),
-    ("reg-fifo", {"pages_per_block": 32}),
+    ("reg-fifo", {"pages_per_block": 16}),
 ]
 
 _model_integrity = {}

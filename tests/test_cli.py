@@ -14,7 +14,6 @@ TINY_CONF = """\
 scheme = zns-middle-lru
 zone_count = 8
 zone_capacity = 32kib
-max_open_zones = 8
 region_size = 16kib
 min_write_zones = 2
 w_low = 25
@@ -76,37 +75,41 @@ def test_bad_cache_sizing_exits_3(conf, capsys, old, new):
 
 
 @pytest.mark.parametrize("old,new,fragment", [
-    ("seed = 3\n", "seed = 3\nwrite_bandwidth = 0\n", "bandwidths"),
     ("scheme = zns-middle-lru\n", "scheme = zns-direct\n",
      "zns-direct requires"),
-    ("max_open_zones = 8\n", "max_open_zones = 0\n", "max_open_zones must"),
     ("zone_capacity = 32kib\n", "zone_capacity = 4097\n", "multiple of 4096"),
     ("w_low = 25\nw_high = 50\n", "w_low = 60\nw_high = 50\n",
      "w_low < w_high"),
     ("region_size = 16kib\n", "region_size = 24kib\n",
      "multiple of region_size"),
-    ("min_write_zones = 2\n", "min_write_zones = 9\n", "max_open_zones"),
+    ("min_write_zones = 2\n", "min_write_zones = 9\n",
+     "min_write_zones must be in [1, 8]"),
     ("min_write_zones = 2\n", "min_write_zones = 2\nmax_write_zones = 2\n",
      "unknown key"),
+    ("seed = 3\n", "seed = 3\nmax_open_zones = 8\n", "unknown key"),
+    ("seed = 3\n", "seed = 3\nread_bandwidth = 3000mib\n", "unknown key"),
+    ("seed = 3\n", "seed = 3\nwrite_bandwidth = 1000mib\n", "unknown key"),
+    ("seed = 3\n", "seed = 3\npage_size = 4kib\n", "unknown key"),
+    ("seed = 3\n", "seed = 3\ngc_trigger_free_blocks = 2\n", "unknown key"),
     ("cache_capacity_regions = 7\n", "cache_capacity_regions = 0\n",
      "cache_capacity_regions must"),
     ("scheme = zns-middle-lru\n", "scheme = zcachelib\nvop_ratio = 1.5\n",
      "vop_ratio must"),
-    ("scheme = zns-middle-lru\n", "scheme = reg-lru\npage_size = 2kib\n"
-     "pages_per_block = 4\ngc_trigger_free_blocks = 0\n",
-     "gc_trigger_free_blocks must"),
     ("interval_ops = 100\n", "interval_ops = 0\n", "interval_ops must"),
     (TINY_CONF[:TINY_CONF.index("get_ratio")],
      "scheme = zns-direct\nzone_count = 1\nzone_capacity = 32kib\n"
-     "max_open_zones = 1\nop_ratio = 0.5\n", "too small for one region"),
+     "op_ratio = 0.5\n", "too small for one region"),
     ("seed = 3\n", "seed = 3\nvop_ratio = 0.5\n", "ignores vop_ratio"),
     ("seed = 3\n", "seed = 3\nreorder_enabled = off\n",
      "ignores reorder_enabled"),
-], ids=["write_bandwidth_0", "zns_direct_region_not_zone", "max_open_zones_0",
+], ids=["zns_direct_region_not_zone",
         "zone_capacity_4097", "w_low_above_w_high", "region_not_zone_divisor",
         "min_write_zones_above_max", "max_write_zones_unknown",
+        "max_open_zones_unknown", "read_bandwidth_unknown",
+        "write_bandwidth_unknown", "page_size_unknown",
+        "gc_trigger_free_blocks_unknown",
         "cache_capacity_regions_0", "zcachelib_vop_ratio_1_5",
-        "reg_lru_gc_trigger_0", "interval_ops_0", "device_under_one_region",
+        "interval_ops_0", "device_under_one_region",
         "lru_vop_ratio",
         "lru_reorder_enabled"])
 def test_spec_build_rejects_exits_3(conf, capsys, old, new, fragment):

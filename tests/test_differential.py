@@ -37,14 +37,14 @@ def cases(draw):
     capacity = draw(st.integers(1, zones * zone_cap // region))
     # float draws cluster at edges where the vop split is empty or total and
     # the reorder pass moves nothing, so mix in fixed interior ratios; blocks
-    # of 16 or 32 pages outgrow a region, and `build` rejects those that do
-    # not divide the device
+    # of 8 or 16 pages (32 or 64 KiB) outgrow a region, and `build` rejects
+    # those that do not divide the device
     spec = dict(zone_count=zones, zone_capacity=zone_cap, region_size=region,
-                max_open_zones=zones, w_low=w_low, w_high=w_high,
+                w_low=w_low, w_high=w_high,
                 cache_capacity_regions=capacity,
                 vop_ratio=draw(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
                                | st.floats(0.0, 1.0)),
-                pages_per_block=draw(st.sampled_from([2, 4, 8, 16, 32])),
+                pages_per_block=draw(st.sampled_from([1, 2, 4, 8, 16])),
                 reorder_enabled=draw(st.booleans()))
     model = dict(zones=zones, zone_cap=zone_cap, region=region,
                  capacity=capacity, w_low=w_low, w_high=w_high,

@@ -20,9 +20,9 @@ PAGE = 4096
 class OracleFtl:
     """Brute-force reference: blocks are lists of logical-page slots."""
 
-    def __init__(self, ppb, blocks, trigger=2, op_ratio=0.07):
+    def __init__(self, ppb, blocks, op_ratio=0.07):
         self.ppb = ppb
-        self.trigger = trigger
+        self.trigger = 2           # GC below this many free blocks
         self.blocks = [[None] * ppb for _ in range(blocks)]
         self.free = sorted(range(blocks))
         self.where = {}            # lpn -> (block, slot)
@@ -92,10 +92,9 @@ class OracleFtl:
         return self.nand / self.host
 
 
-def make_ftl(ppb=16, blocks=32, op_ratio=0.07, trigger=2):
+def make_ftl(ppb=16, blocks=32, op_ratio=0.07):
     return PageMappedFtl(FtlConfig(pages_per_block=ppb, block_count=blocks,
-                                   internal_op_ratio=op_ratio,
-                                   gc_trigger_free_blocks=trigger))
+                                   internal_op_ratio=op_ratio))
 
 
 # --- configuration and exported capacity ----------------------------------------
@@ -104,7 +103,6 @@ def test_config_rejects_bad_geometry():
     for kwargs in (dict(pages_per_block=0, block_count=4),
                    dict(pages_per_block=4, block_count=0),
                    dict(pages_per_block=4, block_count=4, internal_op_ratio=-0.1),
-                   dict(pages_per_block=4, block_count=4, gc_trigger_free_blocks=0),
                    # one page of 4096 bytes exports 2730, under one page
                    dict(pages_per_block=1, block_count=1, internal_op_ratio=0.5)):
         with pytest.raises(errors.InvalidConfig):
@@ -202,8 +200,8 @@ def test_identity_array_grows_only_with_touched_pages():
 # --- greedy victim selection -------------------------------------------------------
 
 def test_victim_is_block_with_fewest_valid_pages():
-    # trigger=1 and a spare block keep GC quiet while the scene is arranged
-    ftl = make_ftl(ppb=2, blocks=5, op_ratio=0.0, trigger=1)
+    # two spare blocks keep GC quiet while the scene is arranged
+    ftl = make_ftl(ppb=2, blocks=5, op_ratio=0.0)
     for lpn in range(6):                       # fills blocks 0, 1, 2
         ftl.ftl_write(lpn * PAGE, bytes([lpn]) * PAGE)
     ftl.ftl_write(1 * PAGE, b"n" * PAGE)       # block 0 drops to 1 valid
@@ -216,8 +214,9 @@ def test_victim_is_block_with_fewest_valid_pages():
 
 def test_fully_invalid_victim_reclaimed_without_migration():
     # valid counts {0, 2, 2} with two fresh copies elsewhere: the greedy
-    # victim is the zero-valid block and reclaiming it migrates nothing
-    ftl = make_ftl(ppb=2, blocks=5, op_ratio=0.0, trigger=1)
+    # victim is the zero-valid block and reclaiming it migrates nothing;
+    # a third spare block keeps GC quiet while the scene is arranged
+    ftl = make_ftl(ppb=2, blocks=6, op_ratio=0.0)
     for lpn in range(6):
         ftl.ftl_write(lpn * PAGE, bytes([lpn]) * PAGE)
     ftl.ftl_write(0 * PAGE, b"n" * PAGE)       # block 0 fully stale
@@ -307,7 +306,7 @@ def watch_victims(ftl):
             starts = [i for i, lpage in enumerate(lpages)
                       if i == 0 or lpages[i - 1] != lpage - 1]
             seen["multi_run"] += len(starts) >= 2
-            fill = ppb if ftl.active_block is None else ftl.active_fill
+            fill = ftl.active_fill
             for start, end in zip(starts, starts[1:] + [len(lpages)]):
                 # a run that starts inside a block and ends past it splits
                 seen["split"] += 0 < fill % ppb and fill % ppb + end - start > ppb
@@ -335,7 +334,7 @@ def test_multi_page_runs_match_oracle(seed, ppb):
         count = rng.randint(1, 3 * ppb)
         first = rng.randrange(pages - count + 1)
         data = rng.randbytes(count * PAGE)
-        mid_block = ftl.active_block is not None and ftl.active_fill < ppb
+        mid_block = ftl.active_fill < ppb
         runs_before = ftl.gc_runs
         ftl.ftl_write(first * PAGE, data)
         gc_mid_write += mid_block and ftl.gc_runs > runs_before

@@ -33,7 +33,7 @@ def tiny_config(name="zns-middle-lru", ops=600, interval=100, seed=3, **kw):
 # --- simulated clock ------------------------------------------------------------
 
 def test_clock_write_channel_sets_the_pace():
-    clock = _Clock(write_bandwidth=1000 * MIB, read_bandwidth=3000 * MIB)
+    clock = _Clock(write_bw=1000 * MIB, read_bw=3000 * MIB)
     assert clock.advance(1000 * MIB, 0) == 1.0  # foreground only
     # GC adds as many migration writes again, plus their reads; the read
     # channel (1/3 s) hides behind the write channel (1 s)
@@ -42,16 +42,16 @@ def test_clock_write_channel_sets_the_pace():
 
 
 def test_clock_read_channel_can_dominate():
-    clock = _Clock(write_bandwidth=1000 * MIB, read_bandwidth=500 * MIB)
+    clock = _Clock(write_bw=1000 * MIB, read_bw=500 * MIB)
     assert clock.advance(0, 1000 * MIB) == 2.0
 
 
 def test_simulate_time_matches_counter_arithmetic():
     report = run(tiny_config(ops=400, seed=2))
     seconds = report.summary.total_sim_seconds
-    m, engine = report.final_metrics, report.engine
-    assert seconds >= m.device_bytes_written / engine.write_bandwidth
-    assert seconds >= m.device_bytes_read / engine.read_bandwidth
+    m = report.final_metrics
+    assert seconds >= m.device_bytes_written / harness.WRITE_BANDWIDTH
+    assert seconds >= m.device_bytes_read / harness.READ_BANDWIDTH
     assert seconds > 0
 
 
@@ -271,7 +271,6 @@ GOOD_CONFIG = """\
 scheme = zns-middle-lru
 zone_count = 8
 zone_capacity = 32kib
-max_open_zones = 8
 region_size = 16kib
 min_write_zones = 2
 w_low = 25
@@ -378,7 +377,6 @@ _BAD_VALUES = {
     "name": ("warp-lru",),
     "zone_count": (0, -1),
     "zone_capacity": (0, 4097, 24 * KIB),
-    "max_open_zones": (0, 9),
     "region_size": (0, 24 * KIB, 3 * KIB),
     "op_ratio": (-0.5,),
     "vop_ratio": (1.5, -0.1),
@@ -386,11 +384,7 @@ _BAD_VALUES = {
     "w_high": (20.0, 101.0),
     "min_write_zones": (0, 9),
     "cache_capacity_regions": (0, 100),
-    "page_size": (0, 3 * KIB),
     "pages_per_block": (0, 3),
-    "gc_trigger_free_blocks": (0,),
-    "read_bandwidth": (0,),
-    "write_bandwidth": (0,),
 }
 
 
@@ -435,7 +429,7 @@ def test_config_loading_keeps_no_engine(monkeypatch):
     monkeypatch.setattr(harness, "build", recording_build)
     parse_config_text(GOOD_CONFIG)
     parse_config_text(GOOD_CONFIG.replace("zns-middle-lru", "reg-lru")
-                      + "page_size = 2kib\npages_per_block = 4\n")
+                      + "pages_per_block = 2\n")
     gc.collect()
     assert engines
     assert all(ref() is None for ref in engines)
