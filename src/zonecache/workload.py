@@ -137,9 +137,14 @@ class ZipfSampler:
 
 
 def generate(spec: WorkloadSpec):
-    """Deterministic op stream for the spec. Every op carries its key's
-    size; the harness turns Get misses into fills, not this."""
+    """Deterministic op stream for the spec, which is checked now, not at
+    the first op. Every op carries its key's size; the harness turns Get
+    misses into fills, not this."""
     spec.validate()
+    return _ops(spec)
+
+
+def _ops(spec: WorkloadSpec):
     rng = random.Random(spec.seed)
     sampler = ZipfSampler(spec.key_space, spec.zipf_alpha)
     keyed = [None] * spec.key_space  # rank -> (key, key_size), built on first draw

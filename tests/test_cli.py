@@ -230,6 +230,18 @@ def test_bad_option_value_exits_3(tmp_path, capsys, monkeypatch, argv, fragment)
     assert err.startswith("config error") and fragment in err
 
 
+def test_gen_trace_bad_option_leaves_out_alone(tmp_path, capsys):
+    # the workload is checked before --out is opened: no file is made, and
+    # an existing one keeps its bytes
+    out = tmp_path / "t.trace"
+    argv = ["gen-trace", "--preset", "l2_wc", "--ops", "0", "--out", str(out)]
+    assert main(argv) == 3
+    assert not out.exists()
+    out.write_text("set a 1024\n")
+    assert main(argv) == 3
+    assert out.read_text() == "set a 1024\n"
+
+
 def test_gen_trace_roundtrips(tmp_path, capsys):
     out = tmp_path / "t.trace"
     code = main(["gen-trace", "--preset", "l2_wc", "--cache-bytes", "1000000",
