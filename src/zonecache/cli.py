@@ -62,11 +62,10 @@ def _build_parser():
 def _cmd_run(args) -> int:
     config = parse_config_file(args.config)
     report = run(config)
-    text = render_csv(report)
     if config.output_path:
-        print(f"wrote {config.output_path}")
+        print(f"wrote {config.output_path}")  # run wrote it
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(render_csv(report))
     return 0
 
 
