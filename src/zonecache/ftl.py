@@ -10,7 +10,8 @@ Bytes are held by logical address; physical placement is metadata only.
 The data is one private anonymous map of the exported capacity, faulted
 in as it is filled: the borrower of a lent view asks for it a step at a
 time, just ahead of its writes (`fault_in`, one `memory.Populator`
-advice each), and any other write faults its pages in as it copies. A
+advice each, skipped when every page of the range was advised before),
+and any other write faults its pages in as it copies. A
 read is one slice, and GC migration remaps pages without moving a byte.
 `lend_buffer` hands out a view of the map that `ftl_write` commits in
 place; any other payload is copied as its runs are placed. The page maps
@@ -74,6 +75,9 @@ class PageMappedFtl:
         self.arena = mmap.mmap(-1, config.exported_bytes, flags=mmap.MAP_PRIVATE)
         self.data = memoryview(self.arena)  # logical bytes
         self.populator = Populator()
+        # one byte per page, 1 once fault_in asked for it; a map, like the
+        # arena, so a build zeroes nothing
+        self.advised = mmap.mmap(-1, config.exported_pages, flags=mmap.MAP_PRIVATE)
         self.lent = {}  # logical address -> the view lent for it
         self.mapping = array("q", [-1]) * config.exported_pages  # logical -> physical
         self.reverse = array("q", [-1]) * pages  # physical -> logical, valid pages only
@@ -204,7 +208,12 @@ class PageMappedFtl:
 
     def fault_in(self, address: int, length: int):
         """Fault in `length` bytes of the map from `address`, a page
-        boundary, ahead of a borrower's writes there."""
+        boundary, ahead of a borrower's writes there. A range whose every
+        page was asked for before is resident already and is not advised."""
+        first, end = address // PAGE, -(-(address + length) // PAGE)
+        if self.advised.find(b"\0", first, end) < 0:
+            return
+        self.advised[first:end] = b"\1" * (end - first)
         self.populator.populate(self.arena, address, length)
 
     def ftl_write(self, logical_address: int, payload):

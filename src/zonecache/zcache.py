@@ -3,8 +3,9 @@
 Items are packed into a RAM buffer one region wide; full buffers are flushed
 to the backing store with a single large write. The store lends the buffer
 with no page faulted in, and the cache asks it to fault in `FAULT_STEP`
-bytes at a time as the fill's end passes the faulted-in mark, so no single
-op pays for a whole region and a region's unfilled tail is never touched.
+(256 KiB) at a time as the fill's end passes the faulted-in mark, so no
+single op pays for more than a step and a region's unfilled tail is never
+touched. The store skips a step whose memory is resident already.
 
 Flushed region ids live in two OrderedDicts, `main` and the tail-side
 `vop`, each most recent first (the head is the first entry), which
@@ -38,7 +39,7 @@ from . import errors
 from .zstorage import DropVerb
 
 MIB = 1024 * 1024
-FAULT_STEP = MIB  # region buffer bytes faulted in ahead of the fill at a time
+FAULT_STEP = 256 * 1024  # region buffer bytes faulted in ahead of the fill at a time
 ZLRU_SETTINGS = ("vop_ratio", "reorder_enabled")  # read by ZLRU alone
 
 

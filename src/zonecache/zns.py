@@ -20,6 +20,8 @@ A new buffer is mapped without faulting its pages in. A lent buffer's
 borrower asks for it to be faulted in a step at a time, just ahead of its
 writes (`fault_in`); a buffer the device fills with a copy is faulted in
 whole before the copy. Either way it takes one `memory.Populator` advice.
+Only a buffer mapped fresh is advised: one reused from the free list was
+faulted in by the fill that wrote it, so its requests are skipped.
 
 Like every layer above it, the device is driven from one thread: each
 operation completes before the next starts, so none locks or retries.
@@ -95,6 +97,7 @@ class ZnsDevice:
         self.counters = DeviceCounters()
         self._free = {}     # length -> buffers no zone holds
         self._lent = {}     # id -> buffer lent out and not yet appended
+        self._fresh = set()  # ids of lent buffers mapped fresh, never filled
         self._holders = {}  # id(buffer) -> zone chunks holding it
         self._populator = Populator()
 
@@ -123,15 +126,18 @@ class ZnsDevice:
     # -- buffers -----------------------------------------------------------
 
     def _take(self, length):
+        """A buffer of `length` bytes, and whether it was mapped just now
+        rather than reused from the free list."""
         pool = self._free.get(length)
         if pool:
-            return pool.pop()
-        return mmap.mmap(-1, length, flags=mmap.MAP_PRIVATE)
+            return pool.pop(), False
+        return mmap.mmap(-1, length, flags=mmap.MAP_PRIVATE), True
 
     def _copied(self, data):
         """A buffer of the device's holding a copy of `data`."""
-        buf = self._take(len(data))
-        self._populator.populate(buf, 0, len(buf))
+        buf, fresh = self._take(len(data))
+        if fresh:
+            self._populator.populate(buf, 0, len(buf))
         try:
             buf[:] = data
         except BaseException:
@@ -143,14 +149,19 @@ class ZnsDevice:
         """A writable buffer of `length` bytes, not yet faulted in.
         Appending it whole gives it to the device without a copy; after
         that its borrower must not write to it."""
-        buf = self._take(length)
+        buf, fresh = self._take(length)
         self._lent[id(buf)] = buf
+        if fresh:
+            self._fresh.add(id(buf))
         return buf
 
     def fault_in(self, buf, start: int, length: int):
         """Fault in `length` bytes of a lent buffer from `start`, a page
-        boundary, ahead of the borrower's writes there."""
-        self._populator.populate(buf, start, length)
+        boundary, ahead of the borrower's writes there. A buffer reused
+        from the free list was faulted in by the fill that wrote it, so
+        it is not advised again."""
+        if id(buf) in self._fresh:
+            self._populator.populate(buf, start, length)
 
     def _admit(self, zone_id, length) -> _Zone:
         """Check that `length` bytes fit at the zone's write pointer; a
@@ -207,6 +218,7 @@ class ZnsDevice:
         if len(payload) == 0:
             return zone_id * self.config.zone_capacity + zone.write_pointer
         buf = self._lent.pop(id(payload), None)
+        self._fresh.discard(id(payload))
         if buf is None:
             buf = self._copied(payload)
         return self._hold(zone, buf)

@@ -467,6 +467,36 @@ def test_only_fault_in_advises_one_call_per_request(monkeypatch):
                                (23, 2 * chunk + 3 * PAGE, 5 * PAGE)]
 
 
+def test_fault_in_advises_only_ranges_holding_a_page_never_advised(monkeypatch):
+    # memory asked for once is resident: filling the same address again
+    # gives no advice, while a request reaching even one page never asked
+    # for is advised whole
+    monkeypatch.setattr(memory, "POPULATE_WRITE", 23)
+    ftl = make_ftl(ppb=8, blocks=24)
+    ftl.arena = RecordingArena()
+    chunk = 8 * PAGE
+    for fill in (b"a", b"b"):  # the same region filled twice
+        view = ftl.lend_buffer(chunk, chunk)
+        for start in range(0, chunk, 2 * PAGE):
+            ftl.fault_in(chunk + start, 2 * PAGE)
+            view[start:start + 2 * PAGE] = fill * 2 * PAGE
+        ftl.ftl_write(chunk, view)
+        assert ftl.ftl_read(chunk, chunk) == fill * chunk
+    steps = [(23, chunk + start, 2 * PAGE) for start in range(0, chunk, 2 * PAGE)]
+    assert ftl.arena.calls == steps
+    ftl.fault_in(chunk, chunk)                 # every page asked for: skipped
+    ftl.fault_in(2 * chunk - PAGE, 2 * PAGE)   # one new page at the end
+    ftl.fault_in(chunk - PAGE, 2 * PAGE)       # one new page at the start
+    ftl.fault_in(3 * chunk, PAGE + 1)          # a part page counts whole
+    ftl.fault_in(3 * chunk + PAGE, PAGE)
+    assert ftl.arena.calls == steps + [(23, 2 * chunk - PAGE, 2 * PAGE),
+                                       (23, chunk - PAGE, 2 * PAGE),
+                                       (23, 3 * chunk, PAGE + 1)]
+    asked = list(ftl.arena.calls)
+    churn_and_check(ftl)                       # writes fault in, unadvised
+    assert ftl.arena.calls == asked
+
+
 @pytest.mark.parametrize("fallback", ["off_linux", "advice_fails"])
 def test_writes_read_back_without_populate_advice(monkeypatch, fallback):
     monkeypatch.setattr(memory, "POPULATE_WRITE",

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from zonecache import errors
+from zonecache import errors, memory
 from zonecache.zcache import FAULT_STEP, CacheConfig, Policy, RegionCache
 from zonecache.zstorage import DropVerb
 
@@ -160,6 +160,11 @@ class FaultRecordingStore(FakeStore):
         assert length == min(FAULT_STEP, self.region_size - start)
         asked.append((start, length))
         buffer.faulted = start + length
+
+
+def test_fault_step_is_whole_pages():
+    # the stores advise memory a page at a time, from step boundaries
+    assert FAULT_STEP > 0 and FAULT_STEP % memory.PAGE == 0
 
 
 def test_region_buffers_are_faulted_in_step_by_step_ahead_of_the_fill():

@@ -341,13 +341,9 @@ def test_migrated_regions_survive_reuse_of_every_freed_buffer():
 
 # --- faulting buffers in -------------------------------------------------------
 
-@pytest.mark.parametrize("advice", ["works", "off_linux", "fails"])
-def test_buffers_are_faulted_in_once_per_request_and_read_back_without_it(
-        monkeypatch, advice):
-    # a lent buffer is faulted in only as its borrower asks, a buffer the
-    # device copies into is faulted in whole first, and the bytes are the
-    # same when the advice is missing or raises; a failed advice is not
-    # retried
+def record_advice(monkeypatch, advice):
+    """Map the device's buffers so that every advice on them is recorded;
+    `advice` is "works", "off_linux" (no advice to give) or "fails"."""
     calls = []
 
     class RecordingMap(mmap.mmap):
@@ -360,23 +356,72 @@ def test_buffers_are_faulted_in_once_per_request_and_read_back_without_it(
                         None if advice == "off_linux" else 23)
     monkeypatch.setattr(zns_module, "mmap", SimpleNamespace(
         mmap=RecordingMap, MAP_PRIVATE=mmap.MAP_PRIVATE))
+    return calls
+
+
+def fill_in_steps(dev, buf, tag):
+    """Fill a lent buffer 4 KiB at a time, asking for each step first, as
+    the cache does; returns the bytes written."""
+    for start in range(0, len(buf), 4 * KIB):
+        dev.fault_in(buf, start, 4 * KIB)
+        buf[start:start + 4 * KIB] = bytes([tag + start // KIB]) * 4 * KIB
+    return bytes(buf)
+
+
+STEPS = [(23, start, 4 * KIB) for start in range(0, 16 * KIB, 4 * KIB)]
+
+
+@pytest.mark.parametrize("advice", ["works", "off_linux", "fails"])
+def test_buffers_are_faulted_in_once_per_request_and_read_back_without_it(
+        monkeypatch, advice):
+    # a lent buffer is faulted in only as its borrower asks, a buffer the
+    # device copies into is faulted in whole first, and the bytes are the
+    # same when the advice is missing or raises; a failed advice is not
+    # retried
+    calls = record_advice(monkeypatch, advice)
     dev = small_device()
     buf = dev.lend_buffer(16 * KIB)
     assert calls == []                         # lending faults nothing in
-    for start in range(0, 16 * KIB, 4 * KIB):
-        dev.fault_in(buf, start, 4 * KIB)
-        buf[start:start + 4 * KIB] = bytes([start // KIB + 1]) * 4 * KIB
-    want = bytes(buf)
+    want = fill_in_steps(dev, buf, 1)
     addr = dev.append(0, buf)
     moved = dev.copy(addr + 4 * KIB, 8 * KIB, 1)  # part of a buffer: a copy
     copied = dev.append(1, b"z" * 4 * KIB)
     assert dev.read(addr, 16 * KIB) == want
     assert dev.read(moved, 8 * KIB) == want[4 * KIB:12 * KIB]
     assert dev.read(copied, 4 * KIB) == b"z" * 4 * KIB
-    steps = [(23, start, 4 * KIB) for start in range(0, 16 * KIB, 4 * KIB)]
-    expected = {"works": steps + [(23, 0, 8 * KIB), (23, 0, 4 * KIB)],
-                "off_linux": [], "fails": steps[:1]}
+    expected = {"works": STEPS + [(23, 0, 8 * KIB), (23, 0, 4 * KIB)],
+                "off_linux": [], "fails": STEPS[:1]}
     assert calls == expected[advice]
+
+
+@pytest.mark.parametrize("advice", ["works", "off_linux", "fails"])
+def test_buffers_reused_from_the_free_list_are_not_advised_again(
+        monkeypatch, advice):
+    # a buffer back from a reset was faulted in by the fill that wrote it:
+    # lending it again and filling it step by step, or copying into it,
+    # gives no advice, and the bytes read back the same either way
+    calls = record_advice(monkeypatch, advice)
+    dev = small_device()
+    buf = dev.lend_buffer(16 * KIB)
+    first = fill_in_steps(dev, buf, 1)
+    dev.append(0, buf)
+    dev.append(0, b"y" * 8 * KIB)               # copied into a fresh buffer
+    dev.reset(0)
+    asked = list(calls)
+    assert asked == {"works": STEPS + [(23, 0, 8 * KIB)],
+                     "off_linux": [], "fails": STEPS[:1]}[advice]
+    again = dev.lend_buffer(16 * KIB)
+    assert again is buf                         # from the free list
+    want = fill_in_steps(dev, again, 101)
+    assert want != first
+    addr = dev.append(1, again)
+    moved = dev.copy(addr + 4 * KIB, 8 * KIB, 2)  # into the reused 8 KiB buffer
+    copied = dev.append(2, b"z" * 4 * KIB)      # a fresh 4 KiB buffer
+    assert dev.read(addr, 16 * KIB) == want
+    assert dev.read(moved, 8 * KIB) == want[4 * KIB:12 * KIB]
+    assert dev.read(copied, 4 * KIB) == b"z" * 4 * KIB
+    fresh = [(23, 0, 4 * KIB)] if advice == "works" else []
+    assert calls == asked + fresh
 
 
 # --- counters -------------------------------------------------------------------
