@@ -303,6 +303,27 @@ def test_gc_unknown_drop_verb_is_a_program_fault():
         store.gc_cycle(lambda vaddr: None)
 
 
+def test_gc_refuses_to_reset_a_victim_another_region_maps_into():
+    # the check before a reset reads the whole map, not only the regions
+    # the victim held: one mapped into it behind the filter's back stops it
+    dev, store = make_store()
+    drain_to_trigger(store)
+    stray = max(store.forward) + store.region_size
+    victims = []
+
+    def alias_then_drop(vaddr):
+        if not victims:
+            victims.append(store.zone_of(vaddr))
+            store.forward[stray] = store.forward[vaddr]
+        return DropVerb.DROP
+
+    with pytest.raises(RuntimeError) as exc:
+        store.gc_cycle(alias_then_drop)
+    assert str(exc.value) == (
+        f"zone {victims[0]} still holds mapped regions after cleaning")
+    assert dev.write_pointer(victims[0]) == dev.config.zone_capacity
+
+
 def test_gc_stalls_when_every_victim_is_fully_valid():
     # all-distinct writes leave no invalid holes: migrating reclaims exactly
     # as much space as it consumes, which must fail fast rather than loop
