@@ -118,10 +118,13 @@ class ZnsDevice:
 
     def open_zone_count(self) -> int:
         cap = self.config.zone_capacity
-        return sum(1 for z in self._zones if 0 < z.write_pointer < cap)
+        return sum(1 for wp in self.write_pointers() if 0 < wp < cap)
 
     def write_pointer(self, zone_id) -> int:
         return self._zone(zone_id).write_pointer
+
+    def write_pointers(self) -> list:
+        return [z.write_pointer for z in self._zones]
 
     # -- buffers -----------------------------------------------------------
 

@@ -15,10 +15,10 @@ append-only, so a zone's regions in address order are its regions in append
 order.
 
 Background GC is watermark-driven: it starts when the empty-zone count
-falls below the low watermark and stops once the high watermark is reached.
-What happens to each valid region in a victim zone is decided by a caller
-supplied drop filter, so the cache layer owns policy while this layer owns
-mechanism.
+falls below the low watermark and stops at the high one. A cycle reads the
+map once, into a per-zone view it updates as migrations land, and each
+decision reads the write pointers in one pass. A caller supplied drop filter
+decides each victim region's fate: the cache owns policy, the store mechanism.
 
 Everything runs on one thread: the scheme calls GC between cache
 operations, so no read overlaps a reset. Every region mapped in a victim
@@ -127,15 +127,14 @@ class ZoneStore:
     @property
     def empty_zones(self) -> list:
         """Zones at write pointer 0 outside the rotation, lowest id first."""
-        wp = self.device.write_pointer
-        return [z for z in range(self.zone_count)
-                if wp(z) == 0 and z not in self.write_zones]
+        return [z for z, wp in enumerate(self.device.write_pointers())
+                if wp == 0 and z not in self.write_zones]
 
     @property
     def read_zones(self) -> list:
         """Zones at capacity, lowest id first."""
-        wp, cap = self.device.write_pointer, self.device.config.zone_capacity
-        return [z for z in range(self.zone_count) if wp(z) == cap]
+        return [z for z, wp in enumerate(self.device.write_pointers())
+                if wp == self.device.config.zone_capacity]
 
     def gc_needed(self) -> bool:
         return len(self.empty_zones) < self.gc_trigger_zones
@@ -151,6 +150,12 @@ class ZoneStore:
         for paddr in self.forward.values():
             valid[paddr // cap] += self.region_size
         return valid
+
+    def _vaddrs_by_zone(self) -> dict:  # zones holding no region are absent
+        vaddrs, cap = {}, self.device.config.zone_capacity
+        for vaddr, paddr in self.forward.items():
+            vaddrs.setdefault(paddr // cap, []).append(vaddr)
+        return vaddrs
 
     def _place(self, write) -> int:
         """Run `write(zone_id)` on the next write zone, topped up from the
@@ -215,20 +220,21 @@ class ZoneStore:
 
     # -- garbage collection ------------------------------------------------------
 
-    def select_victim(self) -> int:
-        if not self.read_zones:
-            raise errors.GcStalled(
-                "below low watermark with no victim available")
-        valid = self.valid_bytes
-        return min(self.read_zones, key=lambda z: (valid[z], z))
+    def select_victim(self, view=None) -> int:
+        """Full zone with fewest regions in `view` (`_vaddrs_by_zone()` if None)."""
+        full = self.read_zones
+        if not full:
+            raise errors.GcStalled("below low watermark with no victim available")
+        view = self._vaddrs_by_zone() if view is None else view
+        return min(full, key=lambda z: (len(view.get(z, ())), z))
 
     def gc_cycle(self, drop_filter) -> GcStats:
         """One watermark-bounded cleaning pass.
 
-        For every valid region in each victim (in append order) the drop
-        filter answers Migrate or Drop. The victim is then reset and
-        returned to the empty group. No-op unless the trigger watermark
-        has been crossed.
+        No-op unless below the trigger watermark. Reads `forward` once,
+        into a view updated as migrations land, and picks each victim from
+        it; the drop filter answers Migrate or Drop for each of the victim's
+        regions in append order, then the victim is reset and returns to empty.
         """
         stats = GcStats()
         if not self.gc_needed():
@@ -242,8 +248,9 @@ class ZoneStore:
         regions_per_zone = self.device.config.zone_capacity // self.region_size
         stagnant_limit = max(self.zone_count, regions_per_zone) + 1
         stagnant = 0
+        view = self._vaddrs_by_zone()
         while empty < self.gc_stop_zones:
-            self._clean_zone(self.select_victim(), drop_filter, stats)
+            self._clean_zone(self.select_victim(view), drop_filter, stats, view)
             empty = len(self.empty_zones)
             if empty > best:
                 best = empty
@@ -256,15 +263,15 @@ class ZoneStore:
         self.gc_log.append((entry_empty, empty))
         return stats
 
-    def _clean_zone(self, victim, drop_filter, stats):
+    def _clean_zone(self, victim, drop_filter, stats, view):
         cap = self.device.config.zone_capacity
-        snapshot = sorted((paddr, vaddr) for vaddr, paddr in self.forward.items()
-                          if paddr // cap == victim)  # append order
-        for paddr, vaddr in snapshot:
+        for vaddr in sorted(view.pop(victim, ()), key=self.forward.get):
+            paddr = self.forward[vaddr]  # address order is append order
             verb = drop_filter(vaddr)
             if verb is DropVerb.MIGRATE:
-                self.forward[vaddr] = self._place(
+                moved = self.forward[vaddr] = self._place(
                     lambda zone: self.device.copy(paddr, self.region_size, zone))
+                view.setdefault(moved // cap, []).append(vaddr)
                 self.migrated_bytes += self.region_size
                 stats.migrated_bytes += self.region_size
                 stats.migrated_regions += 1
@@ -273,7 +280,7 @@ class ZoneStore:
                 stats.dropped_regions += 1
             else:
                 raise RuntimeError(f"drop filter returned {verb!r}")
-        if self.valid_bytes[victim]:
+        if any(p // cap == victim for p in self.forward.values()):
             raise RuntimeError(
                 f"zone {victim} still holds mapped regions after cleaning")
         self.device.reset(victim)

@@ -53,7 +53,11 @@ def test_traced_run_matches_untraced_run(name):
     if name in ("zns-middle-lru", "zns-middle-fifo"):
         assert layers["zcache.drop_filter_calls"] > 0
         assert layers["zcache.drops"] == 0
-    # the tracer reads GC victims from the store by name (`valid_bytes`)
+    # the tracer reads GC victims from the store by name (`valid_bytes`),
+    # and counts them where `gc_cycle` picks through `select_victim`: one
+    # pick per reclaimed zone, or the victim valid ratio reads 0
     if name in ("zcachelib", "zns-middle-lru", "zns-middle-fifo"):
         assert layers["zstorage.gc_reclaimed_zones"] > 0
+        assert tracer.counts["zstorage.victims"] == \
+            layers["zstorage.gc_reclaimed_zones"]
         assert 0 < layers["zstorage.gc_victim_valid_ratio"] < 1

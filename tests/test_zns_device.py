@@ -126,6 +126,32 @@ def test_open_zone_limit_enforced():
     assert dev.zone_state(2) is ZoneState.OPEN
 
 
+def test_write_pointers_read_every_zone_in_one_list():
+    # appends, a copy, an append refused at the open-zone limit and a reset
+    # each leave the one-pass list equal to the per-zone reads, and the
+    # open-zone count is the zones strictly between empty and full
+    dev = small_device(zone_count=4, zone_capacity=8 * KIB, max_open=2)
+
+    def check(expected):
+        assert dev.write_pointers() == expected
+        assert dev.write_pointers() == [dev.write_pointer(z) for z in range(4)]
+        assert dev.open_zone_count() == sum(0 < wp < 8 * KIB
+                                            for wp in expected)
+
+    check([0, 0, 0, 0])
+    src = dev.append(0, b"a" * 4096)
+    dev.append(0, b"b" * 4096)
+    dev.append(1, b"c" * 1000)
+    check([8 * KIB, 1000, 0, 0])
+    dev.copy(src, 4096, 2)
+    check([8 * KIB, 1000, 4096, 0])
+    with pytest.raises(errors.MaxOpenZonesExceeded):
+        dev.append(3, b"d")
+    check([8 * KIB, 1000, 4096, 0])
+    dev.reset(0)
+    check([0, 1000, 4096, 0])
+
+
 # --- reads --------------------------------------------------------------------
 
 def test_read_roundtrip_single_append():
@@ -533,6 +559,8 @@ class DeviceMachine(RuleBasedStateMachine):
     def states_match_model(self):
         if not hasattr(self, "dev"):
             return
+        assert self.dev.write_pointers() == [
+            len(self.model[z]) for z in range(self.ZONES)]
         for z in range(self.ZONES):
             buf = self.model[z]
             assert self.dev.write_pointer(z) == len(buf)

@@ -342,8 +342,8 @@ def migrate_first_victims(store, n):
     victims = []
     pick = store.select_victim
 
-    def counting_pick():
-        victims.append(pick())
+    def counting_pick(*args):
+        victims.append(pick(*args))
         return victims[-1]
     store.select_victim = counting_pick
 
@@ -510,6 +510,70 @@ def test_map_stays_bijective_under_random_ops(seed):
     for addr, data in shadow.items():
         assert store.read_region(addr) == data
     assert set(store.forward) == set(shadow)
+
+
+# --- victim choice against the rule read fresh ----------------------------------------
+
+def fresh_victim(store):
+    """The victim rule read fresh from the device and the map: among zones
+    at capacity, fewest valid bytes, then lowest id."""
+    dev = store.device
+    cap = dev.config.zone_capacity
+    mapped = [paddr // cap for paddr in store.forward.values()]
+    full = [z for z in range(store.zone_count) if dev.write_pointer(z) == cap]
+    return min(full, key=lambda z: (mapped.count(z), z))
+
+
+def churn_with_checked_picks(store, seed, vaddr_count, steps=400):
+    """Random writes and invalidations with migrate-all GC. Each pick is
+    checked against `fresh_victim` as GC makes it, and each cycle must end
+    at or above the stop target by a fresh count. Returns how many picks
+    came after migrations had filled a zone that was a write zone when the
+    cycle began (only migrations append inside a cycle)."""
+    pick = store.select_victim
+    began = []           # the write zones when the running cycle began
+    filled_picks = 0
+
+    def checked(*args):
+        nonlocal filled_picks
+        assert len(store.empty_zones) < store.gc_stop_zones
+        expected = fresh_victim(store)
+        victim = pick(*args)
+        assert victim == expected
+        cap = store.device.config.zone_capacity
+        filled_picks += any(store.device.write_pointer(z) == cap
+                            for z in began)
+        return victim
+    store.select_victim = checked
+
+    rng = random.Random(seed)
+    vaddrs = [i * store.region_size for i in range(vaddr_count)]
+    for step in range(steps):
+        addr = rng.choice(vaddrs)
+        if rng.random() < 0.70 or addr not in store.forward:
+            store.write_region(addr, payload(step))
+        else:
+            store.invalidate_region(addr)
+        if store.gc_needed():
+            began[:] = store.write_zones
+            store.gc_cycle(migrate_all)
+            assert store.gc_log[-1][1] == len(store.empty_zones)
+            assert len(store.empty_zones) >= store.gc_stop_zones
+    assert store.gc_log
+    return filled_picks
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_each_victim_is_the_fresh_pick_under_random_ops(seed):
+    dev, store = make_store(zone_count=12)
+    churn_with_checked_picks(store, seed, vaddr_count=10)
+
+
+def test_each_victim_is_the_fresh_pick_after_migrations_fill_a_write_zone():
+    # one write zone and few live regions: inside a cycle, migrations fill
+    # the write zone that was open when it began, and the cycle picks again
+    dev, store = make_store(min_write=1)
+    assert churn_with_checked_picks(store, 1, vaddr_count=8) > 0
 
 
 # --- over-provisioning calculator --------------------------------------------------------
