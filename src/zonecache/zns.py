@@ -7,14 +7,18 @@ between, since the device has no explicit open, close or finish command.
 Payloads are stored byte-faithfully so read-back and migration tests can
 compare actual buffers, not just sizes.
 
-The device owns the buffers that hold its data. It lends out writable
-buffers (`lend_buffer`); appending a lent buffer whole hands it back
-without a copy, and its borrower must not write to it again. Any other
-payload is copied into a buffer the device owns. `copy` moves data between
-zones inside the device, like NVMe ZNS Simple Copy: a whole appended
-buffer is shared by reference, not copied. A reset returns the zone's
-buffers to a free list, keyed by length, once no zone holds them any more;
-lending and copying draw from that list before mapping a new buffer.
+The device owns the buffers that hold its data. A buffer is
+  lent         by `lend_buffer`, writable; appending it whole hands it back
+               without a copy, and its borrower must not write to it again
+               (any other payload is copied into a buffer of the device's);
+  appended     to a zone, which holds it at its write pointer;
+  shared       by a second zone when `copy` moves it whole, like NVMe ZNS
+               Simple Copy, and then held by both;
+  deallocated  by one of its zones (`deallocate`, like an NVMe Deallocate
+               hint), which drops that hold and leaves the range unreadable;
+  reset        with a zone, which drops every hold the zone still has.
+Once no zone holds it, it goes to a free list keyed by length, which
+lending and copying draw from before mapping a new buffer.
 
 A new buffer is mapped without faulting its pages in. A lent buffer's
 borrower asks for it to be faulted in a step at a time, just ahead of its
@@ -184,6 +188,14 @@ class ZnsDevice:
                 f"{self.config.max_open_zones} open zones")
         return zone
 
+    def _release(self, buf):
+        """Drop one zone's hold on `buf`; the last one frees it."""
+        held = self._holders.pop(id(buf)) - 1
+        if held:
+            self._holders[id(buf)] = held
+        else:
+            self._free.setdefault(len(buf), []).append(buf)
+
     def _hold(self, zone, buf) -> int:
         """Place `buf` at the zone's write pointer; returns its address."""
         cap = self.config.zone_capacity
@@ -233,45 +245,55 @@ class ZnsDevice:
         buffer is shared, not copied."""
         src, offset = self._locate(src_paddr, length)
         zone = self._admit(zone_id, length)
-        self.counters.total_read_bytes += length
         if length == 0:
             return zone_id * self.config.zone_capacity + zone.write_pointer
         i = bisect.bisect_right(src.chunk_starts, offset) - 1
         buf = src.chunks[i]
-        if src.chunk_starts[i] != offset or len(buf) != length:
+        if buf is None or src.chunk_starts[i] != offset or len(buf) != length:
             buf = self._copied(self._slice(src, offset, length))
+        self.counters.total_read_bytes += length
         return self._hold(zone, buf)
 
     def read(self, physical_address: int, length: int) -> bytes:
         zone, offset = self._locate(physical_address, length)
+        data = self._slice(zone, offset, length) if length else b""
         self.counters.total_read_bytes += length
-        if length == 0:
-            return b""
-        return self._slice(zone, offset, length)
+        return data
 
     @staticmethod
     def _slice(zone, offset, length) -> bytes:
         i = bisect.bisect_right(zone.chunk_starts, offset) - 1
         start = zone.chunk_starts[i]
         chunk = zone.chunks[i]
-        if offset + length <= start + len(chunk):
-            lo = offset - start
+        lo = offset - start
+        if chunk is not None and offset + length <= start + len(chunk):
             return chunk[lo:lo + length]
         # the range spans appends smaller than the read: join them, then cut
-        end = bisect.bisect_left(zone.chunk_starts, offset + length)
-        lo = offset - start
-        return b"".join(zone.chunks[i:end])[lo:lo + length]
+        chunks = zone.chunks[i:bisect.bisect_left(zone.chunk_starts,
+                                                  offset + length)]
+        if None in chunks:
+            raise errors.Unmapped(f"zone {zone.id}: {offset} +{length} is freed")
+        return b"".join(chunks)[lo:lo + length]
+
+    def deallocate(self, physical_address: int, length: int):
+        """Drop the one appended buffer that covers exactly this range. The
+        range reads as unmapped from then on; the buffer is freed once no
+        other zone holds it. Nothing is charged and no zone state moves."""
+        zone, offset = self._locate(physical_address, length)
+        i = bisect.bisect_right(zone.chunk_starts, offset) - 1
+        buf = zone.chunks[i] if length else None
+        if buf is None or zone.chunk_starts[i] != offset or len(buf) != length:
+            raise errors.Misaligned(f"zone {zone.id}: [{offset}, "
+                                    f"{offset + length}) is not one append")
+        zone.chunks[i] = None
+        self._release(buf)
 
     def reset(self, zone_id: int):
-        """Wipe the zone and return it to EMPTY. Each of its buffers goes
-        back to the free list once no other zone holds it."""
+        """Wipe the zone and return it to EMPTY, dropping its holds."""
         zone = self._zone(zone_id)
         for buf in zone.chunks:
-            held = self._holders.pop(id(buf)) - 1
-            if held:
-                self._holders[id(buf)] = held
-            else:
-                self._free.setdefault(len(buf), []).append(buf)
+            if buf is not None:
+                self._release(buf)
         zone.write_pointer = 0
         zone.chunks = []
         zone.chunk_starts = []

@@ -215,8 +215,11 @@ class ZoneStore:
         return self.device.read(paddr + offset, length)
 
     def invalidate_region(self, virtual_address: int):
-        if self.forward.pop(virtual_address, None) is None:
+        """Unmap the region and deallocate its bytes on the device."""
+        paddr = self.forward.pop(virtual_address, None)
+        if paddr is None:
             raise errors.UnmappedRegion(f"virtual address {virtual_address}")
+        self.device.deallocate(paddr, self.region_size)
 
     # -- garbage collection ------------------------------------------------------
 

@@ -7,7 +7,7 @@ sequences are comparable across backends.
 
 import pytest
 
-from helpers import KIB, MIB, drive, make_script, tiny_spec
+from helpers import KIB, MIB, device_buffers, drive, make_script, tiny_spec
 from zonecache import SchemeSpec, build, errors, wa_factor
 from zonecache.harness import ExperimentConfig, _Driver, run
 from zonecache.schemes import _capacity_regions
@@ -144,6 +144,23 @@ def test_open_zones_never_exceed_write_zones(name, setup):
         peak = max(peak, engine.device.open_zone_count())
         assert peak <= engine.store.min_write_zones
     assert peak == (0 if name == "zns-direct" else engine.store.min_write_zones)
+
+
+@pytest.mark.parametrize("name", ["zcachelib", "zns-middle-lru",
+                                  "zns-direct"])
+def test_device_maps_no_more_buffers_than_the_cache_has_regions(name):
+    # an evicted region's buffer goes back to the device at eviction, so the
+    # cache's next region reuses it instead of mapping one more while the
+    # evicted bytes wait for GC to reset their zone; the device never
+    # unmaps a buffer, so the count at the end is the run's peak
+    engine, ops = _golden_sized_run(name)
+    driver = _Driver(engine)
+    for op in ops:
+        driver.step(op)
+    assert engine.gc_events > 0
+    held, free, lent = device_buffers(engine.device)
+    owned = len(held) + len(free) + len(lent)
+    assert owned <= engine.cache.config.cache_capacity_regions
 
 
 @pytest.mark.parametrize("name", ["zcachelib", "zns-middle-lru"])

@@ -6,6 +6,7 @@ against a second implementation, not against the device itself.
 """
 
 import mmap
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
                                  precondition, rule)
 
+from helpers import device_buffers
 from zonecache import DeviceConfig, ZnsDevice, ZoneState, errors, memory
 from zonecache import zns as zns_module
 
@@ -450,6 +452,119 @@ def test_buffers_reused_from_the_free_list_are_not_advised_again(
     assert calls == asked + fresh
 
 
+# --- deallocation -----------------------------------------------------------------
+
+def test_deallocated_buffer_is_lent_again_without_advice(monkeypatch):
+    # the buffer was faulted in by the fill that wrote it: lending it again
+    # and filling it step by step gives no advice, and it reads back
+    calls = record_advice(monkeypatch, "works")
+    dev = small_device()
+    buf = dev.lend_buffer(16 * KIB)
+    fill_in_steps(dev, buf, 1)
+    addr = dev.append(0, buf)
+    dev.deallocate(addr, 16 * KIB)
+    assert calls == STEPS
+    again = dev.lend_buffer(16 * KIB)
+    assert again is buf
+    want = fill_in_steps(dev, again, 101)
+    assert calls == STEPS
+    assert dev.read(dev.append(1, again), 16 * KIB) == want
+
+
+def test_read_and_copy_over_a_deallocated_range_raise():
+    dev = small_device()
+    first = dev.append(0, lent(dev, 1, 8 * KIB))
+    second = dev.append(0, lent(dev, 2, 8 * KIB))
+    dev.deallocate(first, 8 * KIB)
+    before = replace(dev.counters)
+    for addr, length in [(first, 8 * KIB), (first + 100, 200),
+                         (first + 4 * KIB, 8 * KIB), (first, 16 * KIB)]:
+        with pytest.raises(errors.Unmapped):
+            dev.read(addr, length)
+        with pytest.raises(errors.Unmapped):
+            dev.copy(addr, length, 1)
+    assert dev.counters == before
+    assert dev.zone_state(1) is ZoneState.EMPTY
+    assert dev.read(second, 8 * KIB) == bytes([2]) * 8 * KIB
+    assert dev.read(first, 0) == b""
+
+
+@pytest.mark.parametrize("fill", [12 * KIB, 64 * KIB], ids=["open", "full"])
+def test_deallocate_moves_no_pointer_state_or_counter(fill):
+    dev = small_device()
+    addr = dev.append(0, lent(dev, 1, 12 * KIB))
+    if fill > 12 * KIB:
+        dev.append(0, b"x" * (fill - 12 * KIB))
+    dev.read(addr, 4 * KIB)
+    state, before = dev.zone_state(0), replace(dev.counters)
+    dev.deallocate(addr, 12 * KIB)
+    assert dev.write_pointer(0) == fill
+    assert dev.zone_state(0) is state
+    assert dev.counters == before
+
+
+@pytest.mark.parametrize("offset,length", [
+    (0, 4 * KIB), (4 * KIB, 4 * KIB), (0, 16 * KIB), (8 * KIB, 8 * KIB),
+    (0, 0), (8 * KIB, 0)],
+    ids=["head", "middle", "two_appends", "later_two_appends", "zero",
+         "zero_inside"])
+def test_deallocate_rejects_a_range_that_is_not_one_append(offset, length):
+    # zone 0 holds an 8 KiB then a 4 KiB append, and a third of 4 KiB where
+    # the range reaches past them; only each whole one could be dropped
+    dev = small_device()
+    first = dev.append(0, lent(dev, 1, 8 * KIB))
+    dev.append(0, lent(dev, 2, 4 * KIB))
+    if length > 12 * KIB - offset:
+        dev.append(0, lent(dev, 3, 4 * KIB))
+    with pytest.raises(errors.Misaligned):
+        dev.deallocate(first + offset, length)
+    assert dev.read(first, 12 * KIB) == (bytes([1]) * 8 * KIB
+                                         + bytes([2]) * 4 * KIB)
+
+
+def test_deallocate_twice_or_past_the_write_pointer_is_rejected():
+    dev = small_device()
+    buf = lent(dev, 1, 4 * KIB)
+    addr = dev.append(0, buf)
+    with pytest.raises(errors.ReadBeyondWritePointer):
+        dev.deallocate(addr + 4 * KIB, 4 * KIB)
+    dev.deallocate(addr, 4 * KIB)
+    with pytest.raises(errors.Misaligned):
+        dev.deallocate(addr, 4 * KIB)
+    assert device_buffers(dev) == (set(), [id(buf)], [])
+
+
+def test_shared_buffer_is_freed_only_when_both_zones_let_go():
+    dev = small_device()
+    buf = lent(dev, 1, 4 * KIB)
+    src = dev.append(0, buf)
+    dst = dev.copy(src, 4 * KIB, 1)
+    dev.deallocate(src, 4 * KIB)
+    assert device_buffers(dev)[1] == []
+    other = lent(dev, 2, 4 * KIB)
+    assert other is not buf
+    assert dev.read(dst, 4 * KIB) == bytes([1]) * 4 * KIB
+    dev.deallocate(dst, 4 * KIB)
+    assert dev.lend_buffer(4 * KIB) is buf
+
+
+def test_reset_after_a_deallocation_frees_only_the_rest_of_the_zone():
+    # the deallocated buffer went back at once and is lent out again, so
+    # the reset must not put it on the free list a second time
+    dev = small_device()
+    first = lent(dev, 1, 4 * KIB)
+    second = lent(dev, 2, 4 * KIB)
+    dev.deallocate(dev.append(0, first), 4 * KIB)
+    dev.append(0, second)
+    assert dev.lend_buffer(4 * KIB) is first
+    dev.reset(0)
+    assert device_buffers(dev)[1] == [id(second)]
+    assert dev.lend_buffer(4 * KIB) is second
+    fresh = dev.lend_buffer(4 * KIB)
+    assert fresh is not first and fresh is not second
+    assert dev.counters.total_resets == 1
+
+
 # --- counters -------------------------------------------------------------------
 
 def test_counters_accumulate():
@@ -478,47 +593,73 @@ class DeviceMachine(RuleBasedStateMachine):
         self.dev = ZnsDevice(DeviceConfig(zone_count=self.ZONES,
                                           zone_capacity=self.CAP,
                                           max_open_zones=self.MAX_OPEN))
+        self.mapped = []  # every buffer the device has mapped
+        take = self.dev._take
+
+        def recording_take(length):
+            buf, fresh = take(length)
+            if fresh:
+                self.mapped.append(buf)
+            return buf, fresh
+        self.dev._take = recording_take
         self.model = {z: bytearray() for z in range(self.ZONES)}
-        # per zone, the (start, length) of each write it holds
+        # per zone, the (start, length) of each write it holds, and the
+        # starts of those deallocated
         self.spans = {z: [] for z in range(self.ZONES)}
+        self.dead = {z: set() for z in range(self.ZONES)}
         self.appended = self.read = 0
         self.counter = 0
 
     def _model_open(self):
         return sum(1 for buf in self.model.values() if 0 < len(buf) < self.CAP)
 
+    def _refusal(self, zone, length):
+        """The error a write of `length` bytes to the zone raises, if any."""
+        used = len(self.model[zone])
+        if used == self.CAP:
+            return errors.ZoneNotWritable
+        if used + length > self.CAP:
+            return errors.ZoneFull
+        if used == 0 and length and self._model_open() >= self.MAX_OPEN:
+            return errors.MaxOpenZonesExceeded
+        return None
+
+    def _freed(self, zone, start, length):
+        """Whether [start, start + length) touches a deallocated write; an
+        empty range touches none."""
+        return any(s in self.dead[zone] and s < start + length
+                   and start < s + n for s, n in self.spans[zone]
+                   if length)
+
     def _write(self, zone, payload, write):
         """Run `write()`, which puts `payload` at the zone's write pointer,
         and check its outcome against the model."""
+        refusal = self._refusal(zone, len(payload))
+        if refusal is not None:
+            with pytest.raises(refusal):
+                write()
+            return False
         buf = self.model[zone]
-        full = len(buf) == self.CAP
-        overflow = len(buf) + len(payload) > self.CAP
-        blocked = (len(buf) == 0 and len(payload) > 0
-                   and self._model_open() >= self.MAX_OPEN)
-        if full:
-            with pytest.raises(errors.ZoneNotWritable):
-                write()
-        elif overflow:
-            with pytest.raises(errors.ZoneFull):
-                write()
-        elif blocked:
-            with pytest.raises(errors.MaxOpenZonesExceeded):
-                write()
-        else:
-            addr = write()
-            assert addr == zone * self.CAP + len(buf)
-            if payload:
-                self.spans[zone].append((len(buf), len(payload)))
-            buf += payload
-            self.appended += len(payload)
-            return True
-        return False
+        addr = write()
+        assert addr == zone * self.CAP + len(buf)
+        if payload:
+            self.spans[zone].append((len(buf), len(payload)))
+        buf += payload
+        self.appended += len(payload)
+        return True
 
-    @rule(zone=st.integers(0, ZONES - 1), size=st.integers(1, 3 * KIB))
-    def append(self, zone, size):
+    @rule(zone=st.integers(0, ZONES - 1), size=st.integers(1, 3 * KIB),
+          lend=st.booleans())
+    def append(self, zone, size, lend):
+        # a lent buffer is adopted whole; one the append refuses stays lent
         self.counter += 1
         payload = bytes([self.counter % 256]) * size
-        self._write(zone, payload, lambda: self.dev.append(zone, payload))
+        if lend:
+            buf = self.dev.lend_buffer(size)
+            buf[:] = payload
+            self._write(zone, payload, lambda: self.dev.append(zone, buf))
+        else:
+            self._write(zone, payload, lambda: self.dev.append(zone, payload))
 
     @rule(src=st.integers(0, ZONES - 1), zone=st.integers(0, ZONES - 1),
           whole=st.booleans(), data=st.data())
@@ -534,15 +675,40 @@ class DeviceMachine(RuleBasedStateMachine):
             start = data.draw(st.integers(0, len(buf) - 1))
             length = data.draw(st.integers(0, len(buf) - start))
         payload = bytes(buf[start:start + length])
-        if self._write(zone, payload, lambda: self.dev.copy(
-                src * self.CAP + start, length, zone)):
+        copy = lambda: self.dev.copy(src * self.CAP + start, length, zone)
+        if (self._refusal(zone, length) is None
+                and self._freed(src, start, length)):
+            with pytest.raises(errors.Unmapped):
+                copy()
+        elif self._write(zone, payload, copy):
             self.read += length
+
+    @rule(zone=st.integers(0, ZONES - 1), whole=st.booleans(),
+          data=st.data())
+    def deallocate(self, zone, whole, data):
+        # only a whole write not yet deallocated can be; any other range
+        # is refused and changes nothing
+        used = len(self.model[zone])
+        if whole and self.spans[zone]:
+            start, length = data.draw(st.sampled_from(self.spans[zone]))
+        else:
+            start = data.draw(st.integers(0, used))
+            length = data.draw(st.integers(0, used - start))
+        addr = zone * self.CAP + start
+        if ((start, length) in self.spans[zone]
+                and start not in self.dead[zone]):
+            self.dev.deallocate(addr, length)
+            self.dead[zone].add(start)
+        else:
+            with pytest.raises(errors.Misaligned):
+                self.dev.deallocate(addr, length)
 
     @rule(zone=st.integers(0, ZONES - 1))
     def reset(self, zone):
         self.dev.reset(zone)
         self.model[zone] = bytearray()
         self.spans[zone] = []
+        self.dead[zone] = set()
 
     @rule(zone=st.integers(0, ZONES - 1), data=st.data())
     def read_back(self, zone, data):
@@ -551,8 +717,12 @@ class DeviceMachine(RuleBasedStateMachine):
             return
         start = data.draw(st.integers(0, len(buf) - 1))
         length = data.draw(st.integers(0, len(buf) - start))
-        got = self.dev.read(zone * self.CAP + start, length)
-        assert got == bytes(buf[start:start + length])
+        addr = zone * self.CAP + start
+        if self._freed(zone, start, length):
+            with pytest.raises(errors.Unmapped):
+                self.dev.read(addr, length)
+            return
+        assert self.dev.read(addr, length) == bytes(buf[start:start + length])
         self.read += length
 
     @invariant()
@@ -575,6 +745,16 @@ class DeviceMachine(RuleBasedStateMachine):
         assert self.dev.counters.total_read_bytes == self.read
         assert self.dev.open_zone_count() == self._model_open()
         assert self.dev.open_zone_count() <= self.MAX_OPEN
+
+    @invariant()
+    def each_buffer_is_lent_held_or_free(self):
+        # and in one of them only: a buffer freed while a zone still holds
+        # it, or freed twice, breaks this
+        if not hasattr(self, "dev"):
+            return
+        held, free, lent = device_buffers(self.dev)
+        owned = [*held, *free, *lent]
+        assert sorted(owned) == sorted(id(buf) for buf in self.mapped)
 
 
 DeviceMachine.TestCase.settings = settings(max_examples=60,

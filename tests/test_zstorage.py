@@ -428,6 +428,88 @@ def test_gc_migration_shares_buffers_that_stay_intact_after_reuse():
     assert len(store.gc_log) > 0
 
 
+class StopCleaning(Exception):
+    pass
+
+
+def test_deallocated_buffers_are_reused_without_touching_live_regions():
+    # random writes, invalidations and migrating GC cycles, some stopped
+    # part way through a victim, which leaves it holding the buffers of the
+    # regions it moved, shared with the zones they moved to. Each
+    # invalidation deallocates its region's buffer, and every buffer the
+    # store lends is overwritten whole: a buffer freed while a zone still
+    # holds it, or freed twice, ends up under two addresses, and the older
+    # one reads back wrong
+    dev, store = make_store(zone_count=16, zone_capacity=128 * KIB,
+                            w_low=12.5, w_high=25.0)
+    cap, size = dev.config.zone_capacity, store.region_size
+    rng = random.Random(7)
+    vaddrs = [i * size for i in range(36)]
+    shadow = {}
+    stale = {}    # address a stopped victim still holds -> its bytes
+    sharing = {}  # mapped vaddr -> the stale address sharing its buffer
+    shared = 0    # invalidations of a region a stopped victim still holds
+    device_reset = dev.reset
+
+    def reset(zone):
+        for addr in [a for a in stale if a // cap == zone]:
+            del stale[addr]
+        for vaddr in [v for v, a in sharing.items() if a // cap == zone]:
+            del sharing[vaddr]
+        device_reset(zone)
+    dev.reset = reset
+
+    def migrate(stop):
+        """A filter that migrates every region; with `stop`, it stops the
+        cycle at a victim's second region instead. `moved` holds the
+        addresses the current victim's regions left."""
+        def decide(vaddr):
+            paddr = store.forward[vaddr]
+            if moved and min(moved.values()) // cap != paddr // cap:
+                moved.clear()  # the last victim was reset
+            elif moved and stop:
+                raise StopCleaning
+            moved[vaddr] = paddr
+            return DropVerb.MIGRATE
+        moved = {}
+        return decide, moved
+
+    for step in range(600):
+        unmapped = [v for v in vaddrs if v not in shadow]
+        held = sorted(sharing)
+        if unmapped and (not shadow or rng.random() < 0.6):
+            vaddr = rng.choice(unmapped)
+            buf = store.region_buffer(vaddr)
+            buf[:] = shadow[vaddr] = step.to_bytes(4, "little") * (size // 4)
+            store.write_region(vaddr, buf)
+        else:
+            # half the time, one a stopped victim still holds, if any
+            vaddr = rng.choice(held if held and rng.random() < 0.5
+                               else sorted(shadow))
+            shared += sharing.pop(vaddr, None) is not None
+            paddr = store.forward[vaddr]
+            store.invalidate_region(vaddr)
+            del shadow[vaddr]
+            with pytest.raises(errors.Unmapped):
+                dev.read(paddr, size)
+            with pytest.raises(errors.Unmapped):
+                dev.read(paddr + 100, 100)
+        if store.gc_needed() and (not stale or rng.random() < 0.3):
+            decide, moved = migrate(stop=rng.random() < 0.5)
+            try:
+                store.gc_cycle(decide)
+            except StopCleaning:
+                for vaddr, paddr in moved.items():
+                    stale[paddr] = shadow[vaddr]
+                    sharing[vaddr] = paddr
+        for vaddr, data in shadow.items():
+            assert store.read_region(vaddr) == data, f"step {step}"
+        for addr, data in stale.items():
+            assert dev.read(addr, size) == data, f"step {step}"
+    assert shared > 0
+    assert store.gc_log
+
+
 def test_reclaim_invalid_read_zones_only_touches_dead_zones():
     dev, store = make_store(min_write=1)
     kept = fill_read_zones(store, [(0, 0), (1, 1), (2, 0)])
