@@ -112,11 +112,12 @@ def test_zcachelib_drops_instead_of_migrating():
     assert wa_factor(m) == 1.0
 
 
-def _golden_sized_run(name):
+def _golden_sized_run(name, **extra):
     """The geometry and workload of tests/golden/: 32 x 8 MiB zones, 2 MiB
     regions (whole zones for zns-direct), l2_wc at seed 1 for 20 000 ops."""
     spec = SchemeSpec(name=name, zone_count=32, zone_capacity=8 * MIB,
-                      region_size=8 * MIB if name == "zns-direct" else 2 * MIB)
+                      region_size=8 * MIB if name == "zns-direct" else 2 * MIB,
+                      **extra)
     cache_bytes = _capacity_regions(spec) * spec.region_size
     workload = preset_spec("l2_wc", cache_bytes, seed=1, op_count=20_000)
     return build(spec), generate(workload)
@@ -161,6 +162,68 @@ def test_device_maps_no_more_buffers_than_the_cache_has_regions(name):
     held, free, lent = device_buffers(engine.device)
     owned = len(held) + len(free) + len(lent)
     assert owned <= engine.cache.config.cache_capacity_regions
+
+
+def check_one_buffer_per_region(engine, rids):
+    """The device holds exactly one buffer per mapped region, at the
+    region's address, and none of them is free or lent; each region in
+    `rids` reads its cached items back at that address."""
+    device, store, cache = engine.device, engine.store, engine.cache
+    cap = device.config.zone_capacity
+    at = {zone.id * cap + start: buf for zone in device._zones
+          for start, buf in zip(zone.chunk_starts, zone.chunks)
+          if buf is not None}
+    assert len(at) == len(store.forward)
+    bufs = [at[paddr] for paddr in store.forward.values()]
+    assert all(len(buf) == store.region_size for buf in bufs)
+    held, free, lent = device_buffers(device)
+    assert {id(buf) for buf in bufs} == held and len(held) == len(bufs)
+    assert held.isdisjoint(free) and held.isdisjoint(lent)
+    for rid in rids:
+        paddr = store.forward[cache.vaddr(rid)]
+        for key in cache.keys[rid]:
+            _, offset, size = cache.index[key]
+            assert device.read(paddr + offset, size) == value_bytes(key, size)
+
+
+ZONED_SETUPS = [("zcachelib", {}), ("zcachelib", {"vop_ratio": 0.5}),
+                ("zns-middle-lru", {}), ("zns-middle-fifo", {}),
+                ("zns-direct", {})]
+
+
+@pytest.mark.parametrize("setup", ["golden_sized", 1, 2, 3, 4, 5])
+@pytest.mark.parametrize("name,extra", ZONED_SETUPS,
+                         ids=[n + "".join(f"-{k}{v}" for k, v in e.items())
+                              for n, e in ZONED_SETUPS])
+def test_device_holds_one_buffer_per_mapped_region(name, extra, setup):
+    # at every op boundary: an evicted, dropped or migrated region's old
+    # copy is held by no zone, and no buffer holds two live regions. Only
+    # an op that flushes writes, evicts or runs GC, so the golden-sized
+    # run checks after those alone, and reads back only the regions that
+    # moved since its last check, then all of them at the end
+    golden = setup == "golden_sized"
+    if golden:
+        engine, ops = _golden_sized_run(name, **extra)
+    else:
+        engine = build(tiny_spec(name, **extra))
+        ops = [CacheOp(OpKind.GET if is_get else OpKind.SET, key, size)
+               for is_get, key, size in make_script(seed=setup, ops=600)]
+    driver = _Driver(engine, verify_hits=True)
+    region = engine.store.region_size
+    last, flushed = {}, 0
+    for op in ops:
+        driver.step(op)
+        if golden and engine.cache.flushed_count == flushed:
+            continue
+        flushed = engine.cache.flushed_count
+        forward = engine.store.forward
+        check_one_buffer_per_region(engine, [
+            vaddr // region for vaddr, paddr in forward.items()
+            if not golden or last.get(vaddr) != paddr])
+        last = dict(forward)
+    check_one_buffer_per_region(engine, [v // region for v in last])
+    assert driver.corrupt_hits == 0
+    assert engine.metrics().zone_resets > 0
 
 
 @pytest.mark.parametrize("name", ["zcachelib", "zns-middle-lru"])
