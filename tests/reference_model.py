@@ -76,11 +76,11 @@ class ZoneModel:
             self.read.add(z)
         return paddr
 
-    def _unmap(self, vaddr):
-        paddr = self.fwd.pop(vaddr)
+    def _unmap(self, vaddr, paddr):
         z = paddr // self.zone_cap
         self.rev[z].remove((paddr, vaddr))
         self.valid[z] -= 1
+        return z
 
     def _map(self, vaddr, paddr):
         z = paddr // self.zone_cap
@@ -88,13 +88,26 @@ class ZoneModel:
         self.rev[z].append((paddr, vaddr))
         self.valid[z] += 1
 
+    def _reset(self, z):
+        self.fill[z] = 0
+        self.resets += 1
+        self.read.discard(z)
+        bisect.insort(self.empty, z)
+
+    def _free(self, vaddr, paddr):
+        """Unmap an evicted or replaced copy; a full zone that loses its
+        last region is reset at once."""
+        z = self._unmap(vaddr, paddr)
+        if z in self.read and not self.valid[z]:
+            self._reset(z)
+
     # store interface
 
     def write_region(self, vaddr):
-        paddr = self._append()
-        if vaddr in self.fwd:
-            self._unmap(vaddr)
-        self._map(vaddr, paddr)
+        old = self.fwd.get(vaddr)
+        self._map(vaddr, self._append())  # the new copy maps first
+        if old is not None:
+            self._free(vaddr, old)
         self.host_bytes += self.region
 
     def read_region(self, vaddr, offset, size):
@@ -102,7 +115,7 @@ class ZoneModel:
         self.read_bytes += size
 
     def invalidate(self, vaddr):
-        self._unmap(vaddr)
+        self._free(vaddr, self.fwd.pop(vaddr))
 
     def zone_of(self, vaddr):
         paddr = self.fwd.get(vaddr)
@@ -130,18 +143,15 @@ class ZoneModel:
                 if verb == "migrate":
                     self.read_bytes += self.region
                     new_paddr = self._append()
-                    self._unmap(vaddr)
+                    self._unmap(vaddr, self.fwd[vaddr])
                     self._map(vaddr, new_paddr)
                     self.migrated_bytes += self.region
                 elif verb == "drop":
-                    self._unmap(vaddr)
+                    self._unmap(vaddr, self.fwd.pop(vaddr))
                 else:
                     raise RuntimeError(f"model: unexpected verb {verb}")
             assert not self.rev[victim]
-            self.fill[victim] = 0
-            self.resets += 1
-            self.read.discard(victim)
-            bisect.insort(self.empty, victim)
+            self._reset(victim)
             if len(self.empty) > best:
                 best = len(self.empty)
                 stagnant = 0
@@ -151,14 +161,6 @@ class ZoneModel:
                 raise ModelError("GcStalled")
         self.gc_cycles += 1
         self.gc_log.append((entry, len(self.empty)))
-
-    def reclaim_invalid_read(self):
-        for z in sorted(self.read):
-            if self.valid[z] == 0:
-                self.fill[z] = 0
-                self.resets += 1
-                self.read.discard(z)
-                bisect.insort(self.empty, z)
 
 
 # --- page-mapped flash backend ----------------------------------------------------
@@ -443,9 +445,8 @@ class SchemeModel:
                  vop_ratio=1.0, page=4096, ppb=2, reorder=True):
         self.name = name
         self.kind = ("reg" if name.startswith("reg") else
-                     "direct" if name == "zns-direct" else
                      "drop" if name == "zcachelib" else "migrate")
-        if self.kind == "direct":
+        if name == "zns-direct":
             region = zone_cap
             min_w = 1
         if self.kind == "reg":
@@ -468,10 +469,7 @@ class SchemeModel:
                 self.cache.insert(key, size)
         else:
             self.cache.insert(key, size)
-        if self.kind == "direct":
-            if not self.store.empty:
-                self.store.reclaim_invalid_read()
-        elif self.kind == "drop":
+        if self.kind == "drop":
             if self.store.gc_needed():
                 self.store.gc(self.cache.zdrop)
         elif self.kind == "migrate":
