@@ -136,8 +136,8 @@ class _ZnsEngine(_Engine):
     """Common wiring for the three zoned schemes."""
 
     def __init__(self, spec):
-        self.gc_free = spec.name == "zns-direct"
-        if self.gc_free and spec.region_size != spec.zone_capacity:
+        direct = spec.name == "zns-direct"
+        if direct and spec.region_size != spec.zone_capacity:
             raise errors.InvalidConfig(
                 "zns-direct requires region_size == zone_capacity")
         self.device = ZnsDevice(DeviceConfig(
@@ -145,32 +145,26 @@ class _ZnsEngine(_Engine):
             min(MAX_OPEN_ZONES, spec.zone_count)))
         store = ZoneStore(self.device, spec.region_size,
                           GcConfig(spec.w_low, spec.w_high),
-                          min_write_zones=1 if self.gc_free
+                          min_write_zones=1 if direct
                           else spec.min_write_zones)
         super().__init__(spec, store)
         self._checked_flushes = 0
 
     def tick_gc(self):
         # only an append takes an empty zone, and between flushes nothing
-        # appends: a cycle ends above the trigger, and zns-direct evicts
-        # in the op that flushes, so no decision can change until one
+        # appends or evicts: a cycle ends above the trigger, so no decision
+        # can change until one
         flushed = self.cache.flushed_count
         if flushed == self._checked_flushes:
             return
-        if self.gc_free:
-            # whole-zone regions go invalid on eviction; reclaim by reset only
-            if not self.store.empty_zones:
-                self.store.reclaim_invalid_read_zones()
-        elif self.store.gc_needed():
+        if self.store.gc_needed():
             # an LRU or FIFO cache never fills vop, so its filter migrates all
             self.store.gc_cycle(self.cache.zdrop_filter)
         self._checked_flushes = flushed  # a check that raised runs again
 
     @property
     def gc_events(self) -> int:
-        if self.gc_free:
-            return self.device.counters.total_resets
-        return len(self.store.gc_log)
+        return self.device.counters.total_resets
 
     def _backend_metrics(self) -> dict:
         counters = self.device.counters

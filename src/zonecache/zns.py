@@ -275,10 +275,11 @@ class ZnsDevice:
             raise errors.Unmapped(f"zone {zone.id}: {offset} +{length} is freed")
         return b"".join(chunks)[lo:lo + length]
 
-    def deallocate(self, physical_address: int, length: int):
-        """Drop the one appended buffer that covers exactly this range. The
-        range reads as unmapped from then on; the buffer is freed once no
-        other zone holds it. Nothing is charged and no zone state moves."""
+    def deallocate(self, physical_address: int, length: int) -> bool:
+        """Drop the one appended buffer that covers exactly this range, and
+        return whether its zone still holds any buffer. The range reads as
+        unmapped from then on; the buffer is freed once no other zone holds
+        it. Nothing is charged and no zone state moves."""
         zone, offset = self._locate(physical_address, length)
         i = bisect.bisect_right(zone.chunk_starts, offset) - 1
         buf = zone.chunks[i] if length else None
@@ -287,6 +288,7 @@ class ZnsDevice:
                                     f"{offset + length}) is not one append")
         zone.chunks[i] = None
         self._release(buf)
+        return any(chunk is not None for chunk in zone.chunks)
 
     def reset(self, zone_id: int):
         """Wipe the zone and return it to EMPTY, dropping its holds."""

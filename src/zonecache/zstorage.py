@@ -200,9 +200,12 @@ class ZoneStore:
                 f"payload is {len(payload)} bytes, region size is {self.region_size}")
         if virtual_address % self.region_size != 0:
             raise errors.Misaligned("virtual address must be region-aligned")
-        # data lands before metadata
+        # data lands before metadata, and the new copy maps before the old goes
         paddr = self._place(lambda zone: self.device.append(zone, payload))
+        old = self.forward.get(virtual_address)
         self.forward[virtual_address] = paddr
+        if old is not None:
+            self._free(old)
         return paddr
 
     def read_region(self, virtual_address: int, offset: int = 0,
@@ -219,7 +222,15 @@ class ZoneStore:
         paddr = self.forward.pop(virtual_address, None)
         if paddr is None:
             raise errors.UnmappedRegion(f"virtual address {virtual_address}")
-        self.device.deallocate(paddr, self.region_size)
+        self._free(paddr)
+
+    def _free(self, paddr):
+        """Deallocate an unmapped region's bytes, and reset its zone at once
+        if it is full and now holds no buffer."""
+        cap = self.device.config.zone_capacity
+        if (not self.device.deallocate(paddr, self.region_size)
+                and self.device.write_pointer(paddr // cap) == cap):
+            self.device.reset(paddr // cap)
 
     # -- garbage collection ------------------------------------------------------
 
@@ -288,12 +299,3 @@ class ZoneStore:
                 f"zone {victim} still holds mapped regions after cleaning")
         self.device.reset(victim)
         stats.reclaimed_zones += 1
-
-    def reclaim_invalid_read_zones(self) -> int:
-        """Reset read zones holding no valid regions. This is plain space
-        reclamation (zero migration), used by the GC-free direct layout."""
-        valid = self.valid_bytes
-        dead = [z for z in self.read_zones if valid[z] == 0]
-        for zone in dead:
-            self.device.reset(zone)
-        return len(dead)

@@ -2,8 +2,10 @@
 census of a zoned device's buffers.
 
 The tiny layout keeps the watermark reserve reachable (capacity 7 of 16
-region slots) so background cleaning behaves the same way it does at full
-size, just faster.
+region slots). Its zones hold two regions, so eviction alone often empties
+a full zone, and the store resets such a zone at once; `GC_ZONES` regroups
+the same 16 slots into four zones of four regions, as at full size, so
+zones keep live regions of mixed age and background cleaning runs.
 """
 
 import random
@@ -13,6 +15,9 @@ from zonecache.workload import value_bytes
 
 KIB = 1024
 MIB = 1024 * KIB
+
+
+GC_ZONES = dict(zone_count=4, zone_capacity=64 * KIB)
 
 
 def tiny_spec(name, **overrides):

@@ -14,10 +14,11 @@ and needs no example database.
 import math
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import KIB, make_script, step, tiny_spec
+from helpers import KIB, drive, make_script, step, tiny_spec
 from reference_model import ModelError, SchemeModel, ZoneModel, engine_snapshot
 from zonecache import build, errors, watermark_zones
 from zonecache.schemes import SCHEME_NAMES
@@ -95,6 +96,57 @@ def test_engine_matches_reference_model(case):
     if failed_at is None:
         real, want = engine_snapshot(engine, name), model.snapshot()
         assert {key: real.get(key) for key in want} == want
+
+
+# 8 zones of four regions, 20 cached regions, GC from 1 empty zone to 3:
+# evictions empty some full zones, which reset at once, and leave live
+# regions in others, which GC cleans
+RESET_AND_GC = dict(zone_count=8, zone_capacity=4 * REGION, min_write_zones=2,
+                    w_low=12.5, w_high=37.5, cache_capacity_regions=20)
+RESET_AND_GC_MODEL = dict(zones=8, zone_cap=4 * REGION, capacity=20, min_w=2,
+                          w_low=12.5, w_high=37.5)
+
+
+@pytest.mark.parametrize("name,vop_ratio", [("zcachelib", 0.25),
+                                            ("zcachelib", 0.5),
+                                            ("zns-middle-fifo", 1.0)])
+def test_engine_matches_model_through_eager_resets_and_gc(name, vop_ratio):
+    engine = build(tiny_spec(name, vop_ratio=vop_ratio, **RESET_AND_GC))
+    picks = []
+    pick = engine.store.select_victim
+    engine.store.select_victim = lambda *a: picks.append(pick(*a)) or picks[-1]
+    model = SchemeModel(name, vop_ratio=vop_ratio, **RESET_AND_GC_MODEL)
+    script = make_script(seed=1, ops=600)
+    assert drive(engine, script) == model.run(script)
+    real = engine_snapshot(engine, name)
+    assert real == model.snapshot()
+    assert real["gc_cycles"] > 0
+    assert real["resets"] > len(picks) > 0  # some resets were not GC's
+
+
+@pytest.mark.parametrize("capacity,stalls", [(7, False), (8, True)])
+def test_zns_direct_engine_matches_model(capacity, stalls):
+    # a whole-zone region that leaves resets its zone at once, so a full
+    # zone always holds one live region: while the cache leaves the
+    # trigger's empty zones (capacity 7 of 8) GC is never needed, and
+    # once it does not (capacity 8), cleaning cannot gain a zone and stalls
+    engine = build(tiny_spec("zns-direct", cache_capacity_regions=capacity))
+    model = SchemeModel("zns-direct", capacity=capacity)
+    script = make_script(seed=2, ops=500, size_max=2 * REGION)
+    hits, failed_at, exc = replay(
+        lambda *op: step(engine, *op), script, errors.SimError)
+    want_hits, want_failed_at, want_exc = replay(model.apply, script,
+                                                 ModelError)
+    assert hits == want_hits
+    assert (failed_at, type(exc).__name__ if exc else None) \
+        == (want_failed_at, want_exc.kind if want_exc else None)
+    assert (exc is not None) == stalls
+    if stalls:
+        assert isinstance(exc, errors.GcStalled)
+    else:
+        real = engine_snapshot(engine, "zns-direct")
+        assert real == model.snapshot()
+        assert real["resets"] > 0 and real["gc_cycles"] == 0
 
 
 def test_model_watermarks_match_engine():

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import KIB, tiny_spec
+from helpers import GC_ZONES, KIB, tiny_spec
 from zonecache import SCHEME_NAMES, harness
 from zonecache.harness import ExperimentConfig, render_csv
 from zonecache.workload import WorkloadSpec
@@ -18,12 +18,18 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from tracer import Tracer, instrument  # noqa: E402
 
 
+GC_SCHEMES = ("zcachelib", "zns-middle-lru", "zns-middle-fifo")
+
+
 def short_config(name):
     workload = WorkloadSpec(name="t", get_ratio=0.5, key_space=30,
                             op_count=600, seed=3, size_min=2 * KIB,
                             size_max=16 * KIB)
-    return ExperimentConfig(scheme=tiny_spec(name), workload=workload,
-                            interval_ops=100, verify_hits=True)
+    # GC runs in zones of four regions
+    geometry = GC_ZONES if name in GC_SCHEMES else {}
+    return ExperimentConfig(scheme=tiny_spec(name, **geometry),
+                            workload=workload, interval_ops=100,
+                            verify_hits=True)
 
 
 @pytest.mark.parametrize("name", SCHEME_NAMES)
@@ -56,7 +62,7 @@ def test_traced_run_matches_untraced_run(name):
     # the tracer reads GC victims from the store by name (`valid_bytes`),
     # and counts them where `gc_cycle` picks through `select_victim`: one
     # pick per reclaimed zone, or the victim valid ratio reads 0
-    if name in ("zcachelib", "zns-middle-lru", "zns-middle-fifo"):
+    if name in GC_SCHEMES:
         assert layers["zstorage.gc_reclaimed_zones"] > 0
         assert tracer.counts["zstorage.victims"] == \
             layers["zstorage.gc_reclaimed_zones"]

@@ -7,7 +7,8 @@ sequences are comparable across backends.
 
 import pytest
 
-from helpers import KIB, MIB, device_buffers, drive, make_script, tiny_spec
+from helpers import (GC_ZONES, KIB, MIB, device_buffers, drive, make_script,
+                     tiny_spec)
 from zonecache import SchemeSpec, build, errors, wa_factor
 from zonecache.harness import ExperimentConfig, _Driver, run
 from zonecache.schemes import _capacity_regions
@@ -92,7 +93,7 @@ def test_direct_never_garbage_collects():
 def test_middle_schemes_migrate_during_gc(name):
     # the cache's own drop filter migrates every region of a cache that
     # never fills vop
-    engine = build(tiny_spec(name))
+    engine = build(tiny_spec(name, **GC_ZONES))
     drive(engine, make_script(seed=3, ops=600))
     m = engine.metrics()
     assert m.gc_cycles > 0
@@ -104,7 +105,7 @@ def test_middle_schemes_migrate_during_gc(name):
 
 
 def test_zcachelib_drops_instead_of_migrating():
-    engine = build(tiny_spec("zcachelib"))
+    engine = build(tiny_spec("zcachelib", **GC_ZONES))
     drive(engine, make_script(seed=3, ops=600))
     m = engine.metrics()
     assert m.dropped_regions > 0

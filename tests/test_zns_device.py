@@ -697,8 +697,11 @@ class DeviceMachine(RuleBasedStateMachine):
         addr = zone * self.CAP + start
         if ((start, length) in self.spans[zone]
                 and start not in self.dead[zone]):
-            self.dev.deallocate(addr, length)
+            holds = self.dev.deallocate(addr, length)
             self.dead[zone].add(start)
+            # whether the zone still holds a write, shared ones included
+            assert holds == any(s not in self.dead[zone]
+                                for s, _ in self.spans[zone])
         else:
             with pytest.raises(errors.Misaligned):
                 self.dev.deallocate(addr, length)

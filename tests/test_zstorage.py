@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from helpers import device_buffers
 from zonecache import (DeviceConfig, DropVerb, GcConfig, ZnsDevice, ZoneStore,
                        compute_min_op, errors, watermark_zones)
 from zonecache.zcache import CacheConfig, Policy, RegionCache
@@ -232,7 +233,9 @@ def test_gc_noop_above_trigger():
 
 
 def test_gc_migrate_all_restores_high_watermark():
-    dev, store = make_store()
+    # zones of four regions: rewrites leave holes in zones that still hold
+    # live regions (a rewrite that empties a full zone resets it)
+    dev, store = make_store(zone_capacity=128 * KIB)
     shadow = {}
     vaddr = 0
     step = 0
@@ -267,7 +270,9 @@ def test_gc_drop_all_migrates_nothing():
 
 
 def test_gc_migration_keeps_victim_append_order():
-    dev, store = make_store()
+    # zones of eight regions and one write zone: the victim holds several
+    # live regions, where a rewrite would reset a zone of two it emptied
+    dev, store = make_store(zone_capacity=256 * KIB, min_write=1)
     drain_to_trigger(store)
     victim = store.select_victim()
     cap = store.device.config.zone_capacity
@@ -459,6 +464,13 @@ def test_deallocated_buffers_are_reused_without_touching_live_regions():
         device_reset(zone)
     dev.reset = reset
 
+    def resets_its_zone(vaddr):
+        """Whether invalidating `vaddr` frees a full zone's last buffer,
+        which resets the zone (the eager-reset tests cover that case)."""
+        zone = dev._zones[store.forward[vaddr] // cap]
+        return (zone.write_pointer == cap
+                and sum(buf is not None for buf in zone.chunks) == 1)
+
     def migrate(stop):
         """A filter that migrates every region; with `stop`, it stops the
         cycle at a victim's second region instead. `moved` holds the
@@ -476,8 +488,11 @@ def test_deallocated_buffers_are_reused_without_touching_live_regions():
 
     for step in range(600):
         unmapped = [v for v in vaddrs if v not in shadow]
-        held = sorted(sharing)
-        if unmapped and (not shadow or rng.random() < 0.6):
+        # an invalidation leaves its zone holding a buffer, so the freed
+        # range stays below the write pointer and reads as unmapped
+        mapped = [v for v in sorted(shadow) if not resets_its_zone(v)]
+        held = [v for v in sorted(sharing) if not resets_its_zone(v)]
+        if unmapped and (not mapped or rng.random() < 0.6):
             vaddr = rng.choice(unmapped)
             buf = store.region_buffer(vaddr)
             buf[:] = shadow[vaddr] = step.to_bytes(4, "little") * (size // 4)
@@ -485,7 +500,7 @@ def test_deallocated_buffers_are_reused_without_touching_live_regions():
         else:
             # half the time, one a stopped victim still holds, if any
             vaddr = rng.choice(held if held and rng.random() < 0.5
-                               else sorted(shadow))
+                               else mapped)
             shared += sharing.pop(vaddr, None) is not None
             paddr = store.forward[vaddr]
             store.invalidate_region(vaddr)
@@ -510,15 +525,87 @@ def test_deallocated_buffers_are_reused_without_touching_live_regions():
     assert store.gc_log
 
 
-def test_reclaim_invalid_read_zones_only_touches_dead_zones():
+# --- eager resets ---------------------------------------------------------------------
+
+def test_rewrite_frees_the_old_copy_at_once():
+    # the copy a rewrite replaces is deallocated as the new one maps: its
+    # address reads as unmapped, and its buffer is the next one lent
+    dev, store = make_store()
+    buf = store.region_buffer(0)
+    buf[:] = payload(1)
+    store.write_region(0, buf)
+    old = store.forward[0]
+    store.write_region(0, payload(2))
+    with pytest.raises(errors.Unmapped):
+        dev.read(old, store.region_size)
+    assert device_buffers(dev)[1] == [id(buf)]
+    assert store.region_buffer(0) is buf
+    assert store.read_region(0) == payload(2)
+
+
+def assert_reset(dev, store, zone, resets):
+    assert dev.write_pointer(zone) == 0
+    assert zone in store.empty_zones
+    assert dev.counters.total_resets == resets + 1
+
+
+def test_full_zone_is_reset_when_its_last_region_is_invalidated():
     dev, store = make_store(min_write=1)
-    kept = fill_read_zones(store, [(0, 0), (1, 1), (2, 0)])
-    reclaimed = store.reclaim_invalid_read_zones()
-    assert reclaimed == 2
-    empty, _, read = store.groups()
-    assert 0 in empty and 2 in empty
-    assert read == {1}
+    kept = fill_read_zones(store, [(0, 1), (1, 1)])
+    resets = dev.counters.total_resets
+    store.invalidate_region(kept[0][0])
+    assert_reset(dev, store, 0, resets)
+    assert store.read_zones == [1]
     assert store.read_region(kept[1][0]) == payload(kept[1][0] // (32 * KIB))
+
+
+def test_full_zone_is_reset_when_its_last_region_is_rewritten_elsewhere():
+    dev, store = make_store(min_write=1)
+    kept = fill_read_zones(store, [(0, 1)])
+    resets = dev.counters.total_resets
+    store.write_region(kept[0][0], payload(9))
+    assert store.zone_of(kept[0][0]) == 1
+    assert_reset(dev, store, 0, resets)
+    assert store.read_region(kept[0][0]) == payload(9)
+
+
+def test_write_zone_emptied_of_regions_stays_in_the_rotation():
+    dev, store = make_store()  # write zones 0 and 1, two regions each
+    store.write_region(0, payload(0))
+    store.invalidate_region(0)
+    assert dev.write_pointer(0) == store.region_size
+    assert store.groups() == ([2, 3, 4, 5, 6, 7], [0, 1], set())
+    assert dev.counters.total_resets == 0
+    assert store.write_region(32 * KIB, payload(1)) == 64 * KIB
+    assert store.write_region(64 * KIB, payload(2)) == store.region_size
+
+
+def test_stopped_victim_sharing_a_migrated_buffer_is_not_reset():
+    # a cycle stopped after one migration leaves the victim holding that
+    # region's buffer, shared with the zone it moved to; the victim's last
+    # mapped region then goes, and the victim keeps its data and its place
+    dev, store = make_store(zone_count=4, min_write=1)
+    for i in range(7):  # zones 0-2 full, zone 3 open: no zone is empty
+        store.write_region(i * 32 * KIB, payload(i))
+    assert store.gc_needed()
+    moved = []
+
+    def migrate_one(vaddr):
+        if moved:
+            raise StopCleaning
+        moved.append(store.forward[vaddr])
+        return DropVerb.MIGRATE
+
+    with pytest.raises(StopCleaning):
+        store.gc_cycle(migrate_one)
+    assert moved == [0] and store.zone_of(0) == 3
+    resets = dev.counters.total_resets
+    store.invalidate_region(32 * KIB)  # the victim's last mapped region
+    assert dev.write_pointer(0) == dev.config.zone_capacity
+    assert 0 in store.read_zones
+    assert dev.counters.total_resets == resets
+    assert dev.read(0, store.region_size) == payload(0)
+    assert store.read_region(0) == payload(0)
 
 
 def test_cache_buffer_written_after_flush_leaves_device_unchanged():
@@ -647,8 +734,10 @@ def churn_with_checked_picks(store, seed, vaddr_count, steps=400):
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
 def test_each_victim_is_the_fresh_pick_under_random_ops(seed):
-    dev, store = make_store(zone_count=12)
-    churn_with_checked_picks(store, seed, vaddr_count=10)
+    # zones of four regions and twice as many addresses as a zone holds
+    # regions: an invalidation seldom empties a full zone, so GC runs
+    dev, store = make_store(zone_count=12, zone_capacity=128 * KIB)
+    churn_with_checked_picks(store, seed, vaddr_count=20)
 
 
 def test_each_victim_is_the_fresh_pick_after_migrations_fill_a_write_zone():
