@@ -4,8 +4,8 @@
                    evictable regions in place instead of migrating them
   zns-middle-lru   zoned backend behind a translation layer that migrates
   zns-middle-fifo  every valid region during GC (cache is unaware of zones)
-  zns-direct       region size equals zone capacity; eviction leaves whole
-                   zones invalid, so reclamation is a plain reset: GC-free
+  zns-direct       region size equals zone capacity; an eviction empties a
+                   whole zone, which the store resets at once: GC-free
   reg-lru          conventional block-interface SSD baselines over the
   reg-fifo         page-mapped FTL (internal GC, hidden over-provisioning)
 
@@ -145,8 +145,7 @@ class _ZnsEngine(_Engine):
             min(MAX_OPEN_ZONES, spec.zone_count)))
         store = ZoneStore(self.device, spec.region_size,
                           GcConfig(spec.w_low, spec.w_high),
-                          min_write_zones=1 if direct
-                          else spec.min_write_zones)
+                          min_write_zones=1 if direct else spec.min_write_zones)
         super().__init__(spec, store)
         self._checked_flushes = 0
 

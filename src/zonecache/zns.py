@@ -15,8 +15,11 @@ The device owns the buffers that hold its data. A buffer is
   shared       by a second zone when `copy` moves it whole, like NVMe ZNS
                Simple Copy, and then held by both;
   deallocated  by one of its zones (`deallocate`, like an NVMe Deallocate
-               hint), which drops that hold and leaves the range unreadable;
-  reset        with a zone, which drops every hold the zone still has.
+               hint), which drops that hold, leaves the range unreadable
+               and says whether the zone still holds any buffer;
+  reset        with a zone, which drops every hold the zone still has. The
+               device resets only when told: the zone store resets a GC
+               victim, or a full zone whose last buffer it deallocated.
 Once no zone holds it, it goes to a free list keyed by length, which
 lending and copying draw from before mapping a new buffer.
 
@@ -278,8 +281,8 @@ class ZnsDevice:
     def deallocate(self, physical_address: int, length: int) -> bool:
         """Drop the one appended buffer that covers exactly this range, and
         return whether its zone still holds any buffer. The range reads as
-        unmapped from then on; the buffer is freed once no other zone holds
-        it. Nothing is charged and no zone state moves."""
+        unmapped from then on, and the buffer is freed once no zone holds
+        it; nothing is charged and no zone state moves."""
         zone, offset = self._locate(physical_address, length)
         i = bisect.bisect_right(zone.chunk_starts, offset) - 1
         buf = zone.chunks[i] if length else None

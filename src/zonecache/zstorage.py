@@ -11,14 +11,16 @@ fills, so the other groups are read from the device's write pointers.
 One map links region virtual addresses to device physical addresses, and
 the data append always lands before the map update. It is the store's only
 record of regions: a zone's valid bytes are counted from it. Zones are
-append-only, so a zone's regions in address order are its regions in append
-order.
+append-only, so a zone's regions in address order are in append order.
 
-Background GC is watermark-driven: it starts when the empty-zone count
-falls below the low watermark and stops at the high one. A cycle reads the
-map once, into a per-zone view it updates as migrations land, and each
-decision reads the write pointers in one pass. A caller supplied drop filter
-decides each victim region's fate: the cache owns policy, the store mechanism.
+The store frees every region's bytes and resets every zone. An eviction or a
+rewrite deallocates the old copy at once, and a full zone left holding no
+buffer (`ZnsDevice.deallocate` says) is reset with it. GC is watermark
+driven: it starts when the empty-zone count falls below the low watermark
+and stops at the high one. A cycle reads the map once, into a per-zone view
+it updates as migrations land, and each decision reads the write pointers in
+one pass. A caller supplied drop filter decides each victim region's fate:
+the cache owns policy, the store mechanism.
 
 Everything runs on one thread: the scheme calls GC between cache
 operations, so no read overlaps a reset. Every region mapped in a victim
@@ -224,9 +226,7 @@ class ZoneStore:
             raise errors.UnmappedRegion(f"virtual address {virtual_address}")
         self._free(paddr)
 
-    def _free(self, paddr):
-        """Deallocate an unmapped region's bytes, and reset its zone at once
-        if it is full and now holds no buffer."""
+    def _free(self, paddr):  # resets a full zone left holding no buffer
         cap = self.device.config.zone_capacity
         if (not self.device.deallocate(paddr, self.region_size)
                 and self.device.write_pointer(paddr // cap) == cap):

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import KIB, drive, make_script, step, tiny_spec
+from helpers import KIB, make_script, step, tiny_spec
 from reference_model import ModelError, SchemeModel, ZoneModel, engine_snapshot
 from zonecache import build, errors, watermark_zones
 from zonecache.schemes import SCHEME_NAMES
@@ -77,6 +77,18 @@ def replay(apply, script, error):
     return hits, None, None
 
 
+def replay_both(engine, model, script):
+    """Replays the script on both; they must fail at the same op with the
+    matching error, after the same hits. Returns the engine's error."""
+    hits, failed_at, exc = replay(
+        lambda *op: step(engine, *op), script, errors.SimError)
+    want_hits, want_failed_at, want_exc = replay(model.apply, script, ModelError)
+    assert (failed_at, type(exc).__name__ if exc else None) \
+        == (want_failed_at, want_exc.kind if want_exc else None)
+    assert hits == want_hits
+    return exc
+
+
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(case=cases())
 def test_engine_matches_reference_model(case):
@@ -86,14 +98,8 @@ def test_engine_matches_reference_model(case):
         engine = build(tiny_spec(name, **spec))
     except errors.InvalidConfig:
         return  # rejected geometry (FTL too small, erase blocks misfit)
-    hits, failed_at, exc = replay(
-        lambda *op: step(engine, *op), script, errors.SimError)
     model = SchemeModel(name, **model_kwargs)
-    want_hits, want_failed_at, want_exc = replay(model.apply, script, ModelError)
-    assert (failed_at, type(exc).__name__ if exc else None) \
-        == (want_failed_at, want_exc.kind if want_exc else None)
-    assert hits == want_hits
-    if failed_at is None:
+    if replay_both(engine, model, script) is None:
         real, want = engine_snapshot(engine, name), model.snapshot()
         assert {key: real.get(key) for key in want} == want
 
@@ -116,8 +122,7 @@ def test_engine_matches_model_through_eager_resets_and_gc(name, vop_ratio):
     pick = engine.store.select_victim
     engine.store.select_victim = lambda *a: picks.append(pick(*a)) or picks[-1]
     model = SchemeModel(name, vop_ratio=vop_ratio, **RESET_AND_GC_MODEL)
-    script = make_script(seed=1, ops=600)
-    assert drive(engine, script) == model.run(script)
+    assert replay_both(engine, model, make_script(seed=1, ops=600)) is None
     real = engine_snapshot(engine, name)
     assert real == model.snapshot()
     assert real["gc_cycles"] > 0
@@ -132,14 +137,8 @@ def test_zns_direct_engine_matches_model(capacity, stalls):
     # once it does not (capacity 8), cleaning cannot gain a zone and stalls
     engine = build(tiny_spec("zns-direct", cache_capacity_regions=capacity))
     model = SchemeModel("zns-direct", capacity=capacity)
-    script = make_script(seed=2, ops=500, size_max=2 * REGION)
-    hits, failed_at, exc = replay(
-        lambda *op: step(engine, *op), script, errors.SimError)
-    want_hits, want_failed_at, want_exc = replay(model.apply, script,
-                                                 ModelError)
-    assert hits == want_hits
-    assert (failed_at, type(exc).__name__ if exc else None) \
-        == (want_failed_at, want_exc.kind if want_exc else None)
+    exc = replay_both(engine, model,
+                      make_script(seed=2, ops=500, size_max=2 * REGION))
     assert (exc is not None) == stalls
     if stalls:
         assert isinstance(exc, errors.GcStalled)

@@ -124,10 +124,10 @@ def _golden_sized_run(name, **extra):
     return build(spec), generate(workload)
 
 
-def _tiny_run(name):
+def _tiny_run(name, seed=3, **extra):
     ops = [CacheOp(OpKind.GET if is_get else OpKind.SET, key, size)
-           for is_get, key, size in make_script(seed=3, ops=600)]
-    return build(tiny_spec(name)), ops
+           for is_get, key, size in make_script(seed=seed, ops=600)]
+    return build(tiny_spec(name, **extra)), ops
 
 
 @pytest.mark.parametrize("setup", [_tiny_run, _golden_sized_run],
@@ -203,12 +203,8 @@ def test_device_holds_one_buffer_per_mapped_region(name, extra, setup):
     # run checks after those alone, and reads back only the regions that
     # moved since its last check, then all of them at the end
     golden = setup == "golden_sized"
-    if golden:
-        engine, ops = _golden_sized_run(name, **extra)
-    else:
-        engine = build(tiny_spec(name, **extra))
-        ops = [CacheOp(OpKind.GET if is_get else OpKind.SET, key, size)
-               for is_get, key, size in make_script(seed=setup, ops=600)]
+    engine, ops = (_golden_sized_run(name, **extra) if golden
+                   else _tiny_run(name, seed=setup, **extra))
     driver = _Driver(engine, verify_hits=True)
     region = engine.store.region_size
     last, flushed = {}, 0
