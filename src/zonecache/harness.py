@@ -4,9 +4,9 @@ advances a simulated clock, and reports per-interval metrics.
 A run moves through three stages. It starts out `filling` (the cache is
 cold), becomes `evicting` at the first region eviction, top-down or a GC
 drop, and `stable` once space is first reclaimed: at the first zone reset
-on every zoned scheme (by GC, or by the store when a full zone's last
-region leaves), or at the first internal FTL GC on the block baselines.
-Headline numbers are stable-stage averages.
+on a zoned scheme (by GC, or as a full zone's last region leaves), or at
+the first internal FTL GC on the block baselines. Headline numbers are
+stable-stage averages.
 
 The simulated clock charges device traffic against two independent
 bandwidth channels, 1000 MiB/s for writes and 3000 MiB/s for reads, the
@@ -68,7 +68,7 @@ class RunSummary:
     final_wa: float
     total_sim_seconds: float
     first_eviction_op: int
-    first_gc_op: int
+    first_gc_op: int  # stable stage start: first zone reset or FTL GC
 
 
 @dataclass

@@ -150,9 +150,8 @@ class _ZnsEngine(_Engine):
         self._checked_flushes = 0
 
     def tick_gc(self):
-        # only an append takes an empty zone, and between flushes nothing
-        # appends or evicts: a cycle ends above the trigger, so no decision
-        # can change until one
+        # only an op that flushes appends or evicts, and a cycle ends
+        # above the trigger: no decision can change until the next flush
         flushed = self.cache.flushed_count
         if flushed == self._checked_flushes:
             return

@@ -17,9 +17,8 @@ The device owns the buffers that hold its data. A buffer is
   deallocated  by one of its zones (`deallocate`, like an NVMe Deallocate
                hint), which drops that hold, leaves the range unreadable
                and says whether the zone still holds any buffer;
-  reset        with a zone, which drops every hold the zone still has. The
-               device resets only when told: the zone store resets a GC
-               victim, or a full zone whose last buffer it deallocated.
+  reset        with a zone (by the zone store: a GC victim, or a full zone
+               whose last buffer it deallocated), dropping every hold left.
 Once no zone holds it, it goes to a free list keyed by length, which
 lending and copying draw from before mapping a new buffer.
 

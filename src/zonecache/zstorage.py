@@ -16,11 +16,12 @@ append-only, so a zone's regions in address order are in append order.
 The store frees every region's bytes and resets every zone. An eviction or a
 rewrite deallocates the old copy at once, and a full zone left holding no
 buffer (`ZnsDevice.deallocate` says) is reset with it. GC is watermark
-driven: it starts when the empty-zone count falls below the low watermark
-and stops at the high one. A cycle reads the map once, into a per-zone view
-it updates as migrations land, and each decision reads the write pointers in
-one pass. A caller supplied drop filter decides each victim region's fate:
-the cache owns policy, the store mechanism.
+driven: it starts below the low watermark, never on zones of one region (a
+full one holds a live region), and stops at the high one. A cycle reads the
+map once, into a per-zone view it updates as migrations land, and each
+decision reads the write pointers in one pass. A caller supplied drop
+filter decides each victim region's fate: the cache owns policy, the store
+mechanism.
 
 Everything runs on one thread: the scheme calls GC between cache
 operations, so no read overlaps a reset. Every region mapped in a victim
@@ -139,7 +140,8 @@ class ZoneStore:
                 if wp == self.device.config.zone_capacity]
 
     def gc_needed(self) -> bool:
-        return len(self.empty_zones) < self.gc_trigger_zones
+        return (self.region_size < self.device.config.zone_capacity
+                and len(self.empty_zones) < self.gc_trigger_zones)
 
     def groups(self):
         return self.empty_zones, list(self.write_zones), set(self.read_zones)

@@ -124,7 +124,8 @@ class ZoneModel:
     # cleaning
 
     def gc_needed(self):
-        return len(self.empty) < self.trigger
+        # a zone of one region is reset when it goes: nothing to clean
+        return self.region < self.zone_cap and len(self.empty) < self.trigger
 
     def gc(self, decide):
         if not self.gc_needed():

@@ -13,6 +13,7 @@ from helpers import device_buffers
 from zonecache import (DeviceConfig, DropVerb, GcConfig, ZnsDevice, ZoneStore,
                        compute_min_op, errors, watermark_zones)
 from zonecache.zcache import CacheConfig, Policy, RegionCache
+from zonecache.zstorage import GcStats
 
 KIB = 1024
 MIB = 1024 * KIB
@@ -578,6 +579,20 @@ def test_write_zone_emptied_of_regions_stays_in_the_rotation():
     assert dev.counters.total_resets == 0
     assert store.write_region(32 * KIB, payload(1)) == 64 * KIB
     assert store.write_region(64 * KIB, payload(2)) == store.region_size
+
+
+def test_zones_of_one_region_never_need_gc():
+    # every full zone holds one live region, since a zone whose region
+    # leaves resets at once: cleaning could never gain a zone, so even
+    # with no zone empty the store does not ask for it
+    dev, store = make_store(zone_count=4, zone_capacity=32 * KIB, min_write=1)
+    for i in range(4):
+        store.write_region(i * 32 * KIB, payload(i))
+    assert store.empty_zones == [] and store.gc_trigger_zones == 1
+    assert not store.gc_needed()
+    assert store.gc_cycle(migrate_all) == GcStats() and not store.gc_log
+    store.invalidate_region(0)
+    assert_reset(dev, store, 0, 0)
 
 
 def test_stopped_victim_sharing_a_migrated_buffer_is_not_reset():
