@@ -5,14 +5,17 @@ the same miss-fill convention the experiment runner uses so hit/miss
 sequences are comparable across backends.
 """
 
+import math
+
 import pytest
 
 from helpers import (GC_ZONES, KIB, MIB, device_buffers, drive, make_script,
                      tiny_spec)
-from zonecache import SchemeSpec, build, errors, wa_factor
+from zonecache import (SCHEME_NAMES, SchemeSpec, build, errors, memory,
+                       wa_factor)
 from zonecache.harness import ExperimentConfig, _Driver, run
 from zonecache.schemes import _capacity_regions
-from zonecache.zcache import Policy
+from zonecache.zcache import FAULT_STEP, Policy
 from zonecache.workload import (CacheOp, OpKind, generate, preset_spec,
                                 value_bytes)
 
@@ -146,6 +149,40 @@ def test_open_zones_never_exceed_write_zones(name, setup):
         peak = max(peak, engine.device.open_zone_count())
         assert peak <= engine.store.min_write_zones
     assert peak == (0 if name == "zns-direct" else engine.store.min_write_zones)
+
+
+GOLDEN_CONFIGS = [(name, {}) for name in SCHEME_NAMES] + [
+    ("zcachelib", {"vop_ratio": 0.5})]
+
+
+@pytest.mark.parametrize("name,extra", GOLDEN_CONFIGS,
+                         ids=[n + "".join(f"-{k}{v}" for k, v in e.items())
+                              for n, e in GOLDEN_CONFIGS])
+def test_each_region_slot_is_advised_once(name, extra, monkeypatch):
+    # every cache region's memory is faulted in once, a step at a time, by
+    # its first fill, and never again: a region flushes only when the next
+    # item does not fit, so every fill here reaches its region's last step
+    # (items are at most one step); a request counts whether or not the
+    # kernel honours it
+    requests = []
+    populate = memory.Populator.populate
+
+    def record(self, mem, start, length):
+        requests.append(length)
+        populate(self, mem, start, length)
+
+    monkeypatch.setattr(memory.Populator, "populate", record)
+    if name.startswith("reg-"):
+        extra = dict(extra, pages_per_block=256)  # as tests/golden/ has it
+    engine, ops = _golden_sized_run(name, **extra)
+    driver = _Driver(engine, verify_hits=True)
+    for op in ops:
+        driver.step(op)
+    assert driver.corrupt_hits == 0
+    capacity = engine.cache.config.cache_capacity_regions
+    region = engine.cache.config.region_size
+    assert len(requests) == capacity * math.ceil(region / FAULT_STEP)
+    assert sum(requests) == capacity * region
 
 
 @pytest.mark.parametrize("name", ["zcachelib", "zns-middle-lru",
