@@ -8,14 +8,15 @@ writes; there is no background thread.
 
 Bytes are held by logical address; physical placement is metadata only.
 The data is one private anonymous map of the exported capacity, faulted
-in as it is filled: the borrower of a lent view asks for it a step at a
-time, just ahead of its writes (`fault_in`, one `memory.Populator`
-advice each, skipped when every page of the range was advised before),
-and any other write faults its pages in as it copies. A
-read is one slice, and GC migration remaps pages without moving a byte.
-`lend_buffer` hands out a view of the map that `ftl_write` commits in
-place; any other payload is copied as its runs are placed. The page maps
-are integer arrays, -1 meaning unmapped: `mapping` (logical -> physical)
+in as it is filled. `lend_buffer` hands out a view of the map that
+`ftl_write` commits in place, and says whether the range is fresh: it
+holds a page never written. Written pages stay resident (the FTL has no
+TRIM), so only a fresh view's borrower asks for it to be faulted in, a
+step at a time ahead of its writes (`fault_in`, one `memory.Populator`
+advice each). Any other payload is copied as its runs are placed,
+faulting its pages in. A read is one slice, and GC migration remaps pages
+without moving a byte. The page maps are integer arrays, -1 meaning
+unmapped: `mapping` (logical -> physical)
 and `reverse` (physical -> logical). Host writes and GC migration place
 pages through one remap: a run of logically consecutive pages, cut at the
 end of the active erase block, is mapped with one slice of an identity
@@ -75,9 +76,6 @@ class PageMappedFtl:
         self.arena = mmap.mmap(-1, config.exported_bytes, flags=mmap.MAP_PRIVATE)
         self.data = memoryview(self.arena)  # logical bytes
         self.populator = Populator()
-        # one byte per page, 1 once fault_in asked for it; a map, like the
-        # arena, so a build zeroes nothing
-        self.advised = mmap.mmap(-1, config.exported_pages, flags=mmap.MAP_PRIVATE)
         self.lent = {}  # logical address -> the view lent for it
         self.mapping = array("q", [-1]) * config.exported_pages  # logical -> physical
         self.reverse = array("q", [-1]) * pages  # physical -> logical, valid pages only
@@ -201,19 +199,17 @@ class PageMappedFtl:
 
     def lend_buffer(self, address: int, length: int):
         """A writable view of the bytes at `address`, which reads see as it
-        fills; `ftl_write` of it there commits it with no copy."""
+        fills, and whether the range is fresh: it holds a page never
+        written. `ftl_write` of the view there commits it with no copy."""
         self._check_write(address, length)
         view = self.lent[address] = self.data[address:address + length]
-        return view
+        return view, -1 in self.mapping[address // PAGE:
+                                        (address + length) // PAGE]
 
     def fault_in(self, address: int, length: int):
         """Fault in `length` bytes of the map from `address`, a page
-        boundary, ahead of a borrower's writes there. A range whose every
-        page was asked for before is resident already and is not advised."""
-        first, end = address // PAGE, -(-(address + length) // PAGE)
-        if self.advised.find(b"\0", first, end) < 0:
-            return
-        self.advised[first:end] = b"\1" * (end - first)
+        boundary, ahead of a borrower's writes there. Only a fresh range
+        needs it."""
         self.populator.populate(self.arena, address, length)
 
     def ftl_write(self, logical_address: int, payload):

@@ -108,24 +108,10 @@ WRITE_BANDWIDTH = 1000 * MIB
 READ_BANDWIDTH = 3000 * MIB
 
 
-class _Clock:
-    """Two-channel bandwidth budget; elapsed time is the busier channel."""
-
-    def __init__(self, write_bw, read_bw):
-        self.write_bw = float(write_bw)
-        self.read_bw = float(read_bw)
-        self.seconds = 0.0
-        self._written = 0
-        self._read = 0
-
-    def advance(self, total_written, total_read) -> float:
-        dw = total_written - self._written
-        dr = total_read - self._read
-        self._written = total_written
-        self._read = total_read
-        delta = max(dw / self.write_bw, dr / self.read_bw)
-        self.seconds += delta
-        return delta
+def _interval_seconds(written, read) -> float:
+    """Simulated seconds of an interval that wrote and read these device
+    bytes: the busier of two independent channels."""
+    return max(written / WRITE_BANDWIDTH, read / READ_BANDWIDTH)
 
 
 class _Driver:
@@ -180,11 +166,10 @@ def run(config: ExperimentConfig) -> MetricsReport:
     else:
         ops = generate(config.workload)
     driver = _Driver(engine, config.verify_hits)
-    clock = _Clock(WRITE_BANDWIDTH, READ_BANDWIDTH)
 
     rows = []
     last = EngineMetrics()
-    stable_seconds = 0.0
+    sim_seconds = stable_seconds = 0.0
     ops = iter(ops)  # a list would restart at every islice
     while True:
         start = driver.op_index
@@ -193,7 +178,10 @@ def run(config: ExperimentConfig) -> MetricsReport:
         if driver.op_index == start:
             break
         m = engine.metrics()
-        delta = clock.advance(m.device_bytes_written, m.device_bytes_read)
+        delta = _interval_seconds(
+            m.device_bytes_written - last.device_bytes_written,
+            m.device_bytes_read - last.device_bytes_read)
+        sim_seconds += delta
         hits, misses = m.hits - last.hits, m.misses - last.misses
         lookups = hits + misses
         rows.append(IntervalRow(
@@ -218,7 +206,7 @@ def run(config: ExperimentConfig) -> MetricsReport:
         stable_ops_per_sec=throughput,
         stable_hit_ratio=stable_hits / stable_lookups if stable_lookups else None,
         final_wa=wa_factor(final),
-        total_sim_seconds=clock.seconds,
+        total_sim_seconds=sim_seconds,
         first_eviction_op=driver.first_eviction_op,
         first_gc_op=driver.first_gc_op)
     report = MetricsReport(rows=rows, summary=summary, final_metrics=final,

@@ -4,8 +4,9 @@ The zoned device's region buffers and the FTL's arena are private
 anonymous maps, faulted in as the cache fills them rather than when they
 are mapped. Each owner faults a range in with one `MADV_POPULATE_WRITE`
 (Linux 5.14+), which zeroes its pages in one call instead of one trap per
-page, and only where it has never faulted that memory in: the advice
-still walks resident pages, so asking again would cost time for nothing.
+page. An owner says when it lends memory whether it is fresh, never
+faulted in, and only fresh memory is asked for: the advice still walks
+resident pages, so asking again would cost time for nothing.
 Where the advice is missing or fails, the owner stops asking, and plain
 writes fault the pages in one at a time: the bytes are the same.
 """

@@ -186,7 +186,8 @@ class _FtlRegionStore:
         self.region_size = region_size
 
     def region_buffer(self, vaddr):
-        """The FTL's bytes at `vaddr`, filled in place, written with no copy."""
+        """The FTL's bytes at `vaddr`, filled in place, written with no
+        copy, and whether they are fresh (`PageMappedFtl.lend_buffer`)."""
         return self.ftl.lend_buffer(vaddr, self.region_size)
 
     def fault_in(self, vaddr, buffer, start, length):

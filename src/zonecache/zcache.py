@@ -2,10 +2,15 @@
 
 Items are packed into a RAM buffer one region wide; full buffers are flushed
 to the backing store with a single large write. The store lends the buffer
-with no page faulted in, and the cache asks it to fault in `FAULT_STEP`
-(256 KiB) at a time as the fill's end passes the faulted-in mark, so no
-single op pays for more than a step and a region's unfilled tail is never
-touched. The store skips a step whose memory is resident already.
+and says whether it is fresh, with no page faulted in yet. The cache asks
+it to fault a fresh buffer in `FAULT_STEP` (256 KiB) at a time as the
+fill's end passes the faulted-in mark, so no single op pays for more than a step and
+a region's unfilled tail is never touched. A buffer that is not fresh was
+faulted in by the fill that first wrote it, and the cache asks for no step
+of it: that fill stopped less than one item short of the region's end, so
+while no item is larger than a step, and regions are whole steps or less
+than one, its steps reached the end (a larger item could leave a tail
+that faults in a page at a time on a later fill).
 
 Flushed region ids live in two OrderedDicts, `main` and the tail-side
 `vop`, each most recent first (the head is the first entry), which
@@ -140,9 +145,10 @@ class RegionCache:
         if not self.free_slots:
             self.evict_one()
         self._buffered = self.free_slots.pop()
-        self._buffer = self.store.region_buffer(self.vaddr(self._buffered))
+        self._buffer, fresh = self.store.region_buffer(
+            self.vaddr(self._buffered))
         self._fill = 0
-        self._faulted = 0
+        self._faulted = 0 if fresh else self.config.region_size
 
     def _flush(self):
         rid = self._buffered

@@ -22,12 +22,17 @@ The device owns the buffers that hold its data. A buffer is
 Once no zone holds it, it goes to a free list keyed by length, which
 lending and copying draw from before mapping a new buffer.
 
-A new buffer is mapped without faulting its pages in. A lent buffer's
-borrower asks for it to be faulted in a step at a time, just ahead of its
-writes (`fault_in`); a buffer the device fills with a copy is faulted in
-whole before the copy. Either way it takes one `memory.Populator` advice.
-Only a buffer mapped fresh is advised: one reused from the free list was
-faulted in by the fill that wrote it, so its requests are skipped.
+A new buffer is mapped without faulting its pages in. A lent buffer comes
+with whether it is fresh: mapped just now, rather than reused from the
+free list. Only a fresh buffer's borrower asks for it to be faulted in, a
+step at a time just ahead of its writes (`fault_in`), and a fresh buffer
+the device fills with a copy is faulted in whole first; either way it
+takes one `memory.Populator` advice. A reused buffer was faulted in by
+the fill that first wrote it, as far as that fill's steps reached: a
+region flushes only when the next item does not fit, so while no item is
+larger than a step (`zcache.FAULT_STEP`, as in every preset) and regions
+are whole steps, they reached its end. A larger item could leave a tail
+that a later fill faults in a page at a time, with the same bytes.
 
 Like every layer above it, the device is driven from one thread: each
 operation completes before the next starts, so none locks or retries.
@@ -103,7 +108,6 @@ class ZnsDevice:
         self.counters = DeviceCounters()
         self._free = {}     # length -> buffers no zone holds
         self._lent = {}     # id -> buffer lent out and not yet appended
-        self._fresh = set()  # ids of lent buffers mapped fresh, never filled
         self._holders = {}  # id(buffer) -> zone chunks holding it
         self._populator = Populator()
 
@@ -155,22 +159,19 @@ class ZnsDevice:
         return buf
 
     def lend_buffer(self, length: int):
-        """A writable buffer of `length` bytes, not yet faulted in.
-        Appending it whole gives it to the device without a copy; after
-        that its borrower must not write to it."""
+        """A writable buffer of `length` bytes, and whether it is fresh:
+        mapped just now and not yet faulted in, rather than reused from
+        the free list. Appending it whole gives it to the device without
+        a copy; after that its borrower must not write to it."""
         buf, fresh = self._take(length)
         self._lent[id(buf)] = buf
-        if fresh:
-            self._fresh.add(id(buf))
-        return buf
+        return buf, fresh
 
     def fault_in(self, buf, start: int, length: int):
         """Fault in `length` bytes of a lent buffer from `start`, a page
-        boundary, ahead of the borrower's writes there. A buffer reused
-        from the free list was faulted in by the fill that wrote it, so
-        it is not advised again."""
-        if id(buf) in self._fresh:
-            self._populator.populate(buf, start, length)
+        boundary, ahead of the borrower's writes there. Only a fresh
+        buffer needs it."""
+        self._populator.populate(buf, start, length)
 
     def _admit(self, zone_id, length) -> _Zone:
         """Check that `length` bytes fit at the zone's write pointer; a
@@ -235,7 +236,6 @@ class ZnsDevice:
         if len(payload) == 0:
             return zone_id * self.config.zone_capacity + zone.write_pointer
         buf = self._lent.pop(id(payload), None)
-        self._fresh.discard(id(payload))
         if buf is None:
             buf = self._copied(payload)
         return self._hold(zone, buf)

@@ -188,12 +188,13 @@ class ZoneStore:
         return paddr // self.device.config.zone_capacity
 
     def region_buffer(self, vaddr):
-        """A device buffer for the region at `vaddr` (ignored here). Writing
-        it hands it to the device without a copy; take a new one after."""
+        """A device buffer for the region at `vaddr` (ignored here), and
+        whether it is fresh (`ZnsDevice.lend_buffer`). Writing it hands it
+        to the device without a copy; take a new one after."""
         return self.device.lend_buffer(self.region_size)
 
     def fault_in(self, vaddr, buffer, start, length):
-        """Fault in `length` bytes of a `region_buffer` from `start`."""
+        """Fault in `length` bytes of a fresh `region_buffer` from `start`."""
         self.device.fault_in(buffer, start, length)
 
     def write_region(self, virtual_address: int, payload) -> int:

@@ -213,7 +213,7 @@ class _RamStore:
         self.data = {}
 
     def region_buffer(self, vaddr):
-        return bytearray(self.region_size)
+        return bytearray(self.region_size), False  # RAM needs no faulting in
 
     def fault_in(self, vaddr, buffer, start, length):
         pass

@@ -453,48 +453,62 @@ def test_only_fault_in_advises_one_call_per_request(monkeypatch):
     ftl = make_ftl(ppb=8, blocks=24)
     ftl.arena = RecordingArena()
     chunk = 8 * PAGE
-    view = ftl.lend_buffer(2 * chunk, chunk)
+    view, fresh = ftl.lend_buffer(2 * chunk, chunk)
+    assert fresh
     ftl.ftl_write(chunk + 4 * PAGE, b"x" * 2 * chunk)
     ftl.ftl_read(chunk + 4 * PAGE, chunk)
     assert ftl.arena.calls == []
     ftl.fault_in(2 * chunk, 3 * PAGE)
     ftl.fault_in(2 * chunk + 3 * PAGE, 5 * PAGE)
+    ftl.fault_in(2 * chunk, 3 * PAGE)          # the same range again: one more advice
     view[:] = b"v" * chunk
     ftl.ftl_write(2 * chunk, view)
     assert ftl.ftl_read(2 * chunk, chunk) == b"v" * chunk
     churn_and_check(ftl)
     assert ftl.arena.calls == [(23, 2 * chunk, 3 * PAGE),
-                               (23, 2 * chunk + 3 * PAGE, 5 * PAGE)]
+                               (23, 2 * chunk + 3 * PAGE, 5 * PAGE),
+                               (23, 2 * chunk, 3 * PAGE)]
 
 
-def test_fault_in_advises_only_ranges_holding_a_page_never_advised(monkeypatch):
-    # memory asked for once is resident: filling the same address again
-    # gives no advice, while a request reaching even one page never asked
-    # for is advised whole
+def test_lend_flags_a_range_holding_a_page_never_written(
+        monkeypatch):
+    # a written page stays mapped and resident, as the FTL has no TRIM: a
+    # range written whole is lent not fresh, also once GC has moved its
+    # pages, and is filled with no advice; a range holding even one page
+    # never written is fresh
     monkeypatch.setattr(memory, "POPULATE_WRITE", 23)
     ftl = make_ftl(ppb=8, blocks=24)
     ftl.arena = RecordingArena()
-    chunk = 8 * PAGE
-    for fill in (b"a", b"b"):  # the same region filled twice
-        view = ftl.lend_buffer(chunk, chunk)
+    chunk, first = 8 * PAGE, 8  # the region at [chunk, 2 * chunk), in pages
+    ftl.ftl_write(0, b"z" * 4 * PAGE)          # pages 4-7 stay unwritten
+    for fill, new in ((b"a", True), (b"b", False)):  # the region filled twice
+        view, fresh = ftl.lend_buffer(chunk, chunk)
+        assert fresh is new
         for start in range(0, chunk, 2 * PAGE):
-            ftl.fault_in(chunk + start, 2 * PAGE)
+            if fresh:
+                ftl.fault_in(chunk + start, 2 * PAGE)
             view[start:start + 2 * PAGE] = fill * 2 * PAGE
         ftl.ftl_write(chunk, view)
         assert ftl.ftl_read(chunk, chunk) == fill * chunk
     steps = [(23, chunk + start, 2 * PAGE) for start in range(0, chunk, 2 * PAGE)]
     assert ftl.arena.calls == steps
-    ftl.fault_in(chunk, chunk)                 # every page asked for: skipped
-    ftl.fault_in(2 * chunk - PAGE, 2 * PAGE)   # one new page at the end
-    ftl.fault_in(chunk - PAGE, 2 * PAGE)       # one new page at the start
-    ftl.fault_in(3 * chunk, PAGE + 1)          # a part page counts whole
-    ftl.fault_in(3 * chunk + PAGE, PAGE)
-    assert ftl.arena.calls == steps + [(23, 2 * chunk - PAGE, 2 * PAGE),
-                                       (23, chunk - PAGE, 2 * PAGE),
-                                       (23, 3 * chunk, PAGE + 1)]
-    asked = list(ftl.arena.calls)
-    churn_and_check(ftl)                       # writes fault in, unadvised
-    assert ftl.arena.calls == asked
+    assert not ftl.lend_buffer(0, 4 * PAGE)[1]  # written whole, by a copy
+    assert ftl.lend_buffer(chunk - PAGE, chunk)[1]  # page 7 never written
+    assert ftl.lend_buffer(chunk + PAGE, chunk)[1]  # page 16 never written
+    # overwrite every other page until GC moves the region's pages
+    placed = ftl.mapping[first:first + 8]
+    rng = random.Random(4)
+    for _ in range(50 * ftl.config.block_count):
+        if ftl.mapping[first:first + 8] != placed:
+            break
+        lpage = rng.choice([p for p in range(ftl.config.exported_pages)
+                            if not first <= p < first + 8])
+        ftl.ftl_write(lpage * PAGE, rng.randbytes(PAGE))
+    assert ftl.mapping[first:first + 8] != placed
+    view, fresh = ftl.lend_buffer(chunk, chunk)
+    assert not fresh
+    assert bytes(view) == ftl.ftl_read(chunk, chunk) == b"b" * chunk
+    assert ftl.arena.calls == steps            # writes fault in, with no advice
 
 
 @pytest.mark.parametrize("fallback", ["off_linux", "advice_fails"])
@@ -504,7 +518,8 @@ def test_writes_read_back_without_populate_advice(monkeypatch, fallback):
     ftl = make_ftl(ppb=8, blocks=24)
     ftl.arena = RecordingArena(fail=True)
     for address in (5 * PAGE, 9 * PAGE):
-        view = ftl.lend_buffer(address, 2 * PAGE)
+        view, fresh = ftl.lend_buffer(address, 2 * PAGE)
+        assert fresh
         ftl.fault_in(address, 2 * PAGE)
         view[:] = bytes([address // PAGE]) * 2 * PAGE
         ftl.ftl_write(address, view)
@@ -544,7 +559,7 @@ def test_lent_views_commit_without_a_copy_and_match_oracle():
     starts = [i * extent for i in range(ftl.config.exported_pages // extent)]
     for _ in range(6 * len(starts)):
         first = rng.choice(starts)
-        view = ftl.lend_buffer(first * PAGE, extent * PAGE)
+        view, _ = ftl.lend_buffer(first * PAGE, extent * PAGE)
         view[:] = data = rng.randbytes(extent * PAGE)
         ftl.ftl_write(first * PAGE, view)
         for i in range(extent):
@@ -569,7 +584,7 @@ def test_foreign_payload_is_copied_run_by_run():
 def test_view_lent_for_another_address_is_copied_not_adopted():
     ftl = make_ftl(ppb=8, blocks=24)
     ftl.data = RecordingData(ftl.data)
-    view = ftl.lend_buffer(16 * PAGE, 2 * PAGE)
+    view, _ = ftl.lend_buffer(16 * PAGE, 2 * PAGE)
     view[:] = b"v" * 2 * PAGE
     ftl.ftl_write(40 * PAGE, view)
     assert ftl.data.stores == [(40 * PAGE, 42 * PAGE)]

@@ -11,8 +11,8 @@ import pytest
 
 from helpers import (GC_ZONES, KIB, MIB, device_buffers, drive, make_script,
                      tiny_spec)
-from zonecache import (SCHEME_NAMES, SchemeSpec, build, errors, memory,
-                       wa_factor)
+from test_golden import CONFIGS as GOLDEN_CONFIGS, golden_stem
+from zonecache import SchemeSpec, build, errors, memory, wa_factor
 from zonecache.harness import ExperimentConfig, _Driver, run
 from zonecache.schemes import _capacity_regions
 from zonecache.zcache import FAULT_STEP, Policy
@@ -151,14 +151,9 @@ def test_open_zones_never_exceed_write_zones(name, setup):
     assert peak == (0 if name == "zns-direct" else engine.store.min_write_zones)
 
 
-GOLDEN_CONFIGS = [(name, {}) for name in SCHEME_NAMES] + [
-    ("zcachelib", {"vop_ratio": 0.5})]
-
-
 @pytest.mark.parametrize("name,extra", GOLDEN_CONFIGS,
-                         ids=[n + "".join(f"-{k}{v}" for k, v in e.items())
-                              for n, e in GOLDEN_CONFIGS])
-def test_each_region_slot_is_advised_once(name, extra, monkeypatch):
+                         ids=[golden_stem(n, e) for n, e in GOLDEN_CONFIGS])
+def test_each_region_slot_is_faulted_in_once(name, extra, monkeypatch):
     # every cache region's memory is faulted in once, a step at a time, by
     # its first fill, and never again: a region flushes only when the next
     # item does not fit, so every fill here reaches its region's last step

@@ -22,7 +22,7 @@ class FakeStore:
         self.write_calls = []
 
     def region_buffer(self, vaddr):
-        return bytearray(RS)
+        return bytearray(RS), False  # RAM needs no faulting in
 
     def fault_in(self, vaddr, buffer, start, length):
         pass
@@ -141,18 +141,23 @@ class FaultedBuffer:
 
 
 class FaultRecordingStore(FakeStore):
-    """Records every fault-in request and checks it against the fill: each
+    """Lends buffers that are all fresh, or all faulted in already, and
+    records every fault-in request, checking it against the fill: each
     region's requests start at 0, are contiguous and step-aligned, and
     stop at the step holding the fill's end."""
 
-    def __init__(self, region_size):
+    def __init__(self, region_size, fresh=True):
         super().__init__()
         self.region_size = region_size
+        self.fresh = fresh
         self.requests = {}  # vaddr -> [(start, length)] for its last buffer
 
     def region_buffer(self, vaddr):
         self.requests[vaddr] = []
-        return FaultedBuffer(self.region_size)
+        buffer = FaultedBuffer(self.region_size)
+        if not self.fresh:
+            buffer.faulted = self.region_size
+        return buffer, self.fresh
 
     def fault_in(self, vaddr, buffer, start, length):
         asked = self.requests[vaddr]
@@ -190,6 +195,21 @@ def test_region_buffers_are_faulted_in_step_by_step_ahead_of_the_fill():
     for i, size in enumerate(sizes):
         got = cache.lookup(f"k{i}")
         assert got is None or got == val(i, size)
+
+
+def test_a_resident_buffer_is_filled_with_no_fault_in():
+    # its memory was faulted in by the fill that first wrote it
+    region = 4 * FAULT_STEP + FAULT_STEP // 2
+    store = FaultRecordingStore(region, fresh=False)
+    cache = RegionCache(CacheConfig(cache_capacity_regions=3, region_size=region,
+                                    policy=Policy.LRU), store)
+    size = 3 * FAULT_STEP // 4
+    for i in range(14):  # six items fill a region; the seventh flushes it
+        cache.insert(f"k{i}", val(i, size))
+    assert len(store.write_calls) == 2
+    assert all(asked == [] for asked in store.requests.values())
+    for i in range(14):
+        assert cache.lookup(f"k{i}") == val(i, size)
 
 
 # --- eviction policies ----------------------------------------------------------------

@@ -235,7 +235,7 @@ def test_append_the_device_cannot_copy_keeps_the_buffer_it_took():
     # the failed copy took the freed buffer from the free list; it goes
     # back there, so the next copied append fills that same buffer
     dev = small_device()
-    freed = dev.lend_buffer(4096)
+    freed, _ = dev.lend_buffer(4096)
     freed[:] = b"a" * 4096
     dev.append(0, freed)
     dev.reset(0)
@@ -249,7 +249,7 @@ def test_append_the_device_cannot_copy_keeps_the_buffer_it_took():
 # --- buffer ownership -------------------------------------------------------------
 
 def lent(dev, tag, size):
-    buf = dev.lend_buffer(size)
+    buf, _ = dev.lend_buffer(size)
     buf[:] = bytes([tag % 256]) * size
     return buf
 
@@ -266,9 +266,9 @@ def test_reset_recycles_an_adopted_buffer():
     dev = small_device()
     buf = lent(dev, 1, 4096)
     dev.append(0, buf)
-    assert dev.lend_buffer(4096) is not buf  # zone 0 still holds it
+    assert dev.lend_buffer(4096)[0] is not buf  # zone 0 still holds it
     dev.reset(0)
-    assert dev.lend_buffer(4096) is buf
+    assert dev.lend_buffer(4096) == (buf, False)
 
 
 def test_reset_keeps_a_buffer_another_zone_holds():
@@ -277,13 +277,13 @@ def test_reset_keeps_a_buffer_another_zone_holds():
     src = dev.append(0, buf)
     dst = dev.copy(src, 4096, 1)
     dev.reset(0)
-    fresh = dev.lend_buffer(4096)
-    assert fresh is not buf
-    fresh[:] = b"\xff" * 4096
-    dev.append(2, fresh)
+    other, fresh = dev.lend_buffer(4096)
+    assert other is not buf and fresh
+    other[:] = b"\xff" * 4096
+    dev.append(2, other)
     assert dev.read(dst, 4096) == bytes([1]) * 4096
     dev.reset(1)
-    assert dev.lend_buffer(4096) is buf
+    assert dev.lend_buffer(4096) == (buf, False)
 
 
 def test_copy_charges_a_read_and_an_append_of_its_length():
@@ -333,8 +333,8 @@ def test_migrated_regions_survive_reuse_of_every_freed_buffer():
     tag = 0
 
     def borrow():
-        buf = dev.lend_buffer(size)
-        fresh = not any(buf is old for old in seen)
+        buf, fresh = dev.lend_buffer(size)
+        assert fresh == all(buf is not old for old in seen)
         if fresh:
             seen.append(buf)
         return buf, fresh
@@ -387,11 +387,12 @@ def record_advice(monkeypatch, advice):
     return calls
 
 
-def fill_in_steps(dev, buf, tag):
-    """Fill a lent buffer 4 KiB at a time, asking for each step first, as
-    the cache does; returns the bytes written."""
+def fill_in_steps(dev, buf, tag, fresh=True):
+    """Fill a lent buffer 4 KiB at a time, asking for each step first if
+    it is fresh, as the cache does; returns the bytes written."""
     for start in range(0, len(buf), 4 * KIB):
-        dev.fault_in(buf, start, 4 * KIB)
+        if fresh:
+            dev.fault_in(buf, start, 4 * KIB)
         buf[start:start + 4 * KIB] = bytes([tag + start // KIB]) * 4 * KIB
     return bytes(buf)
 
@@ -408,7 +409,8 @@ def test_buffers_are_faulted_in_once_per_request_and_read_back_without_it(
     # retried
     calls = record_advice(monkeypatch, advice)
     dev = small_device()
-    buf = dev.lend_buffer(16 * KIB)
+    buf, fresh = dev.lend_buffer(16 * KIB)
+    assert fresh
     assert calls == []                         # lending faults nothing in
     want = fill_in_steps(dev, buf, 1)
     addr = dev.append(0, buf)
@@ -423,14 +425,15 @@ def test_buffers_are_faulted_in_once_per_request_and_read_back_without_it(
 
 
 @pytest.mark.parametrize("advice", ["works", "off_linux", "fails"])
-def test_buffers_reused_from_the_free_list_are_not_advised_again(
+def test_buffers_reused_from_the_free_list_are_filled_with_no_advice(
         monkeypatch, advice):
     # a buffer back from a reset was faulted in by the fill that wrote it:
-    # lending it again and filling it step by step, or copying into it,
-    # gives no advice, and the bytes read back the same either way
+    # it is lent not fresh, so its borrower fills it asking for no step,
+    # copying into it gives no advice, and the bytes read back the same
     calls = record_advice(monkeypatch, advice)
     dev = small_device()
-    buf = dev.lend_buffer(16 * KIB)
+    buf, fresh = dev.lend_buffer(16 * KIB)
+    assert fresh
     first = fill_in_steps(dev, buf, 1)
     dev.append(0, buf)
     dev.append(0, b"y" * 8 * KIB)               # copied into a fresh buffer
@@ -438,9 +441,9 @@ def test_buffers_reused_from_the_free_list_are_not_advised_again(
     asked = list(calls)
     assert asked == {"works": STEPS + [(23, 0, 8 * KIB)],
                      "off_linux": [], "fails": STEPS[:1]}[advice]
-    again = dev.lend_buffer(16 * KIB)
-    assert again is buf                         # from the free list
-    want = fill_in_steps(dev, again, 101)
+    again, fresh = dev.lend_buffer(16 * KIB)
+    assert again is buf and not fresh           # from the free list
+    want = fill_in_steps(dev, again, 101, fresh)
     assert want != first
     addr = dev.append(1, again)
     moved = dev.copy(addr + 4 * KIB, 8 * KIB, 2)  # into the reused 8 KiB buffer
@@ -452,23 +455,45 @@ def test_buffers_reused_from_the_free_list_are_not_advised_again(
     assert calls == asked + fresh
 
 
+def free_by_reset(dev, addr):
+    dev.reset(addr // dev.config.zone_capacity)
+
+
+def free_by_deallocation(dev, addr):
+    dev.deallocate(addr, 16 * KIB)
+
+
+def free_by_both_holders(dev, addr):
+    # the copy shares the buffer: one holder letting go frees nothing
+    dev.copy(addr, 16 * KIB, 1)
+    dev.deallocate(addr, 16 * KIB)
+    other, fresh = dev.lend_buffer(16 * KIB)
+    assert fresh
+    dev.append(2, other)
+    dev.reset(1)
+
+
 # --- deallocation -----------------------------------------------------------------
 
-def test_deallocated_buffer_is_lent_again_without_advice(monkeypatch):
-    # the buffer was faulted in by the fill that wrote it: lending it again
-    # and filling it step by step gives no advice, and it reads back
+@pytest.mark.parametrize("free", [free_by_reset, free_by_deallocation,
+                                  free_by_both_holders],
+                         ids=["reset", "deallocation", "shared"])
+def test_a_freed_buffer_is_lent_again_as_resident(monkeypatch, free):
+    # the buffer was faulted in by the fill that wrote it: however it went
+    # back to the free list, it is lent again not fresh, filled with no
+    # advice, and reads back
     calls = record_advice(monkeypatch, "works")
     dev = small_device()
-    buf = dev.lend_buffer(16 * KIB)
+    buf, fresh = dev.lend_buffer(16 * KIB)
+    assert fresh
     fill_in_steps(dev, buf, 1)
-    addr = dev.append(0, buf)
-    dev.deallocate(addr, 16 * KIB)
+    free(dev, dev.append(0, buf))
     assert calls == STEPS
-    again = dev.lend_buffer(16 * KIB)
-    assert again is buf
-    want = fill_in_steps(dev, again, 101)
+    again, fresh = dev.lend_buffer(16 * KIB)
+    assert again is buf and not fresh
+    want = fill_in_steps(dev, again, 101, fresh)
     assert calls == STEPS
-    assert dev.read(dev.append(1, again), 16 * KIB) == want
+    assert dev.read(dev.append(3, again), 16 * KIB) == want
 
 
 def test_read_and_copy_over_a_deallocated_range_raise():
@@ -545,7 +570,7 @@ def test_shared_buffer_is_freed_only_when_both_zones_let_go():
     assert other is not buf
     assert dev.read(dst, 4 * KIB) == bytes([1]) * 4 * KIB
     dev.deallocate(dst, 4 * KIB)
-    assert dev.lend_buffer(4 * KIB) is buf
+    assert dev.lend_buffer(4 * KIB) == (buf, False)
 
 
 def test_reset_after_a_deallocation_frees_only_the_rest_of_the_zone():
@@ -556,12 +581,12 @@ def test_reset_after_a_deallocation_frees_only_the_rest_of_the_zone():
     second = lent(dev, 2, 4 * KIB)
     dev.deallocate(dev.append(0, first), 4 * KIB)
     dev.append(0, second)
-    assert dev.lend_buffer(4 * KIB) is first
+    assert dev.lend_buffer(4 * KIB) == (first, False)
     dev.reset(0)
     assert device_buffers(dev)[1] == [id(second)]
-    assert dev.lend_buffer(4 * KIB) is second
-    fresh = dev.lend_buffer(4 * KIB)
-    assert fresh is not first and fresh is not second
+    assert dev.lend_buffer(4 * KIB) == (second, False)
+    new, fresh = dev.lend_buffer(4 * KIB)
+    assert new is not first and new is not second and fresh
     assert dev.counters.total_resets == 1
 
 
@@ -655,7 +680,10 @@ class DeviceMachine(RuleBasedStateMachine):
         self.counter += 1
         payload = bytes([self.counter % 256]) * size
         if lend:
-            buf = self.dev.lend_buffer(size)
+            mapped = len(self.mapped)
+            buf, fresh = self.dev.lend_buffer(size)
+            # fresh exactly when the device never mapped it before
+            assert fresh == all(buf is not old for old in self.mapped[:mapped])
             buf[:] = payload
             self._write(zone, payload, lambda: self.dev.append(zone, buf))
         else:

@@ -402,8 +402,8 @@ def test_gc_migration_shares_buffers_that_stay_intact_after_reuse():
     rng = random.Random(5)
 
     def borrow(addr):
-        buf = store.region_buffer(addr)
-        fresh = not any(buf is old for old in seen)
+        buf, fresh = store.region_buffer(addr)
+        assert fresh == all(buf is not old for old in seen)
         if fresh:
             seen.append(buf)
         return buf, fresh
@@ -495,7 +495,7 @@ def test_deallocated_buffers_are_reused_without_touching_live_regions():
         held = [v for v in sorted(sharing) if not resets_its_zone(v)]
         if unmapped and (not mapped or rng.random() < 0.6):
             vaddr = rng.choice(unmapped)
-            buf = store.region_buffer(vaddr)
+            buf, _ = store.region_buffer(vaddr)
             buf[:] = shadow[vaddr] = step.to_bytes(4, "little") * (size // 4)
             store.write_region(vaddr, buf)
         else:
@@ -532,7 +532,8 @@ def test_rewrite_frees_the_old_copy_at_once():
     # the copy a rewrite replaces is deallocated as the new one maps: its
     # address reads as unmapped, and its buffer is the next one lent
     dev, store = make_store()
-    buf = store.region_buffer(0)
+    buf, fresh = store.region_buffer(0)
+    assert fresh
     buf[:] = payload(1)
     store.write_region(0, buf)
     old = store.forward[0]
@@ -540,7 +541,7 @@ def test_rewrite_frees_the_old_copy_at_once():
     with pytest.raises(errors.Unmapped):
         dev.read(old, store.region_size)
     assert device_buffers(dev)[1] == [id(buf)]
-    assert store.region_buffer(0) is buf
+    assert store.region_buffer(0) == (buf, False)
     assert store.read_region(0) == payload(2)
 
 
