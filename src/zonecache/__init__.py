@@ -3,7 +3,7 @@
 from . import errors
 from .zns import DeviceConfig, ZnsDevice, ZoneState
 from .ftl import FtlConfig, PageMappedFtl
-from .zstorage import (DropVerb, GcConfig, OpPlan, ZoneStore, compute_min_op,
+from .zstorage import (DropVerb, OpPlan, ZoneStore, compute_min_op,
                        watermark_zones)
 from .zcache import CacheConfig, Policy, RegionCache
 from .schemes import SCHEME_NAMES, SchemeSpec, build, wa_factor
@@ -16,7 +16,7 @@ __all__ = [
     "errors",
     "DeviceConfig", "ZnsDevice", "ZoneState",
     "FtlConfig", "PageMappedFtl",
-    "DropVerb", "GcConfig", "OpPlan", "ZoneStore", "compute_min_op",
+    "DropVerb", "OpPlan", "ZoneStore", "compute_min_op",
     "watermark_zones",
     "CacheConfig", "Policy", "RegionCache",
     "SCHEME_NAMES", "SchemeSpec", "build", "wa_factor",

@@ -6,7 +6,7 @@
     zonecache gen-trace --preset l2_wc --cache-bytes 4000000000 --out t.trace
 
 Exit codes: 0 success, 2 usage error, 3 invalid configuration or input
-value, 1 runtime failure.
+value (a malformed trace line included), 1 runtime failure.
 """
 
 import argparse
@@ -18,8 +18,6 @@ from .harness import (_SCHEME_KEYS, check_scheme, parse_config_file,
                       render_csv, run)
 from .workload import PRESET_GET_RATIOS, generate, preset_spec, write_trace
 from .zstorage import compute_min_op
-
-SWEEP_PARAMS = ("op_ratio", "cache_zones", "vop_ratio", "region_size")
 
 
 def _build_parser():
@@ -33,7 +31,8 @@ def _build_parser():
 
     p_sweep = sub.add_parser("sweep", help="run a parameter sweep")
     p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--param", required=True, choices=SWEEP_PARAMS)
+    p_sweep.add_argument("--param", required=True,
+                         choices=[key for key in _SCHEME_KEYS if key != "scheme"])
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated parameter values")
     p_sweep.add_argument("--out-prefix", default="sweep",
@@ -70,13 +69,12 @@ def _cmd_run(args) -> int:
 
 
 def _sweep_apply(config, param, value):
-    field = "zone_count" if param == "cache_zones" else param
     try:
-        parsed = _SCHEME_KEYS[field](value)
+        parsed = _SCHEME_KEYS[param](value)
     except ValueError as e:
         raise errors.InvalidConfig(f"bad value for {param}: {e}")
-    scheme = replace(config.scheme, **{field: parsed})
-    check_scheme(scheme, [field])
+    scheme = replace(config.scheme, **{param: parsed})
+    check_scheme(scheme, [param])
     return replace(config, scheme=scheme)
 
 

@@ -87,9 +87,3 @@ class ExperimentError(SimError):
     def __init__(self, message, op_index=None):
         super().__init__(message)
         self.op_index = op_index
-
-
-class ParseError(SimError):
-    def __init__(self, message, line_number=None):
-        super().__init__(message)
-        self.line_number = line_number

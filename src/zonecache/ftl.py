@@ -9,12 +9,12 @@ writes; there is no background thread.
 Bytes are held by logical address; physical placement is metadata only.
 The data is one private anonymous map of the exported capacity, faulted
 in as it is filled. `lend_buffer` hands out a view of the map that
-`ftl_write` commits in place, and says whether the range is fresh: it
-holds a page never written. Written pages stay resident (the FTL has no
-TRIM), so only a fresh view's borrower asks for it to be faulted in, a
-step at a time ahead of its writes (`fault_in`, one `memory.Populator`
-advice each). Any other payload is copied as its runs are placed,
-faulting its pages in. A read is one slice, and GC migration remaps pages
+`ftl_write` commits in place, with what faults it in: for a range that
+holds a page never written, a call its borrower makes a step at a time
+ahead of its writes (one `memory.Populator` advice each), and None for
+a range written whole, since written pages stay resident (the FTL has
+no TRIM). Any other payload is copied as its runs are placed, faulting
+its pages in. A read is one slice, and GC migration remaps pages
 without moving a byte. The page maps are integer arrays, -1 meaning
 unmapped: `mapping` (logical -> physical)
 and `reverse` (physical -> logical). Host writes and GC migration place
@@ -199,18 +199,16 @@ class PageMappedFtl:
 
     def lend_buffer(self, address: int, length: int):
         """A writable view of the bytes at `address`, which reads see as it
-        fills, and whether the range is fresh: it holds a page never
-        written. `ftl_write` of the view there commits it with no copy."""
+        fills, and `fault_in(start, length)`, which faults in the view's
+        range from `start`, a page boundary, ahead of the borrower's
+        writes there; None when every page in it was written. `ftl_write`
+        of the view there commits it with no copy."""
         self._check_write(address, length)
         view = self.lent[address] = self.data[address:address + length]
-        return view, -1 in self.mapping[address // PAGE:
-                                        (address + length) // PAGE]
-
-    def fault_in(self, address: int, length: int):
-        """Fault in `length` bytes of the map from `address`, a page
-        boundary, ahead of a borrower's writes there. Only a fresh range
-        needs it."""
-        self.populator.populate(self.arena, address, length)
+        if -1 not in self.mapping[address // PAGE:(address + length) // PAGE]:
+            return view, None
+        return view, lambda start, n: self.populator.populate(
+            self.arena, address + start, n)
 
     def ftl_write(self, logical_address: int, payload):
         """If DeviceBusy stops a write part-way, the pages it did not place

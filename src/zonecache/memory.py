@@ -4,9 +4,10 @@ The zoned device's region buffers and the FTL's arena are private
 anonymous maps, faulted in as the cache fills them rather than when they
 are mapped. Each owner faults a range in with one `MADV_POPULATE_WRITE`
 (Linux 5.14+), which zeroes its pages in one call instead of one trap per
-page. An owner says when it lends memory whether it is fresh, never
-faulted in, and only fresh memory is asked for: the advice still walks
-resident pages, so asking again would cost time for nothing.
+page. An owner lends memory that was never faulted in with a call that
+advises a range of it, and other memory with None, so resident memory is
+never asked for: the advice still walks resident pages, so asking again
+would cost time for nothing.
 Where the advice is missing or fails, the owner stops asking, and plain
 writes fault the pages in one at a time: the bytes are the same.
 """

@@ -21,7 +21,7 @@ from .ftl import FtlConfig, PageMappedFtl
 from .memory import PAGE
 from .zcache import CacheConfig, Policy, RegionCache
 from .zns import MAX_OPEN_ZONES, DeviceConfig, ZnsDevice
-from .zstorage import GcConfig, ZoneStore
+from .zstorage import ZoneStore
 
 MIB = 1024 * 1024
 
@@ -143,9 +143,8 @@ class _ZnsEngine(_Engine):
         self.device = ZnsDevice(DeviceConfig(
             spec.zone_count, spec.zone_capacity,
             min(MAX_OPEN_ZONES, spec.zone_count)))
-        store = ZoneStore(self.device, spec.region_size,
-                          GcConfig(spec.w_low, spec.w_high),
-                          min_write_zones=1 if direct else spec.min_write_zones)
+        store = ZoneStore(self.device, spec.region_size, spec.w_low,
+                          spec.w_high, 1 if direct else spec.min_write_zones)
         super().__init__(spec, store)
         self._checked_flushes = 0
 
@@ -187,11 +186,8 @@ class _FtlRegionStore:
 
     def region_buffer(self, vaddr):
         """The FTL's bytes at `vaddr`, filled in place, written with no
-        copy, and whether they are fresh (`PageMappedFtl.lend_buffer`)."""
+        copy, and their fault-in or None (`PageMappedFtl.lend_buffer`)."""
         return self.ftl.lend_buffer(vaddr, self.region_size)
-
-    def fault_in(self, vaddr, buffer, start, length):
-        self.ftl.fault_in(vaddr + start, length)
 
     def write_region(self, vaddr, payload):
         self.ftl.ftl_write(vaddr, payload)

@@ -163,7 +163,8 @@ def replay(path):
 
     One op per line: `set <key> <size_bytes>` or `get <key>`; `#` starts a
     comment line. A get carries the size of its key's latest earlier set,
-    or None if there was none. Raises ParseError naming the offending line.
+    or None if there was none. Raises InvalidConfig naming the offending
+    line.
     """
     ops = []
     sizes = {}
@@ -179,17 +180,16 @@ def replay(path):
                 try:
                     size = int(fields[2])
                 except ValueError:
-                    raise errors.ParseError(
-                        f"line {number}: bad size {fields[2]!r}", number)
+                    raise errors.InvalidConfig(
+                        f"line {number}: bad size {fields[2]!r}")
                 if size < 0:
-                    raise errors.ParseError(
-                        f"line {number}: negative size", number)
+                    raise errors.InvalidConfig(f"line {number}: negative size")
                 sizes[fields[1]] = size
                 ops.append(CacheOp(OpKind.SET, fields[1], size))
             else:
-                raise errors.ParseError(
+                raise errors.InvalidConfig(
                     f"line {number}: expected 'get <key>' or "
-                    f"'set <key> <size>', got {line!r}", number)
+                    f"'set <key> <size>', got {line!r}")
     return ops
 
 

@@ -2,15 +2,15 @@
 
 Items are packed into a RAM buffer one region wide; full buffers are flushed
 to the backing store with a single large write. The store lends the buffer
-and says whether it is fresh, with no page faulted in yet. The cache asks
-it to fault a fresh buffer in `FAULT_STEP` (256 KiB) at a time as the
-fill's end passes the faulted-in mark, so no single op pays for more than a step and
-a region's unfilled tail is never touched. A buffer that is not fresh was
-faulted in by the fill that first wrote it, and the cache asks for no step
-of it: that fill stopped less than one item short of the region's end, so
-while no item is larger than a step, and regions are whole steps or less
-than one, its steps reached the end (a larger item could leave a tail
-that faults in a page at a time on a later fill).
+with what faults it in: `fault_in(start, length)` while some of it was
+never faulted in, else None. The cache calls it `FAULT_STEP` (256 KiB) at a
+time as the fill's end passes the faulted-in mark, so no single op pays
+for more than a step and a region's unfilled tail is never touched. A
+buffer lent with None was faulted in by the fill that first wrote it:
+that fill stopped less than one item short of the region's end, so while
+no item is larger than a step, and regions are whole steps or less than
+one, its steps reached the end (a larger item could leave a tail that
+faults in a page at a time on a later fill).
 
 Flushed region ids live in two OrderedDicts, `main` and the tail-side
 `vop`, each most recent first (the head is the first entry), which
@@ -101,6 +101,7 @@ class RegionCache:
         self._buffer = None  # taken from the store for each buffered region
         self._buffered = None  # region id currently accepting items
         self._fill = 0  # bytes used in the buffer
+        self._fault_in = None  # the buffer's fault-in, from the store
         self._faulted = 0  # bytes of the buffer faulted in, from its start
         self.stats_counters = CacheStats()
         self.flushed_count = 0
@@ -145,10 +146,10 @@ class RegionCache:
         if not self.free_slots:
             self.evict_one()
         self._buffered = self.free_slots.pop()
-        self._buffer, fresh = self.store.region_buffer(
+        self._buffer, self._fault_in = self.store.region_buffer(
             self.vaddr(self._buffered))
         self._fill = 0
-        self._faulted = 0 if fresh else self.config.region_size
+        self._faulted = 0 if self._fault_in else self.config.region_size
 
     def _flush(self):
         rid = self._buffered
@@ -178,8 +179,7 @@ class RegionCache:
         self._fill += len(value)
         while self._faulted < self._fill:
             step = min(FAULT_STEP, self.config.region_size - self._faulted)
-            self.store.fault_in(self.vaddr(self._buffered), self._buffer,
-                                self._faulted, step)
+            self._fault_in(self._faulted, step)
             self._faulted += step
         self._buffer[offset:self._fill] = value
         old = self.index.get(key)

@@ -22,17 +22,17 @@ The device owns the buffers that hold its data. A buffer is
 Once no zone holds it, it goes to a free list keyed by length, which
 lending and copying draw from before mapping a new buffer.
 
-A new buffer is mapped without faulting its pages in. A lent buffer comes
-with whether it is fresh: mapped just now, rather than reused from the
-free list. Only a fresh buffer's borrower asks for it to be faulted in, a
-step at a time just ahead of its writes (`fault_in`), and a fresh buffer
-the device fills with a copy is faulted in whole first; either way it
-takes one `memory.Populator` advice. A reused buffer was faulted in by
-the fill that first wrote it, as far as that fill's steps reached: a
-region flushes only when the next item does not fit, so while no item is
-larger than a step (`zcache.FAULT_STEP`, as in every preset) and regions
-are whole steps, they reached its end. A larger item could leave a tail
-that a later fill faults in a page at a time, with the same bytes.
+A new buffer is mapped without faulting its pages in. It comes with what
+faults it in, `fault_in(start, length)`: one `memory.Populator` advice
+per call. Its borrower calls it a step at a time just ahead of its
+writes, and the device calls it once, for the whole buffer, before
+filling a new buffer with a copy. A buffer reused from the free list
+comes with None instead: the fill that first wrote it faulted it in, as
+far as that fill's steps reached. A region flushes only when the next
+item does not fit, so while no item is larger than a step
+(`zcache.FAULT_STEP`, as in every preset) and regions are whole steps,
+they reached its end. A larger item could leave a tail that a later fill
+faults in a page at a time, with the same bytes.
 
 Like every layer above it, the device is driven from one thread: each
 operation completes before the next starts, so none locks or retries.
@@ -139,18 +139,20 @@ class ZnsDevice:
     # -- buffers -----------------------------------------------------------
 
     def _take(self, length):
-        """A buffer of `length` bytes, and whether it was mapped just now
-        rather than reused from the free list."""
+        """A buffer of `length` bytes and its fault-in: None for a buffer
+        reused from the free list, else a call that advises a range of
+        the buffer mapped just now."""
         pool = self._free.get(length)
         if pool:
-            return pool.pop(), False
-        return mmap.mmap(-1, length, flags=mmap.MAP_PRIVATE), True
+            return pool.pop(), None
+        buf = mmap.mmap(-1, length, flags=mmap.MAP_PRIVATE)
+        return buf, lambda start, n: self._populator.populate(buf, start, n)
 
     def _copied(self, data):
         """A buffer of the device's holding a copy of `data`."""
-        buf, fresh = self._take(len(data))
-        if fresh:
-            self._populator.populate(buf, 0, len(buf))
+        buf, fault_in = self._take(len(data))
+        if fault_in is not None:
+            fault_in(0, len(buf))
         try:
             buf[:] = data
         except BaseException:
@@ -159,19 +161,15 @@ class ZnsDevice:
         return buf
 
     def lend_buffer(self, length: int):
-        """A writable buffer of `length` bytes, and whether it is fresh:
-        mapped just now and not yet faulted in, rather than reused from
-        the free list. Appending it whole gives it to the device without
-        a copy; after that its borrower must not write to it."""
-        buf, fresh = self._take(length)
+        """A writable buffer of `length` bytes, and `fault_in(start,
+        length)`, which faults in a range of it from a page boundary
+        ahead of the borrower's writes there; None for a buffer reused
+        from the free list. Appending the buffer whole gives it to the
+        device without a copy; after that its borrower must not write
+        to it."""
+        buf, fault_in = self._take(length)
         self._lent[id(buf)] = buf
-        return buf, fresh
-
-    def fault_in(self, buf, start: int, length: int):
-        """Fault in `length` bytes of a lent buffer from `start`, a page
-        boundary, ahead of the borrower's writes there. Only a fresh
-        buffer needs it."""
-        self._populator.populate(buf, start, length)
+        return buf, fault_in
 
     def _admit(self, zone_id, length) -> _Zone:
         """Check that `length` bytes fit at the zone's write pointer; a

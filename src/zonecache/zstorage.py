@@ -45,16 +45,6 @@ class DropVerb(Enum):
     DROP = "drop"
 
 
-@dataclass
-class GcConfig:
-    w_low: float = 1.0    # percent of provisioned zones; GC trigger
-    w_high: float = 3.0   # percent; GC stop target
-
-    def validate(self):
-        if not (0 < self.w_low < self.w_high <= 100):
-            raise errors.InvalidConfig("need 0 < w_low < w_high <= 100")
-
-
 def watermark_zones(percent, zone_count: int) -> int:
     """Zone-count threshold for a percentage watermark, rounded up so tiny
     devices still keep at least one zone of margin."""
@@ -96,10 +86,12 @@ class GcStats:
 
 class ZoneStore:
     """Owns the write zones, the region map, and GC for one device, and keeps
-    `min_write_zones` write zones open, fewer only when no zone is empty."""
+    `min_write_zones` write zones open, fewer only when no zone is empty.
+    GC starts below `w_low` and stops at `w_high` percent of the zones
+    empty."""
 
-    def __init__(self, device, region_size: int, gc_config: GcConfig = None,
-                 min_write_zones: int = 4):
+    def __init__(self, device, region_size: int, w_low: float = 1.0,
+                 w_high: float = 3.0, min_write_zones: int = 4):
         if region_size < 1 or device.config.zone_capacity % region_size != 0:
             raise errors.InvalidConfig(
                 "zone_capacity must be a positive multiple of region_size")
@@ -108,15 +100,15 @@ class ZoneStore:
             raise errors.InvalidConfig(
                 f"min_write_zones must be in [1, {limit}], the device's "
                 f"open-zone limit")
+        if not 0 < w_low < w_high <= 100:
+            raise errors.InvalidConfig("need 0 < w_low < w_high <= 100")
         self.device = device
         self.region_size = region_size
-        self.gc_config = gc_config or GcConfig()
-        self.gc_config.validate()
         self.min_write_zones = min_write_zones
 
         self.zone_count = device.config.zone_count
-        self.gc_trigger_zones = watermark_zones(self.gc_config.w_low, self.zone_count)
-        self.gc_stop_zones = watermark_zones(self.gc_config.w_high, self.zone_count)
+        self.gc_trigger_zones = watermark_zones(w_low, self.zone_count)
+        self.gc_stop_zones = watermark_zones(w_high, self.zone_count)
         self.write_zones = []        # rotation order
         self._rr = 0
 
@@ -189,13 +181,9 @@ class ZoneStore:
 
     def region_buffer(self, vaddr):
         """A device buffer for the region at `vaddr` (ignored here), and
-        whether it is fresh (`ZnsDevice.lend_buffer`). Writing it hands it
-        to the device without a copy; take a new one after."""
+        its fault-in or None (`ZnsDevice.lend_buffer`). Writing it hands
+        it to the device without a copy; take a new one after."""
         return self.device.lend_buffer(self.region_size)
-
-    def fault_in(self, vaddr, buffer, start, length):
-        """Fault in `length` bytes of a fresh `region_buffer` from `start`."""
-        self.device.fault_in(buffer, start, length)
 
     def write_region(self, virtual_address: int, payload) -> int:
         """Append one region and map it. A buffer from `region_buffer`

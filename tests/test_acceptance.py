@@ -213,10 +213,7 @@ class _RamStore:
         self.data = {}
 
     def region_buffer(self, vaddr):
-        return bytearray(self.region_size), False  # RAM needs no faulting in
-
-    def fault_in(self, vaddr, buffer, start, length):
-        pass
+        return bytearray(self.region_size), None  # RAM needs no faulting in
 
     def write_region(self, vaddr, payload):
         self.data[vaddr] = bytes(payload)

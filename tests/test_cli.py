@@ -161,6 +161,18 @@ def test_runtime_failure_exits_1(tmp_path, capsys):
     assert "op 0" in capsys.readouterr().err
 
 
+def test_malformed_trace_exits_3(tmp_path, capsys):
+    # a bad trace line is invalid input like a bad config key
+    (tmp_path / "bad.trace").write_text("set a 1024\nset b twelve\n")
+    conf = tmp_path / "exp.conf"
+    conf.write_text(TINY_CONF.replace("get_ratio = 0.5\nkey_space = 30\n"
+                                      "size_min = 2kib\nsize_max = 16kib\n"
+                                      "op_count = 400\nseed = 3\n",
+                                      "trace = bad.trace\n"))
+    assert main(["run", "--config", str(conf)]) == 3
+    assert "config error: line 2: bad size 'twelve'" in capsys.readouterr().err
+
+
 def test_trace_plus_synthetic_keys_exits_3(tmp_path, capsys):
     (tmp_path / "t.trace").write_text("set a 1024\nget a\n")
     conf = tmp_path / "exp.conf"
@@ -279,6 +291,23 @@ def test_sweep_rejects_param_the_scheme_ignores(conf, tmp_path, capsys,
 def test_sweep_rejects_unknown_param(conf, capsys):
     assert main(["sweep", "--config", str(conf), "--param", "zorch",
                  "--values", "1"]) == 2
+
+
+def test_sweep_takes_any_scheme_key(conf, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", "--config", str(conf), "--param", "min_write_zones",
+                 "--values", "1,2,3", "--out-prefix", "sw"]) == 0
+    csvs = [(tmp_path / f"sw_min_write_zones_{value}.csv").read_text()
+            for value in ("1", "2", "3")]
+    assert all(text.startswith(CSV_HEADER) for text in csvs)
+    assert len(set(csvs)) > 1  # the value reaches the store
+    assert capsys.readouterr().out.count("wrote ") == 3
+
+
+@pytest.mark.parametrize("param", ["cache_zones", "scheme"])
+def test_sweep_takes_no_alias_and_no_scheme_name(conf, capsys, param):
+    assert main(["sweep", "--config", str(conf), "--param", param,
+                 "--values", "8"]) == 2
 
 
 def test_sweep_rejects_empty_values(conf, capsys):

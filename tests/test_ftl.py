@@ -453,14 +453,14 @@ def test_only_fault_in_advises_one_call_per_request(monkeypatch):
     ftl = make_ftl(ppb=8, blocks=24)
     ftl.arena = RecordingArena()
     chunk = 8 * PAGE
-    view, fresh = ftl.lend_buffer(2 * chunk, chunk)
-    assert fresh
+    view, fault = ftl.lend_buffer(2 * chunk, chunk)
+    assert fault is not None
     ftl.ftl_write(chunk + 4 * PAGE, b"x" * 2 * chunk)
     ftl.ftl_read(chunk + 4 * PAGE, chunk)
     assert ftl.arena.calls == []
-    ftl.fault_in(2 * chunk, 3 * PAGE)
-    ftl.fault_in(2 * chunk + 3 * PAGE, 5 * PAGE)
-    ftl.fault_in(2 * chunk, 3 * PAGE)          # the same range again: one more advice
+    fault(0, 3 * PAGE)
+    fault(3 * PAGE, 5 * PAGE)
+    fault(0, 3 * PAGE)                         # the same range again: one more advice
     view[:] = b"v" * chunk
     ftl.ftl_write(2 * chunk, view)
     assert ftl.ftl_read(2 * chunk, chunk) == b"v" * chunk
@@ -473,28 +473,28 @@ def test_only_fault_in_advises_one_call_per_request(monkeypatch):
 def test_lend_flags_a_range_holding_a_page_never_written(
         monkeypatch):
     # a written page stays mapped and resident, as the FTL has no TRIM: a
-    # range written whole is lent not fresh, also once GC has moved its
-    # pages, and is filled with no advice; a range holding even one page
-    # never written is fresh
+    # range written whole is lent with no fault-in, also once GC has moved
+    # its pages, and is filled with no advice; a range holding even one
+    # page never written is lent with one
     monkeypatch.setattr(memory, "POPULATE_WRITE", 23)
     ftl = make_ftl(ppb=8, blocks=24)
     ftl.arena = RecordingArena()
     chunk, first = 8 * PAGE, 8  # the region at [chunk, 2 * chunk), in pages
     ftl.ftl_write(0, b"z" * 4 * PAGE)          # pages 4-7 stay unwritten
     for fill, new in ((b"a", True), (b"b", False)):  # the region filled twice
-        view, fresh = ftl.lend_buffer(chunk, chunk)
-        assert fresh is new
+        view, fault = ftl.lend_buffer(chunk, chunk)
+        assert (fault is not None) is new
         for start in range(0, chunk, 2 * PAGE):
-            if fresh:
-                ftl.fault_in(chunk + start, 2 * PAGE)
+            if fault is not None:
+                fault(start, 2 * PAGE)
             view[start:start + 2 * PAGE] = fill * 2 * PAGE
         ftl.ftl_write(chunk, view)
         assert ftl.ftl_read(chunk, chunk) == fill * chunk
     steps = [(23, chunk + start, 2 * PAGE) for start in range(0, chunk, 2 * PAGE)]
     assert ftl.arena.calls == steps
-    assert not ftl.lend_buffer(0, 4 * PAGE)[1]  # written whole, by a copy
-    assert ftl.lend_buffer(chunk - PAGE, chunk)[1]  # page 7 never written
-    assert ftl.lend_buffer(chunk + PAGE, chunk)[1]  # page 16 never written
+    assert ftl.lend_buffer(0, 4 * PAGE)[1] is None  # written whole, by a copy
+    assert ftl.lend_buffer(chunk - PAGE, chunk)[1] is not None  # page 7 never written
+    assert ftl.lend_buffer(chunk + PAGE, chunk)[1] is not None  # page 16 never written
     # overwrite every other page until GC moves the region's pages
     placed = ftl.mapping[first:first + 8]
     rng = random.Random(4)
@@ -505,8 +505,8 @@ def test_lend_flags_a_range_holding_a_page_never_written(
                             if not first <= p < first + 8])
         ftl.ftl_write(lpage * PAGE, rng.randbytes(PAGE))
     assert ftl.mapping[first:first + 8] != placed
-    view, fresh = ftl.lend_buffer(chunk, chunk)
-    assert not fresh
+    view, fault = ftl.lend_buffer(chunk, chunk)
+    assert fault is None
     assert bytes(view) == ftl.ftl_read(chunk, chunk) == b"b" * chunk
     assert ftl.arena.calls == steps            # writes fault in, with no advice
 
@@ -518,9 +518,9 @@ def test_writes_read_back_without_populate_advice(monkeypatch, fallback):
     ftl = make_ftl(ppb=8, blocks=24)
     ftl.arena = RecordingArena(fail=True)
     for address in (5 * PAGE, 9 * PAGE):
-        view, fresh = ftl.lend_buffer(address, 2 * PAGE)
-        assert fresh
-        ftl.fault_in(address, 2 * PAGE)
+        view, fault = ftl.lend_buffer(address, 2 * PAGE)
+        assert fault is not None
+        fault(0, 2 * PAGE)
         view[:] = bytes([address // PAGE]) * 2 * PAGE
         ftl.ftl_write(address, view)
         assert ftl.ftl_read(address, 2 * PAGE) == bytes([address // PAGE]) * 2 * PAGE

@@ -52,8 +52,8 @@ def test_zcachelib_defaults():
     engine = build(SchemeSpec(name="zcachelib"))
     assert engine.cache.config.policy is Policy.ZLRU
     assert engine.cache.config.vop_ratio == 1.0
-    assert engine.store.gc_config.w_low == 1.0
-    assert engine.store.gc_config.w_high == 3.0
+    assert engine.store.gc_trigger_zones == 1
+    assert engine.store.gc_stop_zones == 2
 
 
 def test_policies_and_vop_wiring():

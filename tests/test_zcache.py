@@ -22,10 +22,7 @@ class FakeStore:
         self.write_calls = []
 
     def region_buffer(self, vaddr):
-        return bytearray(RS), False  # RAM needs no faulting in
-
-    def fault_in(self, vaddr, buffer, start, length):
-        pass
+        return bytearray(RS), None  # RAM needs no faulting in
 
     def write_region(self, vaddr, payload):
         self.data[vaddr] = bytes(payload)
@@ -142,9 +139,10 @@ class FaultedBuffer:
 
 class FaultRecordingStore(FakeStore):
     """Lends buffers that are all fresh, or all faulted in already, and
-    records every fault-in request, checking it against the fill: each
-    region's requests start at 0, are contiguous and step-aligned, and
-    stop at the step holding the fill's end."""
+    lends each fresh one with a fault-in that records every request,
+    checking it against the fill: each region's requests start at 0, are
+    contiguous and step-aligned, and stop at the step holding the fill's
+    end."""
 
     def __init__(self, region_size, fresh=True):
         super().__init__()
@@ -153,18 +151,18 @@ class FaultRecordingStore(FakeStore):
         self.requests = {}  # vaddr -> [(start, length)] for its last buffer
 
     def region_buffer(self, vaddr):
-        self.requests[vaddr] = []
+        asked = self.requests[vaddr] = []
         buffer = FaultedBuffer(self.region_size)
         if not self.fresh:
             buffer.faulted = self.region_size
-        return buffer, self.fresh
+            return buffer, None
 
-    def fault_in(self, vaddr, buffer, start, length):
-        asked = self.requests[vaddr]
-        assert start == len(asked) * FAULT_STEP       # from 0, contiguous, aligned
-        assert length == min(FAULT_STEP, self.region_size - start)
-        asked.append((start, length))
-        buffer.faulted = start + length
+        def fault_in(start, length):
+            assert start == len(asked) * FAULT_STEP       # from 0, contiguous, aligned
+            assert length == min(FAULT_STEP, self.region_size - start)
+            asked.append((start, length))
+            buffer.faulted = start + length
+        return buffer, fault_in
 
 
 def test_fault_step_is_whole_pages():

@@ -268,7 +268,7 @@ def test_reset_recycles_an_adopted_buffer():
     dev.append(0, buf)
     assert dev.lend_buffer(4096)[0] is not buf  # zone 0 still holds it
     dev.reset(0)
-    assert dev.lend_buffer(4096) == (buf, False)
+    assert dev.lend_buffer(4096) == (buf, None)
 
 
 def test_reset_keeps_a_buffer_another_zone_holds():
@@ -277,13 +277,13 @@ def test_reset_keeps_a_buffer_another_zone_holds():
     src = dev.append(0, buf)
     dst = dev.copy(src, 4096, 1)
     dev.reset(0)
-    other, fresh = dev.lend_buffer(4096)
-    assert other is not buf and fresh
+    other, fault_in = dev.lend_buffer(4096)
+    assert other is not buf and fault_in is not None
     other[:] = b"\xff" * 4096
     dev.append(2, other)
     assert dev.read(dst, 4096) == bytes([1]) * 4096
     dev.reset(1)
-    assert dev.lend_buffer(4096) == (buf, False)
+    assert dev.lend_buffer(4096) == (buf, None)
 
 
 def test_copy_charges_a_read_and_an_append_of_its_length():
@@ -333,7 +333,8 @@ def test_migrated_regions_survive_reuse_of_every_freed_buffer():
     tag = 0
 
     def borrow():
-        buf, fresh = dev.lend_buffer(size)
+        buf, fault_in = dev.lend_buffer(size)
+        fresh = fault_in is not None
         assert fresh == all(buf is not old for old in seen)
         if fresh:
             seen.append(buf)
@@ -387,12 +388,13 @@ def record_advice(monkeypatch, advice):
     return calls
 
 
-def fill_in_steps(dev, buf, tag, fresh=True):
-    """Fill a lent buffer 4 KiB at a time, asking for each step first if
-    it is fresh, as the cache does; returns the bytes written."""
+def fill_in_steps(buf, fault, tag):
+    """Fill a lent buffer 4 KiB at a time, calling its fault-in for each
+    step first unless it was lent with None, as the cache does; returns
+    the bytes written."""
     for start in range(0, len(buf), 4 * KIB):
-        if fresh:
-            dev.fault_in(buf, start, 4 * KIB)
+        if fault is not None:
+            fault(start, 4 * KIB)
         buf[start:start + 4 * KIB] = bytes([tag + start // KIB]) * 4 * KIB
     return bytes(buf)
 
@@ -409,10 +411,10 @@ def test_buffers_are_faulted_in_once_per_request_and_read_back_without_it(
     # retried
     calls = record_advice(monkeypatch, advice)
     dev = small_device()
-    buf, fresh = dev.lend_buffer(16 * KIB)
-    assert fresh
+    buf, fault = dev.lend_buffer(16 * KIB)
+    assert fault is not None
     assert calls == []                         # lending faults nothing in
-    want = fill_in_steps(dev, buf, 1)
+    want = fill_in_steps(buf, fault, 1)
     addr = dev.append(0, buf)
     moved = dev.copy(addr + 4 * KIB, 8 * KIB, 1)  # part of a buffer: a copy
     copied = dev.append(1, b"z" * 4 * KIB)
@@ -428,22 +430,22 @@ def test_buffers_are_faulted_in_once_per_request_and_read_back_without_it(
 def test_buffers_reused_from_the_free_list_are_filled_with_no_advice(
         monkeypatch, advice):
     # a buffer back from a reset was faulted in by the fill that wrote it:
-    # it is lent not fresh, so its borrower fills it asking for no step,
+    # it is lent with no fault-in, so its borrower fills it asking for no step,
     # copying into it gives no advice, and the bytes read back the same
     calls = record_advice(monkeypatch, advice)
     dev = small_device()
-    buf, fresh = dev.lend_buffer(16 * KIB)
-    assert fresh
-    first = fill_in_steps(dev, buf, 1)
+    buf, fault = dev.lend_buffer(16 * KIB)
+    assert fault is not None
+    first = fill_in_steps(buf, fault, 1)
     dev.append(0, buf)
     dev.append(0, b"y" * 8 * KIB)               # copied into a fresh buffer
     dev.reset(0)
     asked = list(calls)
     assert asked == {"works": STEPS + [(23, 0, 8 * KIB)],
                      "off_linux": [], "fails": STEPS[:1]}[advice]
-    again, fresh = dev.lend_buffer(16 * KIB)
-    assert again is buf and not fresh           # from the free list
-    want = fill_in_steps(dev, again, 101, fresh)
+    again, fault = dev.lend_buffer(16 * KIB)
+    assert again is buf and fault is None       # from the free list
+    want = fill_in_steps(again, fault, 101)
     assert want != first
     addr = dev.append(1, again)
     moved = dev.copy(addr + 4 * KIB, 8 * KIB, 2)  # into the reused 8 KiB buffer
@@ -467,8 +469,8 @@ def free_by_both_holders(dev, addr):
     # the copy shares the buffer: one holder letting go frees nothing
     dev.copy(addr, 16 * KIB, 1)
     dev.deallocate(addr, 16 * KIB)
-    other, fresh = dev.lend_buffer(16 * KIB)
-    assert fresh
+    other, fault = dev.lend_buffer(16 * KIB)
+    assert fault is not None
     dev.append(2, other)
     dev.reset(1)
 
@@ -480,18 +482,18 @@ def free_by_both_holders(dev, addr):
                          ids=["reset", "deallocation", "shared"])
 def test_a_freed_buffer_is_lent_again_as_resident(monkeypatch, free):
     # the buffer was faulted in by the fill that wrote it: however it went
-    # back to the free list, it is lent again not fresh, filled with no
+    # back to the free list, it is lent again with no fault-in, filled with no
     # advice, and reads back
     calls = record_advice(monkeypatch, "works")
     dev = small_device()
-    buf, fresh = dev.lend_buffer(16 * KIB)
-    assert fresh
-    fill_in_steps(dev, buf, 1)
+    buf, fault = dev.lend_buffer(16 * KIB)
+    assert fault is not None
+    fill_in_steps(buf, fault, 1)
     free(dev, dev.append(0, buf))
     assert calls == STEPS
-    again, fresh = dev.lend_buffer(16 * KIB)
-    assert again is buf and not fresh
-    want = fill_in_steps(dev, again, 101, fresh)
+    again, fault = dev.lend_buffer(16 * KIB)
+    assert again is buf and fault is None
+    want = fill_in_steps(again, fault, 101)
     assert calls == STEPS
     assert dev.read(dev.append(3, again), 16 * KIB) == want
 
@@ -570,7 +572,7 @@ def test_shared_buffer_is_freed_only_when_both_zones_let_go():
     assert other is not buf
     assert dev.read(dst, 4 * KIB) == bytes([1]) * 4 * KIB
     dev.deallocate(dst, 4 * KIB)
-    assert dev.lend_buffer(4 * KIB) == (buf, False)
+    assert dev.lend_buffer(4 * KIB) == (buf, None)
 
 
 def test_reset_after_a_deallocation_frees_only_the_rest_of_the_zone():
@@ -581,12 +583,12 @@ def test_reset_after_a_deallocation_frees_only_the_rest_of_the_zone():
     second = lent(dev, 2, 4 * KIB)
     dev.deallocate(dev.append(0, first), 4 * KIB)
     dev.append(0, second)
-    assert dev.lend_buffer(4 * KIB) == (first, False)
+    assert dev.lend_buffer(4 * KIB) == (first, None)
     dev.reset(0)
     assert device_buffers(dev)[1] == [id(second)]
-    assert dev.lend_buffer(4 * KIB) == (second, False)
-    new, fresh = dev.lend_buffer(4 * KIB)
-    assert new is not first and new is not second and fresh
+    assert dev.lend_buffer(4 * KIB) == (second, None)
+    new, fault_in = dev.lend_buffer(4 * KIB)
+    assert new is not first and new is not second and fault_in is not None
     assert dev.counters.total_resets == 1
 
 
@@ -622,10 +624,10 @@ class DeviceMachine(RuleBasedStateMachine):
         take = self.dev._take
 
         def recording_take(length):
-            buf, fresh = take(length)
-            if fresh:
+            buf, fault_in = take(length)
+            if fault_in is not None:
                 self.mapped.append(buf)
-            return buf, fresh
+            return buf, fault_in
         self.dev._take = recording_take
         self.model = {z: bytearray() for z in range(self.ZONES)}
         # per zone, the (start, length) of each write it holds, and the
@@ -681,9 +683,10 @@ class DeviceMachine(RuleBasedStateMachine):
         payload = bytes([self.counter % 256]) * size
         if lend:
             mapped = len(self.mapped)
-            buf, fresh = self.dev.lend_buffer(size)
-            # fresh exactly when the device never mapped it before
-            assert fresh == all(buf is not old for old in self.mapped[:mapped])
+            buf, fault_in = self.dev.lend_buffer(size)
+            # lent with a fault-in exactly when the device never mapped it
+            assert (fault_in is not None) == all(
+                buf is not old for old in self.mapped[:mapped])
             buf[:] = payload
             self._write(zone, payload, lambda: self.dev.append(zone, buf))
         else:

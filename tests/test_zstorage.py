@@ -10,7 +10,7 @@ import random
 import pytest
 
 from helpers import device_buffers
-from zonecache import (DeviceConfig, DropVerb, GcConfig, ZnsDevice, ZoneStore,
+from zonecache import (DeviceConfig, DropVerb, ZnsDevice, ZoneStore,
                        compute_min_op, errors, watermark_zones)
 from zonecache.zcache import CacheConfig, Policy, RegionCache
 from zonecache.zstorage import GcStats
@@ -24,7 +24,7 @@ def make_store(zone_count=8, zone_capacity=64 * KIB, region_size=32 * KIB,
     dev = ZnsDevice(DeviceConfig(zone_count=zone_count,
                                  zone_capacity=zone_capacity,
                                  max_open_zones=zone_count))
-    store = ZoneStore(dev, region_size, GcConfig(w_low, w_high),
+    store = ZoneStore(dev, region_size, w_low, w_high,
                       min_write_zones=min_write)
     return dev, store
 
@@ -402,7 +402,8 @@ def test_gc_migration_shares_buffers_that_stay_intact_after_reuse():
     rng = random.Random(5)
 
     def borrow(addr):
-        buf, fresh = store.region_buffer(addr)
+        buf, fault_in = store.region_buffer(addr)
+        fresh = fault_in is not None
         assert fresh == all(buf is not old for old in seen)
         if fresh:
             seen.append(buf)
@@ -532,8 +533,8 @@ def test_rewrite_frees_the_old_copy_at_once():
     # the copy a rewrite replaces is deallocated as the new one maps: its
     # address reads as unmapped, and its buffer is the next one lent
     dev, store = make_store()
-    buf, fresh = store.region_buffer(0)
-    assert fresh
+    buf, fault_in = store.region_buffer(0)
+    assert fault_in is not None
     buf[:] = payload(1)
     store.write_region(0, buf)
     old = store.forward[0]
@@ -541,7 +542,7 @@ def test_rewrite_frees_the_old_copy_at_once():
     with pytest.raises(errors.Unmapped):
         dev.read(old, store.region_size)
     assert device_buffers(dev)[1] == [id(buf)]
-    assert store.region_buffer(0) == (buf, False)
+    assert store.region_buffer(0) == (buf, None)
     assert store.read_region(0) == payload(2)
 
 
