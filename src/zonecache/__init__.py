@@ -2,10 +2,10 @@
 
 from . import errors
 from .zns import DeviceConfig, ZnsDevice, ZoneState
-from .ftl import FtlConfig, PageMappedFtl
+from .ftl import PageMappedFtl
 from .zstorage import (DropVerb, OpPlan, ZoneStore, compute_min_op,
                        watermark_zones)
-from .zcache import CacheConfig, Policy, RegionCache
+from .zcache import Policy, RegionCache
 from .schemes import SCHEME_NAMES, SchemeSpec, build, wa_factor
 from .workload import (CacheOp, OpKind, WorkloadSpec, generate, preset_spec,
                        replay, value_bytes, write_trace)
@@ -15,10 +15,10 @@ from .harness import (ExperimentConfig, MetricsReport, parse_config_file,
 __all__ = [
     "errors",
     "DeviceConfig", "ZnsDevice", "ZoneState",
-    "FtlConfig", "PageMappedFtl",
+    "PageMappedFtl",
     "DropVerb", "OpPlan", "ZoneStore", "compute_min_op",
     "watermark_zones",
-    "CacheConfig", "Policy", "RegionCache",
+    "Policy", "RegionCache",
     "SCHEME_NAMES", "SchemeSpec", "build", "wa_factor",
     "CacheOp", "OpKind", "WorkloadSpec", "generate", "preset_spec",
     "replay", "value_bytes", "write_trace",

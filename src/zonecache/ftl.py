@@ -7,9 +7,11 @@ internal over-provisioning hidden from the host. GC runs inline during
 writes; there is no background thread.
 
 Bytes are held by logical address; physical placement is metadata only.
-The data is one private anonymous map of the exported capacity, faulted
-in as it is filled. `lend_buffer` hands out a view of the map that
-`ftl_write` commits in place, with what faults it in: for a range that
+The exported capacity, the physical capacity over one plus the OP ratio
+floored to a page, is computed once, in `__init__`. The data is one
+private anonymous map of the exported capacity, faulted in as it is
+filled. `lend_buffer` hands out a view of the map that `ftl_write`
+commits in place, with what faults it in: for a range that
 holds a page never written, a call its borrower makes a step at a time
 ahead of its writes (one `memory.Populator` advice each), and None for
 a range written whole, since written pages stay resident (the FTL has
@@ -29,7 +31,6 @@ order, one logical run at a time.
 import heapq
 import mmap
 from array import array
-from dataclasses import dataclass
 
 from . import errors
 from .memory import PAGE, Populator
@@ -39,53 +40,33 @@ from .memory import PAGE, Populator
 GC_TRIGGER_FREE_BLOCKS = 2
 
 
-@dataclass
-class FtlConfig:
-    pages_per_block: int
-    block_count: int
-    internal_op_ratio: float = 0.07
-
-    def validate(self):
-        if self.pages_per_block < 1 or self.block_count < 1:
+class PageMappedFtl:
+    def __init__(self, pages_per_block, block_count, op_ratio=0.07):
+        if pages_per_block < 1 or block_count < 1:
             raise errors.InvalidConfig("page/block geometry must be >= 1")
-        if self.internal_op_ratio < 0:
+        if op_ratio < 0:
             raise errors.InvalidConfig("internal_op_ratio must be >= 0")
+        pages = block_count * pages_per_block
+        # physical space split between exported capacity and reserved OP
+        raw = int(pages * PAGE / (1.0 + op_ratio))
+        self.exported_bytes = raw - raw % PAGE
         if self.exported_bytes < PAGE:
             raise errors.InvalidConfig("exported capacity under one page")
-
-    @property
-    def total_bytes(self) -> int:
-        return self.block_count * self.pages_per_block * PAGE
-
-    @property
-    def exported_bytes(self) -> int:
-        # physical space split between exported capacity and reserved OP
-        raw = int(self.total_bytes / (1.0 + self.internal_op_ratio))
-        return raw - raw % PAGE
-
-    @property
-    def exported_pages(self) -> int:
-        return self.exported_bytes // PAGE
-
-
-class PageMappedFtl:
-    def __init__(self, config: FtlConfig):
-        config.validate()
-        self.config = config
-        pages = config.block_count * config.pages_per_block
-        self.arena = mmap.mmap(-1, config.exported_bytes, flags=mmap.MAP_PRIVATE)
+        self.pages_per_block = pages_per_block
+        self.block_count = block_count
+        self.arena = mmap.mmap(-1, self.exported_bytes, flags=mmap.MAP_PRIVATE)
         self.data = memoryview(self.arena)  # logical bytes
         self.populator = Populator()
         self.lent = {}  # logical address -> the view lent for it
-        self.mapping = array("q", [-1]) * config.exported_pages  # logical -> physical
+        self.mapping = array("q", [-1]) * (raw // PAGE)  # logical -> physical
         self.reverse = array("q", [-1]) * pages  # physical -> logical, valid pages only
         self.identity = array("q")  # identity[i] == i, grown on demand by _identity
-        self.valid_counts = [0] * config.block_count
-        self.free_blocks = list(range(config.block_count))
+        self.valid_counts = [0] * block_count
+        self.free_blocks = list(range(block_count))
         heapq.heapify(self.free_blocks)
         self.active_block = None
         # pages consumed in the active block; full until the first is taken
-        self.active_fill = config.pages_per_block
+        self.active_fill = pages_per_block
         self.host_bytes_written = 0
         self.read_bytes = 0
         self.migrated_bytes = 0
@@ -120,7 +101,7 @@ class PageMappedFtl:
         # count; a full active block is a candidate like any other, so GC
         # never leaves its invalid pages stranded there. index() of the
         # minimum breaks ties on the lowest block
-        ppb = self.config.pages_per_block
+        ppb = self.pages_per_block
         scores = list(self.valid_counts)
         for block in self.free_blocks:
             scores[block] = ppb + 1
@@ -137,7 +118,7 @@ class PageMappedFtl:
         if self.free_block_count >= GC_TRIGGER_FREE_BLOCKS:
             return 0
         self.gc_runs += 1
-        ppb = self.config.pages_per_block
+        ppb = self.pages_per_block
         migrated = 0
         while self.free_block_count < GC_TRIGGER_FREE_BLOCKS:
             victim = self._select_victim()
@@ -166,7 +147,7 @@ class PageMappedFtl:
         """Place logical pages [lpage, end), or as many as the active block
         has room for, at its fill point: invalidate their old copies and
         point both maps at the new ones. Returns the placed page count."""
-        ppb = self.config.pages_per_block
+        ppb = self.pages_per_block
         run = min(end - lpage, ppb - self.active_fill)
         ppage = self.active_block * ppb + self.active_fill
         self.active_fill += run
@@ -194,7 +175,7 @@ class PageMappedFtl:
     def _check_write(self, address, length):
         if address % PAGE != 0 or length % PAGE != 0:
             raise errors.Misaligned("writes must be page-aligned in address and length")
-        if address < 0 or address + length > self.config.exported_bytes:
+        if address < 0 or address + length > self.exported_bytes:
             raise errors.OutOfRange("write outside exported capacity")
 
     def lend_buffer(self, address: int, length: int):
@@ -214,7 +195,7 @@ class PageMappedFtl:
         """If DeviceBusy stops a write part-way, the pages it did not place
         keep their old bytes, unless the payload is a lent view."""
         self._check_write(logical_address, len(payload))
-        ppb = self.config.pages_per_block
+        ppb = self.pages_per_block
         view = None if self.lent.pop(logical_address, None) is payload \
             else memoryview(payload)
         first = lpage = logical_address // PAGE
@@ -237,7 +218,7 @@ class PageMappedFtl:
 
     def ftl_read(self, logical_address: int, length: int) -> bytes:
         if logical_address < 0 or length < 0 \
-                or logical_address + length > self.config.exported_bytes:
+                or logical_address + length > self.exported_bytes:
             raise errors.OutOfRange("read outside exported capacity")
         if length == 0:
             return b""

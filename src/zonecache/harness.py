@@ -20,10 +20,10 @@ from dataclasses import dataclass, replace
 from itertools import islice
 
 from . import errors
-from .schemes import MIB, EngineMetrics, SchemeSpec, build, wa_factor
+from .schemes import (MIB, UNREAD_KEYS, EngineMetrics, SchemeSpec, build,
+                      wa_factor)
 from .workload import (CacheOp, OpKind, WorkloadSpec, generate,
                        matches_value, preset_spec, replay, value_bytes)
-from .zcache import ZLRU_SETTINGS, CacheConfig, Policy
 
 CSV_HEADER = ("interval,ops,hits,misses,hit_ratio,cache_bytes,device_bytes,"
               "wa_cum,gc_migrated_bytes,empty_zones,stage")
@@ -287,7 +287,7 @@ def config_from_values(values, base_dir=".") -> ExperimentConfig:
     spec_kwargs = {k: v for k, v in values.items() if k in _SCHEME_KEYS}
     spec_kwargs["name"] = spec_kwargs.pop("scheme")
     scheme = SchemeSpec(**spec_kwargs)
-    cache = check_scheme(scheme, spec_kwargs)
+    cache_bytes = check_scheme(scheme, spec_kwargs)
 
     trace = values.get("trace")
     workload = None
@@ -301,7 +301,7 @@ def config_from_values(values, base_dir=".") -> ExperimentConfig:
         if not os.path.exists(trace):
             raise errors.InvalidConfig(f"trace file not found: {trace}")
     else:
-        workload = _workload_from_values(values, cache)
+        workload = _workload_from_values(values, cache_bytes)
 
     config = ExperimentConfig(
         scheme=scheme, workload=workload, trace_path=trace,
@@ -312,21 +312,19 @@ def config_from_values(values, base_dir=".") -> ExperimentConfig:
     return config
 
 
-def check_scheme(scheme: SchemeSpec, keys) -> CacheConfig:
+def check_scheme(scheme: SchemeSpec, keys) -> int:
     """Build the scheme once and drop it, failing with InvalidConfig: a
-    spec that `build` rejects, or that sets (in `keys`) a setting its
-    cache never reads, is caught while the config loads. Returns the
-    built cache's config."""
-    cache = build(scheme).cache.config
-    unread = [key for key in ZLRU_SETTINGS if key in keys]
-    if unread and cache.policy is not Policy.ZLRU:
-        raise errors.InvalidConfig(
-            f"{scheme.name} ignores {', '.join(unread)}, which only "
-            f"zcachelib's ZLRU cache reads")
-    return cache
+    spec that `build` rejects, or that sets (in `keys`) a key its scheme
+    never reads (`schemes.UNREAD_KEYS`), is caught while the config
+    loads. Returns the built cache's capacity in bytes."""
+    cache = build(scheme).cache
+    unread = [key for key in UNREAD_KEYS[scheme.name] if key in keys]
+    if unread:
+        raise errors.InvalidConfig(f"{scheme.name} ignores {', '.join(unread)}")
+    return cache.capacity_regions * cache.region_size
 
 
-def _workload_from_values(values, cache: CacheConfig) -> WorkloadSpec:
+def _workload_from_values(values, cache_bytes: int) -> WorkloadSpec:
     preset = values.get("preset")
     if preset is None and ("get_ratio" not in values
                            or "key_space" not in values):
@@ -335,8 +333,7 @@ def _workload_from_values(values, cache: CacheConfig) -> WorkloadSpec:
     overrides = {key: values[key] for key in _SYNTHETIC_KEYS
                  if key in values and key != "preset"}
     if preset is not None:
-        spec = preset_spec(preset,
-                           cache.cache_capacity_regions * cache.region_size)
+        spec = preset_spec(preset, cache_bytes)
     else:
         spec = WorkloadSpec(name="custom", get_ratio=values["get_ratio"],
                             key_space=values["key_space"], op_count=100_000)

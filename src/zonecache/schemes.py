@@ -17,9 +17,9 @@ every run single-threaded and reproducible.
 from dataclasses import dataclass, field, replace
 
 from . import errors
-from .ftl import FtlConfig, PageMappedFtl
+from .ftl import PageMappedFtl
 from .memory import PAGE
-from .zcache import CacheConfig, Policy, RegionCache
+from .zcache import Policy, RegionCache
 from .zns import MAX_OPEN_ZONES, DeviceConfig, ZnsDevice
 from .zstorage import ZoneStore
 
@@ -35,6 +35,22 @@ _POLICY = {
     "zns-direct": Policy.LRU,
     "reg-lru": Policy.LRU,
     "reg-fifo": Policy.FIFO,
+}
+
+# the scheme keys no component of a scheme reads, which its config may
+# not set: the FTL's on zoned schemes, the zone store's on reg-*, the
+# write zone count on zns-direct (it keeps one), and ZLRU's wherever the
+# policy is another
+UNREAD_KEYS = {
+    "zcachelib": ("pages_per_block",),
+    "zns-middle-lru": ("pages_per_block", "vop_ratio", "reorder_enabled"),
+    "zns-middle-fifo": ("pages_per_block", "vop_ratio", "reorder_enabled"),
+    "zns-direct": ("pages_per_block", "min_write_zones", "vop_ratio",
+                   "reorder_enabled"),
+    "reg-lru": ("w_low", "w_high", "min_write_zones", "vop_ratio",
+                "reorder_enabled"),
+    "reg-fifo": ("w_low", "w_high", "min_write_zones", "vop_ratio",
+                 "reorder_enabled"),
 }
 
 
@@ -102,9 +118,8 @@ class _Engine:
     def __init__(self, spec, store):
         self.store = store
         self.cache = RegionCache(
-            CacheConfig(_capacity_regions(spec), spec.region_size,
-                        spec.vop_ratio, _POLICY[spec.name],
-                        spec.reorder_enabled), store)
+            store, _capacity_regions(spec), spec.region_size,
+            _POLICY[spec.name], spec.vop_ratio, spec.reorder_enabled)
 
     def insert(self, key, value):
         self.cache.insert(key, value)
@@ -116,17 +131,16 @@ class _Engine:
     # never drop, so evicted + dropped serves every scheme
     @property
     def eviction_events(self) -> int:
-        c = self.cache.stats_counters
+        c = self.cache
         return c.evicted_region_count + c.dropped_region_count
 
     def metrics(self) -> EngineMetrics:
-        c = self.cache.stats_counters
+        c = self.cache
         return EngineMetrics(
             hits=c.hit_count, misses=c.miss_count,
             inserted_bytes=c.inserted_bytes,
             # every flush writes one whole region
-            cache_bytes_written=(self.cache.flushed_count
-                                 * self.cache.config.region_size),
+            cache_bytes_written=c.flushed_count * c.region_size,
             evicted_regions=c.evicted_region_count,
             dropped_regions=c.dropped_region_count,
             **self._backend_metrics())
@@ -204,17 +218,17 @@ class _RegEngine(_Engine):
     def __init__(self, spec):
         device_bytes = spec.zone_count * spec.zone_capacity
         block_bytes = PAGE * spec.pages_per_block
-        self.ftl = PageMappedFtl(FtlConfig(  # rejects a block under one page
-            pages_per_block=spec.pages_per_block,
-            block_count=device_bytes // block_bytes if block_bytes > 0 else 0,
-            internal_op_ratio=spec.op_ratio))
+        self.ftl = PageMappedFtl(  # rejects a block under one page
+            spec.pages_per_block,
+            device_bytes // block_bytes if block_bytes > 0 else 0,
+            spec.op_ratio)
         if device_bytes % block_bytes != 0:
             raise errors.InvalidConfig(
                 "device size must be a whole number of erase blocks")
         if spec.region_size % PAGE != 0:
             raise errors.InvalidConfig("region size must be page-aligned")
         if (_capacity_regions(spec) * spec.region_size
-                > self.ftl.config.exported_bytes):
+                > self.ftl.exported_bytes):
             raise errors.InvalidConfig(
                 "cache regions exceed the FTL's exported capacity")
         super().__init__(spec, _FtlRegionStore(self.ftl, spec.region_size))

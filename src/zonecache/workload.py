@@ -75,6 +75,8 @@ def preset_spec(preset: str, cache_bytes: int, seed: int = 1,
     if preset not in PRESET_GET_RATIOS:
         raise errors.InvalidConfig(
             f"unknown preset {preset!r}; choose one of {', '.join(PRESET_GET_RATIOS)}")
+    if cache_bytes < 1:
+        raise errors.InvalidConfig("cache_bytes must be >= 1")
     size_min, size_max = 2 * KIB, 256 * KIB
     keys = max(1, round(1.5 * cache_bytes / mean_object_size(size_min, size_max)))
     return WorkloadSpec(name=f"{preset}-like",

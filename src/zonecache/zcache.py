@@ -33,11 +33,11 @@ A region's state is where its id is held, and it is held in one place:
 and size, and `keys[rid]` is the set of a region's live keys, so teardown
 unindexes them. The cache runs on one thread, and GC calls the drop filter
 between cache operations, so an eviction always completes before anything
-else sees the region.
+else sees the region. The cache checks its settings once, in `__init__`,
+and keeps them and its counters as plain attributes.
 """
 
 from collections import Counter, OrderedDict
-from dataclasses import dataclass
 from enum import Enum
 
 from . import errors
@@ -45,39 +45,12 @@ from .zstorage import DropVerb
 
 MIB = 1024 * 1024
 FAULT_STEP = 256 * 1024  # region buffer bytes faulted in ahead of the fill at a time
-ZLRU_SETTINGS = ("vop_ratio", "reorder_enabled")  # read by ZLRU alone
 
 
 class Policy(Enum):
     FIFO = "fifo"
     LRU = "lru"
     ZLRU = "zlru"
-
-
-@dataclass
-class CacheConfig:
-    cache_capacity_regions: int
-    region_size: int = 16 * MIB
-    vop_ratio: float = 1.0
-    policy: Policy = Policy.ZLRU
-    reorder_enabled: bool = True
-
-    def validate(self):
-        if self.cache_capacity_regions < 1:
-            raise errors.InvalidConfig("cache_capacity_regions must be >= 1")
-        if self.region_size < 1:
-            raise errors.InvalidConfig("region_size must be >= 1")
-        if not 0.0 <= self.vop_ratio <= 1.0:
-            raise errors.InvalidConfig("vop_ratio must be in [0, 1]")
-
-
-@dataclass
-class CacheStats:
-    hit_count: int = 0
-    miss_count: int = 0
-    inserted_bytes: int = 0
-    evicted_region_count: int = 0
-    dropped_region_count: int = 0
 
 
 def _push_head(ids, rid):
@@ -88,34 +61,48 @@ def _push_head(ids, rid):
 class RegionCache:
     """Cache engine over a region store (zoned or FTL-backed)."""
 
-    def __init__(self, config: CacheConfig, store):
-        config.validate()
-        self.config = config
+    def __init__(self, store, capacity_regions, region_size=16 * MIB,
+                 policy=Policy.ZLRU, vop_ratio=1.0, reorder_enabled=True):
+        if capacity_regions < 1:
+            raise errors.InvalidConfig("cache_capacity_regions must be >= 1")
+        if region_size < 1:
+            raise errors.InvalidConfig("region_size must be >= 1")
+        if not 0.0 <= vop_ratio <= 1.0:
+            raise errors.InvalidConfig("vop_ratio must be in [0, 1]")
         self.store = store
-        self.free_slots = list(range(config.cache_capacity_regions))
+        self.capacity_regions = capacity_regions
+        self.region_size = region_size
+        self.policy = policy
+        self.vop_ratio = vop_ratio
+        self.reorder_enabled = reorder_enabled
+        self.free_slots = list(range(capacity_regions))
         self.free_slots.reverse()  # pop() yields lowest id first
         self.main = OrderedDict()  # region ids, most recent first
         self.vop = OrderedDict()
         self.index = {}  # key -> (region id, offset, size)
-        self.keys = [set() for _ in range(config.cache_capacity_regions)]
+        self.keys = [set() for _ in range(capacity_regions)]
         self._buffer = None  # taken from the store for each buffered region
         self._buffered = None  # region id currently accepting items
         self._fill = 0  # bytes used in the buffer
         self._fault_in = None  # the buffer's fault-in, from the store
         self._faulted = 0  # bytes of the buffer faulted in, from its start
-        self.stats_counters = CacheStats()
+        self.hit_count = 0
+        self.miss_count = 0
+        self.inserted_bytes = 0
         self.flushed_count = 0
+        self.evicted_region_count = 0
+        self.dropped_region_count = 0
 
     def vaddr(self, rid) -> int:
-        return rid * self.config.region_size
+        return rid * self.region_size
 
     # -- eviction list maintenance ----------------------------------------------
 
     def _vop_target(self) -> int:
-        if self.config.policy is not Policy.ZLRU:
+        if self.policy is not Policy.ZLRU:
             return 0
         total = len(self.main) + len(self.vop)
-        return int(self.config.vop_ratio * total)
+        return int(self.vop_ratio * total)
 
     def _rebalance(self):
         # single direction: demote the main tail until the split is satisfied
@@ -129,7 +116,7 @@ class RegionCache:
         regions than the average over zones holding any listed region.
         Relative order among moved regions is preserved. Returns move count.
         """
-        if not self.config.reorder_enabled or not self.main or not self.vop:
+        if not self.reorder_enabled or not self.main or not self.vop:
             return 0  # an empty main averages 0; an empty vop has nothing to sink
         zone = {rid: self.store.zone_of(self.vaddr(rid))
                 for ids in (self.main, self.vop) for rid in ids}
@@ -149,7 +136,7 @@ class RegionCache:
         self._buffer, self._fault_in = self.store.region_buffer(
             self.vaddr(self._buffered))
         self._fill = 0
-        self._faulted = 0 if self._fault_in else self.config.region_size
+        self._faulted = 0 if self._fault_in else self.region_size
 
     def _flush(self):
         rid = self._buffered
@@ -161,24 +148,24 @@ class RegionCache:
         self._rebalance()
         self.flushed_count += 1
         self._buffered = None
-        if self.config.policy is Policy.ZLRU:
+        if self.policy is Policy.ZLRU:
             self.zlru_reorder()
 
     # -- cache interface -------------------------------------------------------
 
     def insert(self, key, value):
-        if len(value) > self.config.region_size:
+        if len(value) > self.region_size:
             raise errors.ItemTooLarge(
-                f"{len(value)} bytes exceeds region size {self.config.region_size}")
+                f"{len(value)} bytes exceeds region size {self.region_size}")
         if self._buffered is None:
             self._alloc_buffer()
-        elif self._fill + len(value) > self.config.region_size:
+        elif self._fill + len(value) > self.region_size:
             self._flush()
             self._alloc_buffer()
         offset = self._fill
         self._fill += len(value)
         while self._faulted < self._fill:
-            step = min(FAULT_STEP, self.config.region_size - self._faulted)
+            step = min(FAULT_STEP, self.region_size - self._faulted)
             self._fault_in(self._faulted, step)
             self._faulted += step
         self._buffer[offset:self._fill] = value
@@ -188,26 +175,26 @@ class RegionCache:
             self.keys[old[0]].discard(key)
         self.keys[self._buffered].add(key)
         self.index[key] = (self._buffered, offset, len(value))
-        self.stats_counters.inserted_bytes += len(value)
+        self.inserted_bytes += len(value)
 
     def lookup(self, key):
         entry = self.index.get(key)
         if entry is None:
-            self.stats_counters.miss_count += 1
+            self.miss_count += 1
             return None
         rid, offset, size = entry
         if rid == self._buffered:
             data = bytes(self._buffer[offset:offset + size])
         else:  # teardown unindexes a region's keys, so it is flushed
             data = self.store.read_region(self.vaddr(rid), offset, size)
-            if self.config.policy is not Policy.FIFO:
+            if self.policy is not Policy.FIFO:
                 if rid in self.vop:
                     del self.vop[rid]
                     _push_head(self.main, rid)
                     self._rebalance()  # demotes main tail into vop head
                 else:
                     self.main.move_to_end(rid, last=False)
-        self.stats_counters.hit_count += 1
+        self.hit_count += 1
         return data
 
     def evict_one(self) -> int:
@@ -218,7 +205,7 @@ class RegionCache:
             raise errors.NothingToEvict("no flushed region to evict")
         rid = next(reversed(ids))
         self._teardown(rid, invalidate=True)
-        self.stats_counters.evicted_region_count += 1
+        self.evicted_region_count += 1
         return rid
 
     def _teardown(self, rid, invalidate):
@@ -239,9 +226,9 @@ class RegionCache:
         down and dropped in place, and the store unmaps them after we
         return; the rest migrate.
         """
-        rid = region_virtual_address // self.config.region_size
+        rid = region_virtual_address // self.region_size
         if rid in self.vop:
             self._teardown(rid, invalidate=False)
-            self.stats_counters.dropped_region_count += 1
+            self.dropped_region_count += 1
             return DropVerb.DROP
         return DropVerb.MIGRATE

@@ -539,7 +539,7 @@ def engine_snapshot(engine, name):
         "index": dict(cache.index), "main": list(cache.main),
         "vop": list(cache.vop),
         "status": [_status(cache, rid)
-                   for rid in range(cache.config.cache_capacity_regions)],
+                   for rid in range(cache.capacity_regions)],
         "buffered": cache._buffered,
         "cache_bytes": m.cache_bytes_written,
         "device_written": m.device_bytes_written,

@@ -22,7 +22,7 @@ from zonecache import SchemeSpec, build, errors
 from zonecache.harness import ExperimentConfig, run
 from zonecache.schemes import _capacity_regions
 from zonecache.workload import preset_spec, value_bytes
-from zonecache.zcache import CacheConfig, Policy, RegionCache
+from zonecache.zcache import Policy, RegionCache
 from zonecache.zstorage import compute_min_op
 
 OP_COUNT = 350_000
@@ -239,10 +239,8 @@ def test_criterion_09_degenerate_zlru_equals_lru():
         rng = random.Random(seed)
         caches = []
         for policy in (Policy.ZLRU, Policy.LRU):
-            config = CacheConfig(cache_capacity_regions=6, region_size=region,
-                                 vop_ratio=0.0, policy=policy,
-                                 reorder_enabled=False)
-            caches.append(RegionCache(config, _RamStore(region)))
+            caches.append(RegionCache(_RamStore(region), 6, region, policy,
+                                      vop_ratio=0.0, reorder_enabled=False))
         for _ in range(500):
             key = f"k{rng.randrange(40)}"
             if rng.random() < 0.5:

@@ -102,6 +102,20 @@ def test_bad_cache_sizing_exits_3(conf, capsys, old, new):
     ("seed = 3\n", "seed = 3\nvop_ratio = 0.5\n", "ignores vop_ratio"),
     ("seed = 3\n", "seed = 3\nreorder_enabled = off\n",
      "ignores reorder_enabled"),
+    ("scheme = zns-middle-lru\n", "scheme = zcachelib\npages_per_block = 7\n",
+     "zcachelib ignores pages_per_block"),
+    (TINY_CONF[:TINY_CONF.index("cache_capacity_regions")],
+     "scheme = reg-lru\nzone_count = 8\nzone_capacity = 32kib\n"
+     "region_size = 16kib\npages_per_block = 2\nw_low = 0.5\n",
+     "reg-lru ignores w_low"),
+    (TINY_CONF[:TINY_CONF.index("cache_capacity_regions")],
+     "scheme = reg-lru\nzone_count = 8\nzone_capacity = 32kib\n"
+     "region_size = 16kib\npages_per_block = 2\nmin_write_zones = 9\n",
+     "reg-lru ignores min_write_zones"),
+    ("scheme = zns-middle-lru\nzone_count = 8\nzone_capacity = 32kib\n"
+     "region_size = 16kib\nmin_write_zones = 2\n",
+     "scheme = zns-direct\nzone_count = 8\nzone_capacity = 32kib\n"
+     "min_write_zones = 3\n", "zns-direct ignores min_write_zones"),
 ], ids=["zns_direct_region_not_zone",
         "zone_capacity_4097", "w_low_above_w_high", "region_not_zone_divisor",
         "min_write_zones_above_max", "max_write_zones_unknown",
@@ -111,11 +125,13 @@ def test_bad_cache_sizing_exits_3(conf, capsys, old, new):
         "cache_capacity_regions_0", "zcachelib_vop_ratio_1_5",
         "interval_ops_0", "device_under_one_region",
         "lru_vop_ratio",
-        "lru_reorder_enabled"])
+        "lru_reorder_enabled", "zcachelib_pages_per_block", "reg_w_low",
+        "reg_min_write_zones", "direct_min_write_zones"])
 def test_spec_build_rejects_exits_3(conf, capsys, old, new, fragment):
     # TINY_CONF's 16 KiB regions on 32 KiB zones do not suit zns-direct,
     # and its zns-middle-lru cache reads neither vop_ratio nor
-    # reorder_enabled
+    # reorder_enabled; the last four set a key that each scheme's engine
+    # never hands to a component, in a config that runs without it
     conf.write_text(TINY_CONF.replace(old, new))
     assert main(["run", "--config", str(conf)]) == 3
     err = capsys.readouterr().err
@@ -136,7 +152,8 @@ def test_sweep_rejects_value_build_rejects(conf, tmp_path, capsys):
     prefix = tmp_path / "sw"
     conf.write_text(TINY_CONF.replace("scheme = zns-middle-lru\n",
                                       "scheme = zns-direct\n")
-                    .replace("region_size = 16kib\n", ""))
+                    .replace("region_size = 16kib\n", "")
+                    .replace("min_write_zones = 2\n", ""))
     assert main(["sweep", "--config", str(conf), "--param", "region_size",
                  "--values", "32kib,16kib", "--out-prefix", str(prefix)]) == 3
     assert "zns-direct requires" in capsys.readouterr().err
@@ -233,6 +250,10 @@ def test_op_calc_infeasible_exits_1(capsys):
      "k must be >= 1"),
     (["op-calc", "--t-cache", "0", "--t-gc", "600", "--k", "6"],
      "rates must be positive"),
+    (["gen-trace", "--preset", "l2_wc", "--cache-bytes", "0", "--ops", "10",
+      "--out", "t.trace"], "cache_bytes must be >= 1"),
+    (["gen-trace", "--preset", "l2_wc", "--cache-bytes", "-5", "--ops", "10",
+      "--out", "t.trace"], "cache_bytes must be >= 1"),
 ])
 def test_bad_option_value_exits_3(tmp_path, capsys, monkeypatch, argv, fragment):
     # a command option is input like a config key: a bad value exits 3
@@ -240,6 +261,7 @@ def test_bad_option_value_exits_3(tmp_path, capsys, monkeypatch, argv, fragment)
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("config error") and fragment in err
+    assert not (tmp_path / "t.trace").exists()
 
 
 def test_gen_trace_bad_option_leaves_out_alone(tmp_path, capsys):
@@ -281,11 +303,15 @@ def test_sweep_writes_one_csv_per_value(conf, tmp_path, capsys, monkeypatch):
 
 def test_sweep_rejects_param_the_scheme_ignores(conf, tmp_path, capsys,
                                                monkeypatch):
+    # zns-middle-lru reads neither ZLRU's vop_ratio nor the FTL's
+    # pages_per_block, so either sweep would write identical CSVs
     monkeypatch.chdir(tmp_path)
-    assert main(["sweep", "--config", str(conf), "--param", "vop_ratio",
-                 "--values", "0,0.5,1.0", "--out-prefix", "sw"]) == 3
-    assert "ignores vop_ratio" in capsys.readouterr().err
-    assert not list(tmp_path.glob("*.csv"))
+    for param, values in (("vop_ratio", "0,0.5,1.0"),
+                          ("pages_per_block", "4,8")):
+        assert main(["sweep", "--config", str(conf), "--param", param,
+                     "--values", values, "--out-prefix", "sw"]) == 3
+        assert f"ignores {param}" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
 
 
 def test_sweep_rejects_unknown_param(conf, capsys):

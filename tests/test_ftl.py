@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from zonecache import FtlConfig, PageMappedFtl, errors, memory
+from zonecache import PageMappedFtl, errors, memory
 
 PAGE = 4096
 
@@ -93,8 +93,7 @@ class OracleFtl:
 
 
 def make_ftl(ppb=16, blocks=32, op_ratio=0.07):
-    return PageMappedFtl(FtlConfig(pages_per_block=ppb, block_count=blocks,
-                                   internal_op_ratio=op_ratio))
+    return PageMappedFtl(ppb, blocks, op_ratio)
 
 
 # --- configuration and exported capacity ----------------------------------------
@@ -102,25 +101,25 @@ def make_ftl(ppb=16, blocks=32, op_ratio=0.07):
 def test_config_rejects_bad_geometry():
     for kwargs in (dict(pages_per_block=0, block_count=4),
                    dict(pages_per_block=4, block_count=0),
-                   dict(pages_per_block=4, block_count=4, internal_op_ratio=-0.1),
+                   dict(pages_per_block=4, block_count=4, op_ratio=-0.1),
                    # one page of 4096 bytes exports 2730, under one page
-                   dict(pages_per_block=1, block_count=1, internal_op_ratio=0.5)):
+                   dict(pages_per_block=1, block_count=1, op_ratio=0.5)):
         with pytest.raises(errors.InvalidConfig):
-            FtlConfig(**kwargs).validate()
+            PageMappedFtl(**kwargs)
 
 
 def test_exported_capacity_is_page_floored():
-    cfg = FtlConfig(pages_per_block=16, block_count=32)
+    ftl = PageMappedFtl(pages_per_block=16, block_count=32)
     total = 32 * 16 * PAGE
     raw = int(total / 1.07)
-    assert cfg.exported_bytes == raw - raw % PAGE
-    assert cfg.exported_bytes % PAGE == 0
-    assert cfg.exported_bytes < total
+    assert ftl.exported_bytes == raw - raw % PAGE
+    assert ftl.exported_bytes % PAGE == 0
+    assert ftl.exported_bytes < total
 
 
 def test_zero_op_ratio_exports_everything():
-    cfg = FtlConfig(pages_per_block=4, block_count=4, internal_op_ratio=0.0)
-    assert cfg.exported_bytes == cfg.total_bytes
+    ftl = PageMappedFtl(pages_per_block=4, block_count=4, op_ratio=0.0)
+    assert ftl.exported_bytes == 4 * 4 * PAGE
 
 
 # --- remapping -------------------------------------------------------------------
@@ -142,9 +141,9 @@ def test_write_alignment_and_range_checks():
     with pytest.raises(errors.Misaligned):
         ftl.ftl_write(0, b"x" * 100)
     with pytest.raises(errors.OutOfRange):
-        ftl.ftl_write(ftl.config.exported_bytes, b"x" * PAGE)
+        ftl.ftl_write(ftl.exported_bytes, b"x" * PAGE)
     with pytest.raises(errors.OutOfRange):
-        ftl.ftl_read(0, ftl.config.exported_bytes + PAGE)
+        ftl.ftl_read(0, ftl.exported_bytes + PAGE)
     with pytest.raises(errors.Unmapped):
         ftl.ftl_read(0, 1)
 
@@ -236,7 +235,7 @@ def test_fully_invalid_victim_reclaimed_without_migration():
 def run_pattern(lpns, ppb=16, blocks=32, op_ratio=0.07):
     ftl = make_ftl(ppb=ppb, blocks=blocks, op_ratio=op_ratio)
     oracle = OracleFtl(ppb, blocks, op_ratio=op_ratio)
-    assert oracle.exported_pages == ftl.config.exported_pages
+    assert oracle.exported_pages == ftl.exported_bytes // PAGE
     for lpn in lpns:
         ftl.ftl_write(lpn * PAGE, bytes([lpn % 256]) * PAGE)
         oracle.write(lpn)
@@ -244,7 +243,7 @@ def run_pattern(lpns, ppb=16, blocks=32, op_ratio=0.07):
 
 
 def test_sequential_overwrites_keep_wa_near_one():
-    pages = FtlConfig(pages_per_block=16, block_count=32).exported_pages
+    pages = make_ftl().exported_bytes // PAGE
     lpns = list(range(pages)) * 3
     ftl, oracle = run_pattern(lpns)
     wa = ftl.nand_bytes_written / ftl.host_bytes_written
@@ -253,7 +252,7 @@ def test_sequential_overwrites_keep_wa_near_one():
 
 
 def test_uniform_random_overwrites_inflate_wa():
-    pages = FtlConfig(pages_per_block=16, block_count=32).exported_pages
+    pages = make_ftl().exported_bytes // PAGE
     rng = random.Random(7)
     lpns = [rng.randrange(pages) for _ in range(3 * pages)]
     ftl, oracle = run_pattern(lpns)
@@ -263,7 +262,7 @@ def test_uniform_random_overwrites_inflate_wa():
 
 
 def test_wa_identity_host_plus_migrated():
-    pages = FtlConfig(pages_per_block=16, block_count=32).exported_pages
+    pages = make_ftl().exported_bytes // PAGE
     rng = random.Random(3)
     lpns = [rng.randrange(pages) for _ in range(2 * pages)]
     ftl, _ = run_pattern(lpns)
@@ -272,11 +271,11 @@ def test_wa_identity_host_plus_migrated():
 
 def assert_matches_oracle(ftl, oracle, shadow):
     # counters, both page maps, every block's valid count and every page
-    ppb = ftl.config.pages_per_block
+    ppb = ftl.pages_per_block
     assert ftl.host_bytes_written == oracle.host * PAGE
     assert ftl.nand_bytes_written == oracle.nand * PAGE
     assert ftl.migrated_bytes == oracle.migrated * PAGE
-    want_map = [-1] * ftl.config.exported_pages
+    want_map = [-1] * (ftl.exported_bytes // PAGE)
     want_reverse = [-1] * len(ftl.reverse)
     for lpn, (block, slot) in oracle.where.items():
         want_map[lpn] = block * ppb + slot
@@ -296,7 +295,7 @@ def watch_victims(ftl):
     migration under test."""
     seen = {"multi_run": 0, "split": 0}
     select = ftl._select_victim
-    ppb = ftl.config.pages_per_block
+    ppb = ftl.pages_per_block
 
     def counted():
         victim = select()
@@ -326,7 +325,7 @@ def test_multi_page_runs_match_oracle(seed, ppb):
     ftl = make_ftl(ppb=ppb, blocks=blocks)
     victims = watch_victims(ftl)
     oracle = OracleFtl(ppb, blocks)
-    pages = ftl.config.exported_pages
+    pages = ftl.exported_bytes // PAGE
     rng = random.Random(seed)
     shadow = {}
     gc_mid_write = 0
@@ -361,7 +360,7 @@ def test_region_shaped_writes_match_oracle(seed, ppb, extent_blocks):
     blocks = 32
     ftl = make_ftl(ppb=ppb, blocks=blocks)
     oracle = OracleFtl(ppb, blocks)
-    pages = ftl.config.exported_pages
+    pages = ftl.exported_bytes // PAGE
     extent = extent_blocks * ppb
     starts = [i * extent for i in range(pages // extent)]
     rng = random.Random(seed)
@@ -399,7 +398,7 @@ def test_region_shaped_writes_match_oracle(seed, ppb, extent_blocks):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_payloads_survive_gc(seed):
     ftl = make_ftl(ppb=8, blocks=16)
-    pages = ftl.config.exported_pages
+    pages = ftl.exported_bytes // PAGE
     rng = random.Random(seed)
     shadow = {}
     for i in range(4 * pages):
@@ -430,11 +429,11 @@ class RecordingArena:
 
 def churn_and_check(ftl, seed=4):
     # overwrite enough to run GC, then read every write back byte for byte
-    ppb = ftl.config.pages_per_block
-    pages = ftl.config.exported_pages
+    ppb = ftl.pages_per_block
+    pages = ftl.exported_bytes // PAGE
     rng = random.Random(seed)
     shadow = {}
-    for _ in range(12 * ftl.config.block_count):
+    for _ in range(12 * ftl.block_count):
         count = rng.randint(1, 3 * ppb)
         first = rng.randrange(pages - count + 1)
         data = rng.randbytes(count * PAGE)
@@ -498,10 +497,10 @@ def test_lend_flags_a_range_holding_a_page_never_written(
     # overwrite every other page until GC moves the region's pages
     placed = ftl.mapping[first:first + 8]
     rng = random.Random(4)
-    for _ in range(50 * ftl.config.block_count):
+    for _ in range(50 * ftl.block_count):
         if ftl.mapping[first:first + 8] != placed:
             break
-        lpage = rng.choice([p for p in range(ftl.config.exported_pages)
+        lpage = rng.choice([p for p in range(ftl.exported_bytes // PAGE)
                             if not first <= p < first + 8])
         ftl.ftl_write(lpage * PAGE, rng.randbytes(PAGE))
     assert ftl.mapping[first:first + 8] != placed
@@ -556,7 +555,7 @@ def test_lent_views_commit_without_a_copy_and_match_oracle():
     oracle = OracleFtl(ppb, blocks)
     rng = random.Random(8)
     shadow = {}
-    starts = [i * extent for i in range(ftl.config.exported_pages // extent)]
+    starts = [i * extent for i in range(ftl.exported_bytes // PAGE // extent)]
     for _ in range(6 * len(starts)):
         first = rng.choice(starts)
         view, _ = ftl.lend_buffer(first * PAGE, extent * PAGE)
@@ -611,7 +610,7 @@ def test_gc_moves_no_bytes():
         return migrated[-1]
 
     ftl.ftl_internal_gc = checked_gc
-    pages = ftl.config.exported_pages
+    pages = ftl.exported_bytes // PAGE
     rng = random.Random(9)
     shadow = {}
     for _ in range(8 * blocks):
@@ -631,7 +630,7 @@ def test_write_failing_part_way_leaves_unplaced_pages_old():
     # pages 1-4 places 1-2 in block 3, which leaves one valid page in each
     # of blocks 0 and 1 and no free block to migrate it into
     ftl = make_ftl(ppb=2, blocks=4, op_ratio=0.3)
-    assert ftl.config.exported_pages == 6
+    assert ftl.exported_bytes // PAGE == 6
     old = b"".join(bytes([lpn]) * PAGE for lpn in range(6))
     ftl.ftl_write(0, old)
     with pytest.raises(errors.DeviceBusy):
@@ -642,7 +641,7 @@ def test_write_failing_part_way_leaves_unplaced_pages_old():
 
 def assert_maps_consistent(ftl):
     # the two page maps agree, and each block's count is its mapped pages
-    ppb = ftl.config.pages_per_block
+    ppb = ftl.pages_per_block
     for lpage, ppage in enumerate(ftl.mapping):
         if ppage >= 0:
             assert ftl.reverse[ppage] == lpage, f"logical page {lpage}"
@@ -669,7 +668,7 @@ def test_device_busy_when_nothing_reclaimable():
     # zero OP: the host can fill every page, after which GC finds every
     # candidate fully valid and the next allocation has nowhere to go
     ftl = make_ftl(ppb=2, blocks=2, op_ratio=0.0)
-    for lpn in range(ftl.config.exported_pages):
+    for lpn in range(ftl.exported_bytes // PAGE):
         ftl.ftl_write(lpn * PAGE, b"v" * PAGE)
     with pytest.raises(errors.DeviceBusy):
         ftl.ftl_write(0, b"w" * PAGE)

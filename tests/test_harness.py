@@ -428,6 +428,8 @@ def test_config_loading_keeps_no_engine(monkeypatch):
     monkeypatch.setattr(harness, "build", recording_build)
     parse_config_text(GOOD_CONFIG)
     parse_config_text(GOOD_CONFIG.replace("zns-middle-lru", "reg-lru")
+                      .replace("min_write_zones = 2\nw_low = 25\nw_high = 50\n",
+                               "")
                       + "pages_per_block = 2\n")
     gc.collect()
     assert engines

@@ -50,14 +50,14 @@ def test_region_size_defaults():
 
 def test_zcachelib_defaults():
     engine = build(SchemeSpec(name="zcachelib"))
-    assert engine.cache.config.policy is Policy.ZLRU
-    assert engine.cache.config.vop_ratio == 1.0
+    assert engine.cache.policy is Policy.ZLRU
+    assert engine.cache.vop_ratio == 1.0
     assert engine.store.gc_trigger_zones == 1
     assert engine.store.gc_stop_zones == 2
 
 
 def test_policies_and_vop_wiring():
-    assert build(tiny_spec("zns-middle-fifo")).cache.config.policy is Policy.FIFO
+    assert build(tiny_spec("zns-middle-fifo")).cache.policy is Policy.FIFO
     assert build(tiny_spec("zns-direct")).store.min_write_zones == 1
     # every spec here carries vop_ratio 1.0; only a ZLRU cache splits its
     # flushed regions into main and vop
@@ -75,9 +75,9 @@ def test_cache_sized_from_op_ratio():
     expected = int((64 * 64 * MIB) / 1.07) // (16 * MIB)
     for name in ("zcachelib", "zns-middle-lru", "reg-lru"):
         engine = build(SchemeSpec(name=name))
-        assert engine.cache.config.cache_capacity_regions == expected
+        assert engine.cache.capacity_regions == expected
     override = build(SchemeSpec(name="zcachelib", cache_capacity_regions=10))
-    assert override.cache.config.cache_capacity_regions == 10
+    assert override.cache.capacity_regions == 10
 
 
 # --- scheme behavior ------------------------------------------------------------
@@ -174,8 +174,8 @@ def test_each_region_slot_is_faulted_in_once(name, extra, monkeypatch):
     for op in ops:
         driver.step(op)
     assert driver.corrupt_hits == 0
-    capacity = engine.cache.config.cache_capacity_regions
-    region = engine.cache.config.region_size
+    capacity = engine.cache.capacity_regions
+    region = engine.cache.region_size
     assert len(requests) == capacity * math.ceil(region / FAULT_STEP)
     assert sum(requests) == capacity * region
 
@@ -194,7 +194,7 @@ def test_device_maps_no_more_buffers_than_the_cache_has_regions(name):
     assert engine.gc_events > 0
     held, free, lent = device_buffers(engine.device)
     owned = len(held) + len(free) + len(lent)
-    assert owned <= engine.cache.config.cache_capacity_regions
+    assert owned <= engine.cache.capacity_regions
 
 
 def check_one_buffer_per_region(engine, rids):
@@ -294,7 +294,7 @@ def test_backends_share_hit_sequences():
 def test_reg_fifo_sequential_stream_stays_near_unit_wa():
     engine = build(tiny_spec("reg-fifo"))
     region = 16 * KIB
-    capacity = engine.cache.config.cache_capacity_regions
+    capacity = engine.cache.capacity_regions
     for i in range(3 * capacity):              # distinct keys, full regions
         engine.insert(f"s{i}", value_bytes(f"s{i}", region))
         engine.tick_gc()

@@ -9,7 +9,7 @@ import random
 import pytest
 
 from zonecache import errors, memory
-from zonecache.zcache import FAULT_STEP, CacheConfig, Policy, RegionCache
+from zonecache.zcache import FAULT_STEP, Policy, RegionCache
 from zonecache.zstorage import DropVerb
 
 RS = 1024  # region size used throughout
@@ -45,11 +45,8 @@ class FakeStore:
 
 def make_cache(capacity=4, policy=Policy.ZLRU, vop_ratio=1.0, reorder=True,
                store=None):
-    cfg = CacheConfig(cache_capacity_regions=capacity, region_size=RS,
-                      vop_ratio=vop_ratio, policy=policy,
-                      reorder_enabled=reorder)
     store = store or FakeStore()
-    return RegionCache(cfg, store), store
+    return RegionCache(store, capacity, RS, policy, vop_ratio, reorder), store
 
 
 def val(tag, size):
@@ -59,12 +56,12 @@ def val(tag, size):
 # --- config and region lifecycle ---------------------------------------------------
 
 def test_config_validation():
-    for kwargs in (dict(cache_capacity_regions=0),
-                   dict(cache_capacity_regions=4, region_size=0),
-                   dict(cache_capacity_regions=4, vop_ratio=1.5),
-                   dict(cache_capacity_regions=4, vop_ratio=-0.1)):
+    for kwargs in (dict(capacity_regions=0),
+                   dict(capacity_regions=4, region_size=0),
+                   dict(capacity_regions=4, vop_ratio=1.5),
+                   dict(capacity_regions=4, vop_ratio=-0.1)):
         with pytest.raises(errors.InvalidConfig):
-            CacheConfig(**kwargs).validate()
+            RegionCache(FakeStore(), **kwargs)
 
 
 # --- packing ------------------------------------------------------------------------
@@ -89,7 +86,7 @@ def test_buffered_items_hit_from_ram():
     cache.insert("k", val(7, 128))
     assert store.write_calls == []
     assert cache.lookup("k") == val(7, 128)
-    assert cache.stats_counters.hit_count == 1
+    assert cache.hit_count == 1
 
 
 def test_flushed_items_hit_from_store():
@@ -98,8 +95,7 @@ def test_flushed_items_hit_from_store():
     cache.insert("b", val(2, 600))  # flushes the region holding "a"
     assert cache.lookup("a") == val(1, 600)
     assert cache.lookup("nope") is None
-    s = cache.stats_counters
-    assert (s.hit_count, s.miss_count) == (1, 1)
+    assert (cache.hit_count, cache.miss_count) == (1, 1)
 
 
 def test_same_key_reinsert_supersedes():
@@ -175,8 +171,7 @@ def test_region_buffers_are_faulted_in_step_by_step_ahead_of_the_fill():
     # exactly on a step boundary, so one insert may ask for several steps
     region = 4 * FAULT_STEP + FAULT_STEP // 2
     store = FaultRecordingStore(region)
-    cache = RegionCache(CacheConfig(cache_capacity_regions=3, region_size=region,
-                                    policy=Policy.LRU), store)
+    cache = RegionCache(store, 3, region, Policy.LRU)
     rng = random.Random(3)
     sizes = [FAULT_STEP, FAULT_STEP // 4, 3 * FAULT_STEP // 4, 5 * FAULT_STEP // 2]
     sizes += [rng.randrange(1, 700 * 1024) for _ in range(60)]
@@ -199,8 +194,7 @@ def test_a_resident_buffer_is_filled_with_no_fault_in():
     # its memory was faulted in by the fill that first wrote it
     region = 4 * FAULT_STEP + FAULT_STEP // 2
     store = FaultRecordingStore(region, fresh=False)
-    cache = RegionCache(CacheConfig(cache_capacity_regions=3, region_size=region,
-                                    policy=Policy.LRU), store)
+    cache = RegionCache(store, 3, region, Policy.LRU)
     size = 3 * FAULT_STEP // 4
     for i in range(14):  # six items fill a region; the seventh flushes it
         cache.insert(f"k{i}", val(i, size))
@@ -262,7 +256,7 @@ def test_full_cache_insert_evicts_then_proceeds():
                           reorder=False)
     flush_regions(cache, 2)               # both slots flushed, third buffering?
     # capacity 2: the third insert had to evict the vop tail (region 0)
-    assert cache.stats_counters.evicted_region_count == 1
+    assert cache.evicted_region_count == 1
     assert cache.lookup("r0") is None
     assert cache.lookup("r1") == val(1, RS)
 
@@ -387,7 +381,7 @@ def test_zdrop_drops_vop_region_in_victim_zone():
     assert verb is DropVerb.DROP
     assert cache.lookup(key) is None                 # true eviction
     assert places(cache, rid) == ["free"]
-    assert cache.stats_counters.dropped_region_count == 1
+    assert cache.dropped_region_count == 1
 
 
 def test_zdrop_migrates_main_region_when_ratio_below_one():
@@ -411,7 +405,7 @@ def test_zdrop_ratio_one_drops_every_flushed_region():
     for rid in list(cache.vop):
         assert cache.zdrop_filter(cache.vaddr(rid)) is DropVerb.DROP
     assert len(cache.vop) == 0
-    assert cache.stats_counters.dropped_region_count == 4
+    assert cache.dropped_region_count == 4
     check_structure(cache)
 
 
@@ -429,14 +423,14 @@ def places(cache, rid):
 
 
 def check_structure(cache):
-    for rid in range(cache.config.cache_capacity_regions):
+    for rid in range(cache.capacity_regions):
         assert len(places(cache, rid)) == 1, (rid, places(cache, rid))
         for key in cache.keys[rid]:
             assert cache.index[key][0] == rid
     for key, (rid, offset, size) in cache.index.items():
         assert places(cache, rid) != ["free"]
         assert key in cache.keys[rid]
-        assert offset + size <= cache.config.region_size
+        assert offset + size <= cache.region_size
         if rid == cache._buffered:
             assert offset + size <= cache._fill
 

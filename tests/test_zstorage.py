@@ -12,7 +12,7 @@ import pytest
 from helpers import device_buffers
 from zonecache import (DeviceConfig, DropVerb, ZnsDevice, ZoneStore,
                        compute_min_op, errors, watermark_zones)
-from zonecache.zcache import CacheConfig, Policy, RegionCache
+from zonecache.zcache import Policy, RegionCache
 from zonecache.zstorage import GcStats
 
 KIB = 1024
@@ -629,9 +629,7 @@ def test_cache_buffer_written_after_flush_leaves_device_unchanged():
     # the flushed buffer becomes the device's and the cache fills a new
     # one, so writing into the cache's buffer cannot reach flushed data
     dev, store = make_store()
-    cache = RegionCache(CacheConfig(cache_capacity_regions=4,
-                                    region_size=store.region_size,
-                                    policy=Policy.LRU), store)
+    cache = RegionCache(store, 4, store.region_size, Policy.LRU)
     for i in range(3):
         cache.insert(f"k{i}", payload(i, 20 * KIB))
     assert cache.flushed_count == 2
