@@ -21,7 +21,7 @@ from itertools import islice
 
 from . import errors
 from .schemes import (MIB, UNREAD_KEYS, EngineMetrics, SchemeSpec, build,
-                      wa_factor)
+                      default_region_size, wa_factor)
 from .workload import (CacheOp, OpKind, WorkloadSpec, generate,
                        matches_value, preset_spec, replay, value_bytes)
 
@@ -163,6 +163,12 @@ def run(config: ExperimentConfig) -> MetricsReport:
     engine = build(config.scheme)
     if config.trace_path is not None:
         ops = replay(config.trace_path)
+        region = engine.cache.region_size
+        for index, op in enumerate(ops):  # a get's size is an earlier set's
+            if op.kind is OpKind.SET and op.size > region:
+                raise errors.InvalidConfig(
+                    f"op {index} ({op.kind.value} {op.key}): {op.size} bytes "
+                    f"exceeds region size {region}")
     else:
         ops = generate(config.workload)
     driver = _Driver(engine, config.verify_hits)
@@ -302,6 +308,7 @@ def config_from_values(values, base_dir=".") -> ExperimentConfig:
             raise errors.InvalidConfig(f"trace file not found: {trace}")
     else:
         workload = _workload_from_values(values, cache_bytes)
+        check_item_size(workload, scheme)
 
     config = ExperimentConfig(
         scheme=scheme, workload=workload, trace_path=trace,
@@ -322,6 +329,14 @@ def check_scheme(scheme: SchemeSpec, keys) -> int:
     if unread:
         raise errors.InvalidConfig(f"{scheme.name} ignores {', '.join(unread)}")
     return cache.capacity_regions * cache.region_size
+
+
+def check_item_size(workload: WorkloadSpec, scheme: SchemeSpec):
+    """Refuse a generated workload whose items can exceed a region."""
+    region = default_region_size(scheme)
+    if workload.size_max > region:
+        raise errors.InvalidConfig(
+            f"size_max {workload.size_max} exceeds region size {region}")
 
 
 def _workload_from_values(values, cache_bytes: int) -> WorkloadSpec:

@@ -1,6 +1,6 @@
 """Fault anonymous memory in ahead of the writes that fill it.
 
-The zoned device's region buffers and the FTL's arena are private
+The zone store's region buffers and the FTL's arena are private
 anonymous maps, faulted in as the cache fills them rather than when they
 are mapped. Each owner faults a range in with one `MADV_POPULATE_WRITE`
 (Linux 5.14+), which zeroes its pages in one call instead of one trap per

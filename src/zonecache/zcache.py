@@ -1,16 +1,18 @@
 """Log-structured region cache.
 
 Items are packed into a RAM buffer one region wide; full buffers are flushed
-to the backing store with a single large write. The store lends the buffer
-with what faults it in: `fault_in(start, length)` while some of it was
-never faulted in, else None. The cache calls it `FAULT_STEP` (256 KiB) at a
-time as the fill's end passes the faulted-in mark, so no single op pays
-for more than a step and a region's unfilled tail is never touched. A
-buffer lent with None was faulted in by the fill that first wrote it:
-that fill stopped less than one item short of the region's end, so while
-no item is larger than a step, and regions are whole steps or less than
-one, its steps reached the end (a larger item could leave a tail that
-faults in a page at a time on a later fill).
+to the backing store with a single large write. The store lends each
+region address its own buffer, the same one every time (the FTL's bytes
+at that address, or the zone store's one buffer for it), with what faults
+it in: `fault_in(start, length)` while some of it was never faulted in,
+else None. The cache calls it `FAULT_STEP` (256 KiB) at a time as the
+fill's end passes the faulted-in mark, so no single op pays for more than
+a step and a region's unfilled tail is never touched. A buffer lent with
+None was faulted in by the fill that first wrote it: that fill stopped
+less than one item short of the region's end, so while no item is larger
+than a step, and regions are whole steps or less than one, its steps
+reached the end (a larger item could leave a tail that faults in a page
+at a time on a later fill).
 
 Flushed region ids live in two OrderedDicts, `main` and the tail-side
 `vop`, each most recent first (the head is the first entry), which
@@ -81,7 +83,7 @@ class RegionCache:
         self.vop = OrderedDict()
         self.index = {}  # key -> (region id, offset, size)
         self.keys = [set() for _ in range(capacity_regions)]
-        self._buffer = None  # taken from the store for each buffered region
+        self._buffer = None  # the buffered region's, lent by the store
         self._buffered = None  # region id currently accepting items
         self._fill = 0  # bytes used in the buffer
         self._fault_in = None  # the buffer's fault-in, from the store
@@ -140,8 +142,8 @@ class RegionCache:
 
     def _flush(self):
         rid = self._buffered
-        # fixed-width write, tail padding included; the store may keep the
-        # buffer, so the next region is filled in a new one
+        # fixed-width write, tail padding included; the store keeps the
+        # buffer, and the next region is filled in its own
         self.store.write_region(self.vaddr(rid), self._buffer)
         self._buffer = None
         _push_head(self.main, rid)

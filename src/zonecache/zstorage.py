@@ -13,15 +13,24 @@ the data append always lands before the map update. It is the store's only
 record of regions: a zone's valid bytes are counted from it. Zones are
 append-only, so a zone's regions in address order are in append order.
 
-The store frees every region's bytes and resets every zone. An eviction or a
-rewrite deallocates the old copy at once, and a full zone left holding no
-buffer (`ZnsDevice.deallocate` says) is reset with it. GC is watermark
-driven: it starts below the low watermark, never on zones of one region (a
-full one holds a live region), and stops at the high one. A cycle reads the
-map once, into a per-zone view it updates as migrations land, and each
-decision reads the write pointers in one pass. A caller supplied drop
-filter decides each victim region's fate: the cache owns policy, the store
-mechanism.
+Each region address has one buffer for the whole run, in `buffers`: the
+store maps it on the address's first `region_buffer`, lends it with a
+`fault_in(start, length)` that advises a range of it (one
+`memory.Populator` advice per call), and lends it again with None, since
+the fill that first wrote it faulted it in as far as its steps reached
+(`zcache`). The device holds a written buffer as is, and GC moves it, so
+the store refuses to lend the buffer of an address `forward` maps: a
+write there would change a live region.
+
+The store frees every region's bytes and resets every zone. An eviction,
+a rewrite or a GC drop deallocates the old copy at once, and a full zone
+left holding no region (`ZnsDevice.deallocate` says) is reset with it.
+GC is watermark driven: it starts below the low watermark, never on zones
+of one region (a full one holds a live region), and stops at the high
+one. A cycle reads the map once, into a per-zone view it updates as
+migrations land, and each decision reads the write pointers in one pass.
+A caller supplied drop filter decides each victim region's fate: the
+cache owns policy, the store mechanism.
 
 Everything runs on one thread: the scheme calls GC between cache
 operations, so no read overlaps a reset. Every region mapped in a victim
@@ -31,11 +40,13 @@ touches the map.
 """
 
 import math
+import mmap
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from . import errors
+from .memory import Populator
 
 MIB = 1024 * 1024
 
@@ -113,6 +124,8 @@ class ZoneStore:
         self._rr = 0
 
         self.forward = {}            # region virtual address -> physical address
+        self.buffers = {}            # region virtual address -> its one buffer
+        self._populator = Populator()
 
         self.migrated_bytes = 0
         self.gc_log = []             # (empty count at entry, empty count at exit)
@@ -180,14 +193,22 @@ class ZoneStore:
         return paddr // self.device.config.zone_capacity
 
     def region_buffer(self, vaddr):
-        """A device buffer for the region at `vaddr` (ignored here), and
-        its fault-in or None (`ZnsDevice.lend_buffer`). Writing it hands
-        it to the device without a copy; take a new one after."""
-        return self.device.lend_buffer(self.region_size)
+        """The one buffer of the region at `vaddr`, and its fault-in: on
+        the first lend, which maps the buffer, a call that advises a range
+        of it, else None. Refuses an address that `forward` maps, whose
+        buffer the device holds."""
+        if vaddr in self.forward:
+            raise RuntimeError(f"region {vaddr} is mapped: its buffer is live")
+        buf = self.buffers.get(vaddr)
+        if buf is not None:
+            return buf, None
+        buf = self.buffers[vaddr] = mmap.mmap(-1, self.region_size,
+                                              flags=mmap.MAP_PRIVATE)
+        return buf, lambda start, n: self._populator.populate(buf, start, n)
 
     def write_region(self, virtual_address: int, payload) -> int:
-        """Append one region and map it. A buffer from `region_buffer`
-        becomes the device's; any other payload is copied."""
+        """Append one region and map it. The device holds the payload with
+        no copy, so its writer must not change it while it is mapped."""
         if len(payload) != self.region_size:
             raise errors.SizeMismatch(
                 f"payload is {len(payload)} bytes, region size is {self.region_size}")
@@ -217,7 +238,7 @@ class ZoneStore:
             raise errors.UnmappedRegion(f"virtual address {virtual_address}")
         self._free(paddr)
 
-    def _free(self, paddr):  # resets a full zone left holding no buffer
+    def _free(self, paddr):  # resets a full zone left holding no region
         cap = self.device.config.zone_capacity
         if (not self.device.deallocate(paddr, self.region_size)
                 and self.device.write_pointer(paddr // cap) == cap):
@@ -282,6 +303,7 @@ class ZoneStore:
                 stats.migrated_regions += 1
             elif verb is DropVerb.DROP:
                 del self.forward[vaddr]
+                self.device.deallocate(paddr, self.region_size)
                 stats.dropped_regions += 1
             else:
                 raise RuntimeError(f"drop filter returned {verb!r}")

@@ -1,5 +1,5 @@
 """Shared fixtures: a small 8-zone geometry, a scripted op driver and a
-census of a zoned device's buffers.
+census of the buffers a zoned device holds.
 
 The tiny layout keeps the watermark reserve reachable (capacity 7 of 16
 region slots). Its zones hold two regions, so eviction alone often empties
@@ -75,10 +75,6 @@ def drive(engine, script):
 
 
 def device_buffers(device):
-    """The ids of the buffers a zoned device owns, as (held, free, lent):
-    the set held by its zones (a buffer two zones share counts once), the
-    list on its free list, and the list lent out and not yet appended."""
-    held = {id(buf) for zone in device._zones for buf in zone.chunks
+    """The ids of the buffers a zoned device holds in its zones."""
+    return {id(buf) for zone in device._zones for buf in zone.chunks
             if buf is not None}
-    free = [id(buf) for pool in device._free.values() for buf in pool]
-    return held, free, list(device._lent)

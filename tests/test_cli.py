@@ -6,6 +6,7 @@ capsys so assertions can look at exactly what a user would see.
 
 import pytest
 
+from zonecache import harness
 from zonecache.cli import main
 from zonecache.harness import CSV_HEADER
 from zonecache.workload import replay
@@ -166,16 +167,59 @@ def test_usage_error_exits_2(capsys):
     assert main(["frobnicate"]) == 2
 
 
-def test_runtime_failure_exits_1(tmp_path, capsys):
-    trace = tmp_path / "big.trace"
-    trace.write_text("set a 32768\n")  # larger than the 16 KiB region
+def test_runtime_failure_exits_1(conf, capsys):
+    # 8 KiB regions on five 16 KiB zones: six cached regions and two write
+    # zones leave no room for the stop target of 50 % empty zones, so
+    # GC stalls once the cache wraps
+    conf.write_text(TINY_CONF.replace("zone_count = 8\n", "zone_count = 5\n")
+                    .replace("zone_capacity = 32kib\n",
+                             "zone_capacity = 16kib\n")
+                    .replace("region_size = 16kib\n", "region_size = 8kib\n")
+                    .replace("w_low = 25\n", "w_low = 10\n")
+                    .replace("cache_capacity_regions = 7\n",
+                             "cache_capacity_regions = 6\n")
+                    .replace("size_max = 16kib\n", "size_max = 8kib\n"))
+    assert main(["run", "--config", str(conf)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: op 39 ") and "no net progress" in err
+
+
+def test_item_larger_than_a_region_exits_3(conf, tmp_path, capsys):
+    # refused while the config loads, before any op runs; so is each
+    # sweep value that makes the region smaller than size_max
+    conf.write_text(TINY_CONF.replace("size_max = 16kib\n",
+                                      "size_max = 32kib\n"))
+    assert main(["run", "--config", str(conf)]) == 3
+    assert capsys.readouterr().err == (
+        "config error: size_max 32768 exceeds region size 16384\n")
+    conf.write_text(TINY_CONF.replace("zone_capacity = 32kib\n",
+                                      "zone_capacity = 64kib\n"))
+    prefix = tmp_path / "sw"
+    assert main(["sweep", "--config", str(conf), "--param", "region_size",
+                 "--values", "32kib,8kib", "--out-prefix", str(prefix)]) == 3
+    assert "size_max 16384 exceeds region size 8192" in capsys.readouterr().err
+    assert list(tmp_path.glob("sw_*")) == []
+
+
+def test_traced_item_larger_than_a_region_exits_3(tmp_path, capsys,
+                                                  monkeypatch):
+    # the run refuses the trace before its first op, naming the op, and
+    # never builds the terabyte payload
+    (tmp_path / "big.trace").write_text("set a 1024\nget a\n"
+                                        "set b 1000000000000\n")
     conf = tmp_path / "exp.conf"
     conf.write_text(TINY_CONF.replace("get_ratio = 0.5\nkey_space = 30\n"
                                       "size_min = 2kib\nsize_max = 16kib\n"
                                       "op_count = 400\nseed = 3\n",
                                       "trace = big.trace\n"))
-    assert main(["run", "--config", str(conf)]) == 1
-    assert "op 0" in capsys.readouterr().err
+    built = []
+    monkeypatch.setattr(harness, "value_bytes",
+                        lambda key, size: built.append(key))
+    assert main(["run", "--config", str(conf)]) == 3
+    assert capsys.readouterr().err == (
+        "config error: op 2 (set b): 1000000000000 bytes exceeds region "
+        "size 16384\n")
+    assert built == []
 
 
 def test_malformed_trace_exits_3(tmp_path, capsys):

@@ -229,14 +229,29 @@ def test_verify_hits_builds_payloads_for_inserts_only(monkeypatch):
     assert len(built) == sets + m.misses  # sets plus fills; no hit builds one
 
 
-def test_sim_errors_carry_the_op_index(tmp_path):
+def test_sim_errors_carry_the_op_index():
+    # six cached regions and two write zones leave five zones no room for
+    # the stop target: GC stalls once the cache wraps
+    spec = tiny_spec("zns-middle-lru", zone_count=5, zone_capacity=16 * KIB,
+                     region_size=8 * KIB, w_low=10.0,
+                     cache_capacity_regions=6)
+    workload = WorkloadSpec(name="t", get_ratio=0.5, key_space=30,
+                            op_count=400, seed=3, size_max=8 * KIB)
+    with pytest.raises(errors.ExperimentError) as exc:
+        run(ExperimentConfig(scheme=spec, workload=workload))
+    assert isinstance(exc.value.__cause__, errors.GcStalled)
+    assert exc.value.op_index == 39
+    assert str(exc.value).startswith("op 39 (set k1): ")
+
+
+def test_traced_item_larger_than_a_region_is_refused_before_the_first_op(
+        tmp_path):
     trace = tmp_path / "big.trace"
     trace.write_text("set a 1024\nset b 32768\n")  # region size is 16 KiB
-    with pytest.raises(errors.ExperimentError) as exc:
+    with pytest.raises(errors.InvalidConfig) as exc:
         run(ExperimentConfig(scheme=tiny_spec("zns-middle-lru"),
                              trace_path=str(trace)))
-    assert exc.value.op_index == 1
-    assert "op 1" in str(exc.value)
+    assert str(exc.value) == "op 1 (set b): 32768 bytes exceeds region size 16384"
 
 
 def test_config_requires_one_op_source():

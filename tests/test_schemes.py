@@ -183,35 +183,37 @@ def test_each_region_slot_is_faulted_in_once(name, extra, monkeypatch):
 @pytest.mark.parametrize("name", ["zcachelib", "zns-middle-lru",
                                   "zns-direct"])
 def test_device_maps_no_more_buffers_than_the_cache_has_regions(name):
-    # an evicted region's buffer goes back to the device at eviction, so the
-    # cache's next region reuses it instead of mapping one more while the
-    # evicted bytes wait for GC to reset their zone; the device never
-    # unmaps a buffer, so the count at the end is the run's peak
+    # the store maps one buffer per region address, and the cache writes
+    # only the addresses of its region slots, however often GC drops or
+    # moves them; the store never unmaps a buffer, so the count at the end
+    # is the run's peak
     engine, ops = _golden_sized_run(name)
     driver = _Driver(engine)
     for op in ops:
         driver.step(op)
     assert engine.gc_events > 0
-    held, free, lent = device_buffers(engine.device)
-    owned = len(held) + len(free) + len(lent)
-    assert owned <= engine.cache.capacity_regions
+    assert len(engine.store.buffers) <= engine.cache.capacity_regions
+
+
+def held_at(device):
+    """The buffers a zoned device holds, by physical address."""
+    cap = device.config.zone_capacity
+    return {zone.id * cap + start: buf for zone in device._zones
+            for start, buf in zip(zone.chunk_starts, zone.chunks)
+            if buf is not None}
 
 
 def check_one_buffer_per_region(engine, rids):
     """The device holds exactly one buffer per mapped region, at the
-    region's address, and none of them is free or lent; each region in
-    `rids` reads its cached items back at that address."""
+    region's address; each region in `rids` reads its cached items back
+    at that address."""
     device, store, cache = engine.device, engine.store, engine.cache
-    cap = device.config.zone_capacity
-    at = {zone.id * cap + start: buf for zone in device._zones
-          for start, buf in zip(zone.chunk_starts, zone.chunks)
-          if buf is not None}
+    at = held_at(device)
     assert len(at) == len(store.forward)
     bufs = [at[paddr] for paddr in store.forward.values()]
     assert all(len(buf) == store.region_size for buf in bufs)
-    held, free, lent = device_buffers(device)
+    held = device_buffers(device)
     assert {id(buf) for buf in bufs} == held and len(held) == len(bufs)
-    assert held.isdisjoint(free) and held.isdisjoint(lent)
     for rid in rids:
         paddr = store.forward[cache.vaddr(rid)]
         for key in cache.keys[rid]:
@@ -253,6 +255,40 @@ def test_device_holds_one_buffer_per_mapped_region(name, extra, setup):
     check_one_buffer_per_region(engine, [v // region for v in last])
     assert driver.corrupt_hits == 0
     assert engine.metrics().zone_resets > 0
+
+
+def check_held_buffers_are_mapped(engine):
+    """Every buffer the device holds sits at an address `forward` maps,
+    every mapped address holds one, and it is that region's own buffer."""
+    store = engine.store
+    at = held_at(engine.device)
+    owner = {paddr: vaddr for vaddr, paddr in store.forward.items()}
+    assert at.keys() == owner.keys()
+    assert all(at[paddr] is store.buffers[vaddr]
+               for paddr, vaddr in owner.items())
+
+
+@pytest.mark.parametrize("name", ["zcachelib", "zns-middle-lru"])
+def test_device_holds_only_mapped_buffers_inside_gc_cycles(name):
+    # at every drop-filter call, in the middle of a GC cycle, as well as
+    # at every op boundary: a region GC dropped or moved is held nowhere
+    # else, so a held buffer is always the live copy of one mapped region
+    engine, ops = _golden_sized_run(name)
+    cache = engine.cache
+    zdrop_filter, calls = cache.zdrop_filter, []
+
+    def checked_filter(vaddr):
+        check_held_buffers_are_mapped(engine)
+        calls.append(vaddr)
+        return zdrop_filter(vaddr)
+
+    cache.zdrop_filter = checked_filter  # tick_gc reads it at each cycle
+    driver = _Driver(engine, verify_hits=True)
+    for op in ops:
+        driver.step(op)
+        check_held_buffers_are_mapped(engine)
+    assert driver.corrupt_hits == 0
+    assert calls and engine.metrics().gc_cycles > 0
 
 
 @pytest.mark.parametrize("name", ["zcachelib", "zns-middle-lru"])

@@ -5,9 +5,7 @@ to a plain bytearray) so address math and payload contents are checked
 against a second implementation, not against the device itself.
 """
 
-import mmap
 from dataclasses import replace
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import settings
@@ -16,8 +14,7 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
                                  precondition, rule)
 
 from helpers import device_buffers
-from zonecache import DeviceConfig, ZnsDevice, ZoneState, errors, memory
-from zonecache import zns as zns_module
+from zonecache import DeviceConfig, ZnsDevice, ZoneState, errors
 
 KIB = 1024
 MIB = 1024 * KIB
@@ -220,75 +217,72 @@ def test_reset_open_zone_releases_open_slot():
     dev.append(1, b"b")  # would raise if the slot leaked
 
 
-def test_append_the_device_cannot_copy_opens_no_zone():
-    # a payload that is not bytes-like fails inside the copy, after the
-    # checks; the zone stays empty and its slot stays free
-    dev = small_device(zone_count=4, max_open=1)
-    with pytest.raises(TypeError):
-        dev.append(0, "x" * 4096)
-    assert dev.zone_state(0) is ZoneState.EMPTY
-    dev.append(1, b"y" * 4096)  # would raise if the slot leaked
-    assert dev.open_zone_count() == 1
+# --- what the device holds ---------------------------------------------------------
+
+def filled(tag, size):
+    return bytearray([tag % 256]) * size
 
 
-def test_append_the_device_cannot_copy_keeps_the_buffer_it_took():
-    # the failed copy took the freed buffer from the free list; it goes
-    # back there, so the next copied append fills that same buffer
+def test_append_holds_the_callers_payload():
+    # the device copies nothing: a payload changed after its append reads
+    # back changed, which is why its writer must leave it alone
     dev = small_device()
-    freed, _ = dev.lend_buffer(4096)
-    freed[:] = b"a" * 4096
-    dev.append(0, freed)
-    dev.reset(0)
-    with pytest.raises(TypeError):
-        dev.append(1, "x" * 4096)
-    addr = dev.append(1, b"y" * 4096)
-    assert freed[:] == b"y" * 4096
-    assert dev.read(addr, 4096) == b"y" * 4096
-
-
-# --- buffer ownership -------------------------------------------------------------
-
-def lent(dev, tag, size):
-    buf, _ = dev.lend_buffer(size)
-    buf[:] = bytes([tag % 256]) * size
-    return buf
-
-
-def test_append_copies_a_payload_it_did_not_lend():
-    dev = small_device()
-    payload = bytearray(b"a" * 4096)
+    payload = filled(1, 4096)
     addr = dev.append(0, payload)
+    assert device_buffers(dev) == {id(payload)}
     payload[:] = b"b" * 4096
-    assert dev.read(addr, 4096) == b"a" * 4096
+    assert dev.read(addr, 4096) == b"b" * 4096
 
 
 def test_reset_recycles_an_adopted_buffer():
+    # a reset lets go of what the zone held, so the writer may fill the
+    # same buffer again and append it anew
     dev = small_device()
-    buf = lent(dev, 1, 4096)
+    buf = filled(1, 4096)
     dev.append(0, buf)
-    assert dev.lend_buffer(4096)[0] is not buf  # zone 0 still holds it
     dev.reset(0)
-    assert dev.lend_buffer(4096) == (buf, None)
+    assert device_buffers(dev) == set()
+    buf[:] = b"c" * 4096
+    assert dev.read(dev.append(0, buf), 4096) == b"c" * 4096
 
 
 def test_reset_keeps_a_buffer_another_zone_holds():
+    # a copy of a whole append moves it: the source range reads as
+    # deallocated at once, and resetting the source zone leaves the
+    # buffer where it went
     dev = small_device()
-    buf = lent(dev, 1, 4096)
+    buf = filled(1, 4096)
     src = dev.append(0, buf)
     dst = dev.copy(src, 4096, 1)
+    with pytest.raises(errors.Unmapped):
+        dev.read(src, 4096)
+    assert device_buffers(dev) == {id(buf)}
     dev.reset(0)
-    other, fault_in = dev.lend_buffer(4096)
-    assert other is not buf and fault_in is not None
-    other[:] = b"\xff" * 4096
-    dev.append(2, other)
     assert dev.read(dst, 4096) == bytes([1]) * 4096
     dev.reset(1)
-    assert dev.lend_buffer(4096) == (buf, None)
+    assert device_buffers(dev) == set()
+
+
+def test_copy_of_a_whole_append_moves_it():
+    # the moved append is held once, at its new address; its old range
+    # can be neither deallocated nor copied again, and the zone it left
+    # holds nothing more
+    dev = small_device()
+    buf = filled(1, 4 * KIB)
+    src = dev.append(0, buf)
+    dst = dev.copy(src, 4 * KIB, 1)
+    assert dev._zones[1].chunks == [buf]
+    with pytest.raises(errors.Misaligned):
+        dev.deallocate(src, 4 * KIB)
+    with pytest.raises(errors.Unmapped):
+        dev.copy(src, 4 * KIB, 2)
+    assert dev.deallocate(dst, 4 * KIB) is False
+    assert device_buffers(dev) == set()
 
 
 def test_copy_charges_a_read_and_an_append_of_its_length():
     dev = small_device()
-    src = dev.append(0, lent(dev, 1, 8 * KIB))
+    src = dev.append(0, filled(1, 8 * KIB))
     dev.copy(src + 1000, 3000, 1)
     dev.copy(src, 8 * KIB, 2)
     c = dev.counters
@@ -302,6 +296,7 @@ def test_copy_of_part_of_an_append_or_across_appends():
     dev.append(0, b"b" * 4096)
     inner = dev.copy(base + 100, 200, 1)
     across = dev.copy(base + 4000, 200, 1)
+    assert dev.read(base, 8192) == b"a" * 4096 + b"b" * 4096  # copied, not moved
     assert dev.read(inner, 200) == b"a" * 200
     assert dev.read(across, 200) == b"a" * 96 + b"b" * 104
     assert dev.write_pointer(1) == 400
@@ -322,186 +317,53 @@ def test_failed_copy_changes_nothing():
 
 
 def test_migrated_regions_survive_reuse_of_every_freed_buffer():
-    # each round moves some of the full zone's regions to an empty zone by
-    # reference, resets the victim, then borrows and overwrites every
-    # buffer the reset freed; a buffer the destination still holds must not
-    # be among them, so every live region must still match its shadow copy
+    # each round moves some of the full zone's regions to an empty zone,
+    # resets the victim, then overwrites the buffer of every region it
+    # dropped, as their writer may once the device lets go; the device
+    # must hold none of them, so every live region must still match its
+    # shadow copy
     size, per_zone, zones = 4 * KIB, 4, 4
     dev = small_device(zone_count=zones, zone_capacity=per_zone * size)
-    seen = []            # every buffer the device has lent
     shadow = {}          # physical address -> bytes
+    bufs = {}            # physical address -> the buffer written there
     tag = 0
-
-    def borrow():
-        buf, fault_in = dev.lend_buffer(size)
-        fresh = fault_in is not None
-        assert fresh == all(buf is not old for old in seen)
-        if fresh:
-            seen.append(buf)
-        return buf, fresh
 
     def fill(zone):
         nonlocal tag
         while dev.zone_state(zone) is not ZoneState.FULL:
             tag += 1
-            buf, _ = borrow()
-            buf[:] = bytes([tag % 256]) * size
-            shadow[dev.append(zone, buf)] = bytes(buf)
+            buf = filled(tag, size)
+            addr = dev.append(zone, buf)
+            shadow[addr], bufs[addr] = bytes(buf), buf
 
     fill(0)
     for round_ in range(8):
         victim, dest = round_ % zones, (round_ + 1) % zones
         keep = 1 + round_ % per_zone
         live = sorted(a for a in shadow if a // (per_zone * size) == victim)
+        dropped = []
         for i, addr in enumerate(live):
-            data = shadow.pop(addr)
+            data, buf = shadow.pop(addr), bufs.pop(addr)
             if i < keep:
-                shadow[dev.copy(addr, size, dest)] = data
+                moved = dev.copy(addr, size, dest)
+                shadow[moved], bufs[moved] = data, buf
+            else:
+                dropped.append(buf)
         dev.reset(victim)
-        while True:  # take the free list dry, scribbling over each buffer
-            buf, fresh = borrow()
+        assert device_buffers(dev) == {id(buf) for buf in bufs.values()}
+        for buf in dropped:
             buf[:] = b"\xee" * size
-            if fresh:
-                break
         fill(dest)
         for addr, data in shadow.items():
             assert dev.read(addr, size) == data, f"round {round_}"
 
 
-# --- faulting buffers in -------------------------------------------------------
-
-def record_advice(monkeypatch, advice):
-    """Map the device's buffers so that every advice on them is recorded;
-    `advice` is "works", "off_linux" (no advice to give) or "fails"."""
-    calls = []
-
-    class RecordingMap(mmap.mmap):
-        def madvise(self, *args):
-            calls.append(args)
-            if advice == "fails":
-                raise OSError(22, "Invalid argument")
-
-    monkeypatch.setattr(memory, "POPULATE_WRITE",
-                        None if advice == "off_linux" else 23)
-    monkeypatch.setattr(zns_module, "mmap", SimpleNamespace(
-        mmap=RecordingMap, MAP_PRIVATE=mmap.MAP_PRIVATE))
-    return calls
-
-
-def fill_in_steps(buf, fault, tag):
-    """Fill a lent buffer 4 KiB at a time, calling its fault-in for each
-    step first unless it was lent with None, as the cache does; returns
-    the bytes written."""
-    for start in range(0, len(buf), 4 * KIB):
-        if fault is not None:
-            fault(start, 4 * KIB)
-        buf[start:start + 4 * KIB] = bytes([tag + start // KIB]) * 4 * KIB
-    return bytes(buf)
-
-
-STEPS = [(23, start, 4 * KIB) for start in range(0, 16 * KIB, 4 * KIB)]
-
-
-@pytest.mark.parametrize("advice", ["works", "off_linux", "fails"])
-def test_buffers_are_faulted_in_once_per_request_and_read_back_without_it(
-        monkeypatch, advice):
-    # a lent buffer is faulted in only as its borrower asks, a buffer the
-    # device copies into is faulted in whole first, and the bytes are the
-    # same when the advice is missing or raises; a failed advice is not
-    # retried
-    calls = record_advice(monkeypatch, advice)
-    dev = small_device()
-    buf, fault = dev.lend_buffer(16 * KIB)
-    assert fault is not None
-    assert calls == []                         # lending faults nothing in
-    want = fill_in_steps(buf, fault, 1)
-    addr = dev.append(0, buf)
-    moved = dev.copy(addr + 4 * KIB, 8 * KIB, 1)  # part of a buffer: a copy
-    copied = dev.append(1, b"z" * 4 * KIB)
-    assert dev.read(addr, 16 * KIB) == want
-    assert dev.read(moved, 8 * KIB) == want[4 * KIB:12 * KIB]
-    assert dev.read(copied, 4 * KIB) == b"z" * 4 * KIB
-    expected = {"works": STEPS + [(23, 0, 8 * KIB), (23, 0, 4 * KIB)],
-                "off_linux": [], "fails": STEPS[:1]}
-    assert calls == expected[advice]
-
-
-@pytest.mark.parametrize("advice", ["works", "off_linux", "fails"])
-def test_buffers_reused_from_the_free_list_are_filled_with_no_advice(
-        monkeypatch, advice):
-    # a buffer back from a reset was faulted in by the fill that wrote it:
-    # it is lent with no fault-in, so its borrower fills it asking for no step,
-    # copying into it gives no advice, and the bytes read back the same
-    calls = record_advice(monkeypatch, advice)
-    dev = small_device()
-    buf, fault = dev.lend_buffer(16 * KIB)
-    assert fault is not None
-    first = fill_in_steps(buf, fault, 1)
-    dev.append(0, buf)
-    dev.append(0, b"y" * 8 * KIB)               # copied into a fresh buffer
-    dev.reset(0)
-    asked = list(calls)
-    assert asked == {"works": STEPS + [(23, 0, 8 * KIB)],
-                     "off_linux": [], "fails": STEPS[:1]}[advice]
-    again, fault = dev.lend_buffer(16 * KIB)
-    assert again is buf and fault is None       # from the free list
-    want = fill_in_steps(again, fault, 101)
-    assert want != first
-    addr = dev.append(1, again)
-    moved = dev.copy(addr + 4 * KIB, 8 * KIB, 2)  # into the reused 8 KiB buffer
-    copied = dev.append(2, b"z" * 4 * KIB)      # a fresh 4 KiB buffer
-    assert dev.read(addr, 16 * KIB) == want
-    assert dev.read(moved, 8 * KIB) == want[4 * KIB:12 * KIB]
-    assert dev.read(copied, 4 * KIB) == b"z" * 4 * KIB
-    fresh = [(23, 0, 4 * KIB)] if advice == "works" else []
-    assert calls == asked + fresh
-
-
-def free_by_reset(dev, addr):
-    dev.reset(addr // dev.config.zone_capacity)
-
-
-def free_by_deallocation(dev, addr):
-    dev.deallocate(addr, 16 * KIB)
-
-
-def free_by_both_holders(dev, addr):
-    # the copy shares the buffer: one holder letting go frees nothing
-    dev.copy(addr, 16 * KIB, 1)
-    dev.deallocate(addr, 16 * KIB)
-    other, fault = dev.lend_buffer(16 * KIB)
-    assert fault is not None
-    dev.append(2, other)
-    dev.reset(1)
-
-
 # --- deallocation -----------------------------------------------------------------
-
-@pytest.mark.parametrize("free", [free_by_reset, free_by_deallocation,
-                                  free_by_both_holders],
-                         ids=["reset", "deallocation", "shared"])
-def test_a_freed_buffer_is_lent_again_as_resident(monkeypatch, free):
-    # the buffer was faulted in by the fill that wrote it: however it went
-    # back to the free list, it is lent again with no fault-in, filled with no
-    # advice, and reads back
-    calls = record_advice(monkeypatch, "works")
-    dev = small_device()
-    buf, fault = dev.lend_buffer(16 * KIB)
-    assert fault is not None
-    fill_in_steps(buf, fault, 1)
-    free(dev, dev.append(0, buf))
-    assert calls == STEPS
-    again, fault = dev.lend_buffer(16 * KIB)
-    assert again is buf and fault is None
-    want = fill_in_steps(again, fault, 101)
-    assert calls == STEPS
-    assert dev.read(dev.append(3, again), 16 * KIB) == want
-
 
 def test_read_and_copy_over_a_deallocated_range_raise():
     dev = small_device()
-    first = dev.append(0, lent(dev, 1, 8 * KIB))
-    second = dev.append(0, lent(dev, 2, 8 * KIB))
+    first = dev.append(0, filled(1, 8 * KIB))
+    second = dev.append(0, filled(2, 8 * KIB))
     dev.deallocate(first, 8 * KIB)
     before = replace(dev.counters)
     for addr, length in [(first, 8 * KIB), (first + 100, 200),
@@ -519,7 +381,7 @@ def test_read_and_copy_over_a_deallocated_range_raise():
 @pytest.mark.parametrize("fill", [12 * KIB, 64 * KIB], ids=["open", "full"])
 def test_deallocate_moves_no_pointer_state_or_counter(fill):
     dev = small_device()
-    addr = dev.append(0, lent(dev, 1, 12 * KIB))
+    addr = dev.append(0, filled(1, 12 * KIB))
     if fill > 12 * KIB:
         dev.append(0, b"x" * (fill - 12 * KIB))
     dev.read(addr, 4 * KIB)
@@ -539,10 +401,10 @@ def test_deallocate_rejects_a_range_that_is_not_one_append(offset, length):
     # zone 0 holds an 8 KiB then a 4 KiB append, and a third of 4 KiB where
     # the range reaches past them; only each whole one could be dropped
     dev = small_device()
-    first = dev.append(0, lent(dev, 1, 8 * KIB))
-    dev.append(0, lent(dev, 2, 4 * KIB))
+    first = dev.append(0, filled(1, 8 * KIB))
+    dev.append(0, filled(2, 4 * KIB))
     if length > 12 * KIB - offset:
-        dev.append(0, lent(dev, 3, 4 * KIB))
+        dev.append(0, filled(3, 4 * KIB))
     with pytest.raises(errors.Misaligned):
         dev.deallocate(first + offset, length)
     assert dev.read(first, 12 * KIB) == (bytes([1]) * 8 * KIB
@@ -551,44 +413,26 @@ def test_deallocate_rejects_a_range_that_is_not_one_append(offset, length):
 
 def test_deallocate_twice_or_past_the_write_pointer_is_rejected():
     dev = small_device()
-    buf = lent(dev, 1, 4 * KIB)
-    addr = dev.append(0, buf)
+    addr = dev.append(0, filled(1, 4 * KIB))
     with pytest.raises(errors.ReadBeyondWritePointer):
         dev.deallocate(addr + 4 * KIB, 4 * KIB)
     dev.deallocate(addr, 4 * KIB)
     with pytest.raises(errors.Misaligned):
         dev.deallocate(addr, 4 * KIB)
-    assert device_buffers(dev) == (set(), [id(buf)], [])
-
-
-def test_shared_buffer_is_freed_only_when_both_zones_let_go():
-    dev = small_device()
-    buf = lent(dev, 1, 4 * KIB)
-    src = dev.append(0, buf)
-    dst = dev.copy(src, 4 * KIB, 1)
-    dev.deallocate(src, 4 * KIB)
-    assert device_buffers(dev)[1] == []
-    other = lent(dev, 2, 4 * KIB)
-    assert other is not buf
-    assert dev.read(dst, 4 * KIB) == bytes([1]) * 4 * KIB
-    dev.deallocate(dst, 4 * KIB)
-    assert dev.lend_buffer(4 * KIB) == (buf, None)
+    assert device_buffers(dev) == set()
 
 
 def test_reset_after_a_deallocation_frees_only_the_rest_of_the_zone():
-    # the deallocated buffer went back at once and is lent out again, so
-    # the reset must not put it on the free list a second time
+    # the deallocated buffer was let go at once and its writer appended it
+    # again to another zone; the reset drops only what zone 0 still held
     dev = small_device()
-    first = lent(dev, 1, 4 * KIB)
-    second = lent(dev, 2, 4 * KIB)
+    first, second = filled(1, 4 * KIB), filled(2, 4 * KIB)
     dev.deallocate(dev.append(0, first), 4 * KIB)
     dev.append(0, second)
-    assert dev.lend_buffer(4 * KIB) == (first, None)
+    again = dev.append(1, first)
     dev.reset(0)
-    assert device_buffers(dev)[1] == [id(second)]
-    assert dev.lend_buffer(4 * KIB) == (second, None)
-    new, fault_in = dev.lend_buffer(4 * KIB)
-    assert new is not first and new is not second and fault_in is not None
+    assert device_buffers(dev) == {id(first)}
+    assert dev.read(again, 4 * KIB) == bytes([1]) * 4 * KIB
     assert dev.counters.total_resets == 1
 
 
@@ -620,18 +464,9 @@ class DeviceMachine(RuleBasedStateMachine):
         self.dev = ZnsDevice(DeviceConfig(zone_count=self.ZONES,
                                           zone_capacity=self.CAP,
                                           max_open_zones=self.MAX_OPEN))
-        self.mapped = []  # every buffer the device has mapped
-        take = self.dev._take
-
-        def recording_take(length):
-            buf, fault_in = take(length)
-            if fault_in is not None:
-                self.mapped.append(buf)
-            return buf, fault_in
-        self.dev._take = recording_take
         self.model = {z: bytearray() for z in range(self.ZONES)}
         # per zone, the (start, length) of each write it holds, and the
-        # starts of those deallocated
+        # starts of those deallocated or moved away
         self.spans = {z: [] for z in range(self.ZONES)}
         self.dead = {z: set() for z in range(self.ZONES)}
         self.appended = self.read = 0
@@ -675,28 +510,20 @@ class DeviceMachine(RuleBasedStateMachine):
         self.appended += len(payload)
         return True
 
-    @rule(zone=st.integers(0, ZONES - 1), size=st.integers(1, 3 * KIB),
-          lend=st.booleans())
-    def append(self, zone, size, lend):
-        # a lent buffer is adopted whole; one the append refuses stays lent
+    @rule(zone=st.integers(0, ZONES - 1), size=st.integers(1, 3 * KIB))
+    def append(self, zone, size):
+        # the device holds the caller's payload itself
         self.counter += 1
-        payload = bytes([self.counter % 256]) * size
-        if lend:
-            mapped = len(self.mapped)
-            buf, fault_in = self.dev.lend_buffer(size)
-            # lent with a fault-in exactly when the device never mapped it
-            assert (fault_in is not None) == all(
-                buf is not old for old in self.mapped[:mapped])
-            buf[:] = payload
-            self._write(zone, payload, lambda: self.dev.append(zone, buf))
-        else:
-            self._write(zone, payload, lambda: self.dev.append(zone, payload))
+        payload = bytearray([self.counter % 256]) * size
+        if self._write(zone, payload, lambda: self.dev.append(zone, payload)):
+            assert self.dev._zones[zone].chunks[-1] is payload
 
     @rule(src=st.integers(0, ZONES - 1), zone=st.integers(0, ZONES - 1),
           whole=st.booleans(), data=st.data())
     def copy(self, src, zone, whole, data):
-        # a whole earlier write is shared by reference, any other range is
-        # copied; the model copies bytes either way
+        # a whole earlier write still held moves, and its source reads as
+        # deallocated; any other range is copied. The model copies bytes
+        # either way
         buf = self.model[src]
         if not buf:
             return
@@ -705,6 +532,8 @@ class DeviceMachine(RuleBasedStateMachine):
         else:
             start = data.draw(st.integers(0, len(buf) - 1))
             length = data.draw(st.integers(0, len(buf) - start))
+        moves = ((start, length) in self.spans[src]
+                 and start not in self.dead[src])
         payload = bytes(buf[start:start + length])
         copy = lambda: self.dev.copy(src * self.CAP + start, length, zone)
         if (self._refusal(zone, length) is None
@@ -713,6 +542,8 @@ class DeviceMachine(RuleBasedStateMachine):
                 copy()
         elif self._write(zone, payload, copy):
             self.read += length
+            if moves:
+                self.dead[src].add(start)
 
     @rule(zone=st.integers(0, ZONES - 1), whole=st.booleans(),
           data=st.data())
@@ -730,7 +561,7 @@ class DeviceMachine(RuleBasedStateMachine):
                 and start not in self.dead[zone]):
             holds = self.dev.deallocate(addr, length)
             self.dead[zone].add(start)
-            # whether the zone still holds a write, shared ones included
+            # whether the zone still holds a write
             assert holds == any(s not in self.dead[zone]
                                 for s, _ in self.spans[zone])
         else:
@@ -781,14 +612,19 @@ class DeviceMachine(RuleBasedStateMachine):
         assert self.dev.open_zone_count() <= self.MAX_OPEN
 
     @invariant()
-    def each_buffer_is_lent_held_or_free(self):
-        # and in one of them only: a buffer freed while a zone still holds
-        # it, or freed twice, breaks this
+    def holds_each_live_write_once(self):
+        # a deallocated or moved write is held nowhere, and no buffer is
+        # held at two addresses
         if not hasattr(self, "dev"):
             return
-        held, free, lent = device_buffers(self.dev)
-        owned = [*held, *free, *lent]
-        assert sorted(owned) == sorted(id(buf) for buf in self.mapped)
+        held = []
+        for z, zone in enumerate(self.dev._zones):
+            spans = [(start, len(buf)) for start, buf
+                     in zip(zone.chunk_starts, zone.chunks) if buf is not None]
+            assert spans == [(s, n) for s, n in self.spans[z]
+                             if s not in self.dead[z]]
+            held += [id(buf) for buf in zone.chunks if buf is not None]
+        assert len(held) == len(set(held)) == len(device_buffers(self.dev))
 
 
 DeviceMachine.TestCase.settings = settings(max_examples=60,

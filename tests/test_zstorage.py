@@ -5,13 +5,16 @@ expected mappings and payloads maintained by the test itself) rather than by
 re-deriving values from the store under test.
 """
 
+import mmap
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from helpers import device_buffers
 from zonecache import (DeviceConfig, DropVerb, ZnsDevice, ZoneStore,
-                       compute_min_op, errors, watermark_zones)
+                       compute_min_op, errors, memory, watermark_zones)
+from zonecache import zstorage as zstorage_module
 from zonecache.zcache import Policy, RegionCache
 from zonecache.zstorage import GcStats
 
@@ -391,48 +394,41 @@ def test_gc_accounting_identity():
         steps * store.region_size + store.migrated_bytes
 
 
-def test_gc_migration_shares_buffers_that_stay_intact_after_reuse():
-    # regions are written in device buffers, and GC moves them by
-    # reference; taking every freed buffer back out and overwriting it must
-    # leave every live region as written, and the device charges each move
-    # as a read plus an append of the region
+def test_gc_migration_moves_buffers_that_stay_intact_after_reuse():
+    # every region is written through its address's buffer, and GC moves
+    # it without a copy; after each cycle, overwriting the buffer of every
+    # unmapped address must leave every live region as written, and the
+    # device charges each move as a read plus an append of the region
     dev, store = make_store()
-    seen = []
     shadow = {}
     rng = random.Random(5)
-
-    def borrow(addr):
-        buf, fault_in = store.region_buffer(addr)
-        fresh = fault_in is not None
-        assert fresh == all(buf is not old for old in seen)
-        if fresh:
-            seen.append(buf)
-        return buf, fresh
-
     vaddrs = [i * store.region_size for i in range(6)]
-    checked = 0          # bytes the shadow checks read
-    for step in range(120):
+    checked = written = cycles = 0   # bytes the shadow checks read
+    for step in range(240):
         addr = rng.choice(vaddrs)
-        buf, _ = borrow(addr)
-        buf[:] = payload(step)
-        shadow[addr] = bytes(buf)
+        if addr in shadow:  # evicted, and most often written again
+            store.invalidate_region(addr)
+            del shadow[addr]
+            if rng.random() < 0.1:
+                continue
+        buf, _ = store.region_buffer(addr)
+        buf[:] = shadow[addr] = payload(step)
         store.write_region(addr, buf)
+        written += 1
         if store.gc_needed():
             stats = store.gc_cycle(migrate_all)
-            assert stats.migrated_regions > 0
-            while True:
-                buf, fresh = borrow(addr)
-                buf[:] = b"\xee" * store.region_size
-                if fresh:
-                    break
+            cycles += stats.migrated_regions > 0
+            for vaddr in vaddrs:
+                if vaddr not in shadow:
+                    store.region_buffer(vaddr)[0][:] = b"\xee" * store.region_size
             counters = dev.counters
             assert counters.total_read_bytes == store.migrated_bytes + checked
             assert counters.total_appended_bytes == \
-                (step + 1) * store.region_size + store.migrated_bytes
+                written * store.region_size + store.migrated_bytes
             for vaddr, data in shadow.items():
                 assert store.read_region(vaddr) == data
                 checked += store.region_size
-    assert len(store.gc_log) > 0
+    assert cycles > 1
 
 
 class StopCleaning(Exception):
@@ -441,33 +437,28 @@ class StopCleaning(Exception):
 
 def test_deallocated_buffers_are_reused_without_touching_live_regions():
     # random writes, invalidations and migrating GC cycles, some stopped
-    # part way through a victim, which leaves it holding the buffers of the
-    # regions it moved, shared with the zones they moved to. Each
-    # invalidation deallocates its region's buffer, and every buffer the
-    # store lends is overwritten whole: a buffer freed while a zone still
-    # holds it, or freed twice, ends up under two addresses, and the older
-    # one reads back wrong
+    # part way through a victim. Every write goes through its address's
+    # one buffer and overwrites it whole, so a buffer the device still
+    # held at an address its region left would change there, or change a
+    # live region; each address a region left reads as unmapped until its
+    # zone resets
     dev, store = make_store(zone_count=16, zone_capacity=128 * KIB,
                             w_low=12.5, w_high=25.0)
     cap, size = dev.config.zone_capacity, store.region_size
     rng = random.Random(7)
     vaddrs = [i * size for i in range(36)]
     shadow = {}
-    stale = {}    # address a stopped victim still holds -> its bytes
-    sharing = {}  # mapped vaddr -> the stale address sharing its buffer
-    shared = 0    # invalidations of a region a stopped victim still holds
+    left = set()  # addresses a stopped victim's moved regions left
+    stops = 0
     device_reset = dev.reset
 
     def reset(zone):
-        for addr in [a for a in stale if a // cap == zone]:
-            del stale[addr]
-        for vaddr in [v for v, a in sharing.items() if a // cap == zone]:
-            del sharing[vaddr]
+        left.difference_update([a for a in left if a // cap == zone])
         device_reset(zone)
     dev.reset = reset
 
     def resets_its_zone(vaddr):
-        """Whether invalidating `vaddr` frees a full zone's last buffer,
+        """Whether invalidating `vaddr` drops a full zone's last region,
         which resets the zone (the eager-reset tests cover that case)."""
         zone = dev._zones[store.forward[vaddr] // cap]
         return (zone.write_pointer == cap
@@ -479,31 +470,27 @@ def test_deallocated_buffers_are_reused_without_touching_live_regions():
         addresses the current victim's regions left."""
         def decide(vaddr):
             paddr = store.forward[vaddr]
-            if moved and min(moved.values()) // cap != paddr // cap:
+            if moved and min(moved) // cap != paddr // cap:
                 moved.clear()  # the last victim was reset
             elif moved and stop:
                 raise StopCleaning
-            moved[vaddr] = paddr
+            moved.append(paddr)
             return DropVerb.MIGRATE
-        moved = {}
+        moved = []
         return decide, moved
 
     for step in range(600):
         unmapped = [v for v in vaddrs if v not in shadow]
-        # an invalidation leaves its zone holding a buffer, so the freed
+        # an invalidation leaves its zone holding a region, so the freed
         # range stays below the write pointer and reads as unmapped
         mapped = [v for v in sorted(shadow) if not resets_its_zone(v)]
-        held = [v for v in sorted(sharing) if not resets_its_zone(v)]
         if unmapped and (not mapped or rng.random() < 0.6):
             vaddr = rng.choice(unmapped)
             buf, _ = store.region_buffer(vaddr)
             buf[:] = shadow[vaddr] = step.to_bytes(4, "little") * (size // 4)
             store.write_region(vaddr, buf)
         else:
-            # half the time, one a stopped victim still holds, if any
-            vaddr = rng.choice(held if held and rng.random() < 0.5
-                               else mapped)
-            shared += sharing.pop(vaddr, None) is not None
+            vaddr = rng.choice(mapped)
             paddr = store.forward[vaddr]
             store.invalidate_region(vaddr)
             del shadow[vaddr]
@@ -511,19 +498,19 @@ def test_deallocated_buffers_are_reused_without_touching_live_regions():
                 dev.read(paddr, size)
             with pytest.raises(errors.Unmapped):
                 dev.read(paddr + 100, 100)
-        if store.gc_needed() and (not stale or rng.random() < 0.3):
+        if store.gc_needed() and (not left or rng.random() < 0.3):
             decide, moved = migrate(stop=rng.random() < 0.5)
             try:
                 store.gc_cycle(decide)
             except StopCleaning:
-                for vaddr, paddr in moved.items():
-                    stale[paddr] = shadow[vaddr]
-                    sharing[vaddr] = paddr
+                left.update(moved)
+                stops += 1
         for vaddr, data in shadow.items():
             assert store.read_region(vaddr) == data, f"step {step}"
-        for addr, data in stale.items():
-            assert dev.read(addr, size) == data, f"step {step}"
-    assert shared > 0
+        for addr in left:
+            with pytest.raises(errors.Unmapped):
+                dev.read(addr, size)
+    assert stops > 0
     assert store.gc_log
 
 
@@ -531,18 +518,17 @@ def test_deallocated_buffers_are_reused_without_touching_live_regions():
 
 def test_rewrite_frees_the_old_copy_at_once():
     # the copy a rewrite replaces is deallocated as the new one maps: its
-    # address reads as unmapped, and its buffer is the next one lent
+    # address reads as unmapped, and the device holds only the new copy
     dev, store = make_store()
-    buf, fault_in = store.region_buffer(0)
-    assert fault_in is not None
+    buf, _ = store.region_buffer(0)
     buf[:] = payload(1)
     store.write_region(0, buf)
     old = store.forward[0]
-    store.write_region(0, payload(2))
+    new = payload(2)
+    store.write_region(0, new)
     with pytest.raises(errors.Unmapped):
         dev.read(old, store.region_size)
-    assert device_buffers(dev)[1] == [id(buf)]
-    assert store.region_buffer(0) == (buf, None)
+    assert device_buffers(dev) == {id(new)}
     assert store.read_region(0) == payload(2)
 
 
@@ -597,10 +583,10 @@ def test_zones_of_one_region_never_need_gc():
     assert_reset(dev, store, 0, 0)
 
 
-def test_stopped_victim_sharing_a_migrated_buffer_is_not_reset():
-    # a cycle stopped after one migration leaves the victim holding that
-    # region's buffer, shared with the zone it moved to; the victim's last
-    # mapped region then goes, and the victim keeps its data and its place
+def test_stopped_victim_is_reset_when_its_last_mapped_region_goes():
+    # a cycle stopped after one migration leaves the victim with that
+    # region's range deallocated, since the copy moved its buffer; the
+    # victim's last mapped region then goes, and the victim resets at once
     dev, store = make_store(zone_count=4, min_write=1)
     for i in range(7):  # zones 0-2 full, zone 3 open: no zone is empty
         store.write_region(i * 32 * KIB, payload(i))
@@ -616,13 +602,140 @@ def test_stopped_victim_sharing_a_migrated_buffer_is_not_reset():
     with pytest.raises(StopCleaning):
         store.gc_cycle(migrate_one)
     assert moved == [0] and store.zone_of(0) == 3
+    with pytest.raises(errors.Unmapped):
+        dev.read(0, store.region_size)
     resets = dev.counters.total_resets
     store.invalidate_region(32 * KIB)  # the victim's last mapped region
-    assert dev.write_pointer(0) == dev.config.zone_capacity
-    assert 0 in store.read_zones
-    assert dev.counters.total_resets == resets
-    assert dev.read(0, store.region_size) == payload(0)
+    assert_reset(dev, store, 0, resets)
     assert store.read_region(0) == payload(0)
+
+
+# --- region buffers --------------------------------------------------------------------
+
+def record_advice(monkeypatch, advice):
+    """Map the store's buffers so that every advice on them is recorded;
+    `advice` is "works", "off_linux" (no advice to give) or "fails"."""
+    calls = []
+
+    class RecordingMap(mmap.mmap):
+        def madvise(self, *args):
+            calls.append(args)
+            if advice == "fails":
+                raise OSError(22, "Invalid argument")
+
+    monkeypatch.setattr(memory, "POPULATE_WRITE",
+                        None if advice == "off_linux" else 23)
+    monkeypatch.setattr(zstorage_module, "mmap", SimpleNamespace(
+        mmap=RecordingMap, MAP_PRIVATE=mmap.MAP_PRIVATE))
+    return calls
+
+
+def fill_in_steps(buf, fault, tag):
+    """Fill a lent buffer 4 KiB at a time, calling its fault-in for each
+    step first unless it was lent with None, as the cache does; returns
+    the bytes written."""
+    for start in range(0, len(buf), 4 * KIB):
+        if fault is not None:
+            fault(start, 4 * KIB)
+        buf[start:start + 4 * KIB] = bytes([tag + start // KIB]) * 4 * KIB
+    return bytes(buf)
+
+
+STEPS = [(23, start, 4 * KIB) for start in range(0, 32 * KIB, 4 * KIB)]
+
+
+@pytest.mark.parametrize("advice", ["works", "off_linux", "fails"])
+def test_region_buffers_are_faulted_in_on_the_first_lend_only(
+        monkeypatch, advice):
+    # an address's buffer is faulted in only as its first borrower asks,
+    # and lent with None from then on; the bytes are the same when the
+    # advice is missing or raises, and a failed advice is not retried
+    calls = record_advice(monkeypatch, advice)
+    dev, store = make_store()
+    buf, fault = store.region_buffer(0)
+    assert fault is not None
+    assert calls == []                         # lending faults nothing in
+    first = fill_in_steps(buf, fault, 1)
+    store.write_region(0, buf)
+    store.write_region(32 * KIB, payload(9))   # no buffer of the store's
+    asked = {"works": STEPS, "off_linux": [], "fails": STEPS[:1]}[advice]
+    assert calls == asked
+    assert store.read_region(0) == first
+    store.invalidate_region(0)
+    again, fault = store.region_buffer(0)
+    assert again is buf and fault is None
+    want = fill_in_steps(again, fault, 101)
+    assert want != first
+    store.write_region(0, again)
+    assert store.read_region(0) == want
+    assert store.read_region(32 * KIB) == payload(9)
+    assert calls == asked
+
+
+def evict(store):
+    store.invalidate_region(0)
+
+
+def gc_cycle_that(verb):
+    """Leave region 0 by GC: zones 0-2 full, zone 3 open, and zone 0 holds
+    region 0 alone, so it is the first victim; region 0 meets `verb`, the
+    rest are dropped, and a migrated region 0 is evicted after."""
+    def leave(store):
+        for i in range(1, 7):
+            store.write_region(i * 32 * KIB, payload(i))
+        store.invalidate_region(32 * KIB)
+        assert store.gc_needed() and store.select_victim() == 0
+        store.gc_cycle(lambda vaddr: verb if vaddr == 0 else DropVerb.DROP)
+        if verb is DropVerb.MIGRATE:
+            assert store.read_region(0) == bytes(store.buffers[0])
+            evict(store)
+        assert 0 not in store.forward
+    return leave
+
+
+@pytest.mark.parametrize("leave", [
+    evict, gc_cycle_that(DropVerb.DROP), gc_cycle_that(DropVerb.MIGRATE)],
+    ids=["evicted", "dropped", "migrated"])
+def test_a_region_buffer_is_lent_again_as_resident(monkeypatch, leave):
+    # the buffer was faulted in by the fill that wrote it: however its
+    # region left, the address's next lend returns it with no fault-in,
+    # it fills with no advice, and it reads back
+    calls = record_advice(monkeypatch, "works")
+    dev, store = make_store(zone_count=4, min_write=1)
+    buf, fault = store.region_buffer(0)
+    fill_in_steps(buf, fault, 1)
+    store.write_region(0, buf)
+    leave(store)
+    assert calls == STEPS
+    assert id(buf) not in device_buffers(dev)
+    again, fault = store.region_buffer(0)
+    assert again is buf and fault is None
+    want = fill_in_steps(again, fault, 101)
+    store.write_region(0, again)
+    assert calls == STEPS
+    assert store.read_region(0) == want
+
+
+def test_region_buffer_refuses_a_mapped_address():
+    # the device holds a mapped region's buffer, wherever GC moved it, so
+    # lending it for a write would change a live region
+    dev, store = make_store(zone_count=4, min_write=1)
+    buf, _ = store.region_buffer(0)
+    buf[:] = payload(1)
+    store.write_region(0, buf)
+    for i in range(1, 7):
+        store.write_region(i * 32 * KIB, payload(i + 1))
+    store.invalidate_region(32 * KIB)
+    with pytest.raises(RuntimeError, match="region 0 is mapped"):
+        store.region_buffer(0)
+    store.gc_cycle(lambda vaddr: DropVerb.MIGRATE if vaddr == 0
+                   else DropVerb.DROP)
+    assert store.zone_of(0) == 3
+    with pytest.raises(RuntimeError, match="region 0 is mapped"):
+        store.region_buffer(0)
+    assert store.read_region(0) == payload(1)
+    store.invalidate_region(0)
+    assert store.region_buffer(0) == (buf, None)
 
 
 def test_cache_buffer_written_after_flush_leaves_device_unchanged():
