@@ -5,6 +5,7 @@ to a plain bytearray) so address math and payload contents are checked
 against a second implementation, not against the device itself.
 """
 
+import mmap
 from dataclasses import replace
 
 import pytest
@@ -14,7 +15,7 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
                                  precondition, rule)
 
 from helpers import device_buffers
-from zonecache import DeviceConfig, ZnsDevice, ZoneState, errors
+from zonecache import DeviceConfig, ZnsDevice, ZoneState, errors, memory
 
 KIB = 1024
 MIB = 1024 * KIB
@@ -356,6 +357,44 @@ def test_migrated_regions_survive_reuse_of_every_freed_buffer():
         fill(dest)
         for addr, data in shadow.items():
             assert dev.read(addr, size) == data, f"round {round_}"
+
+
+STEPS = [(23, start, 4 * KIB) for start in range(0, 16 * KIB, 4 * KIB)]
+
+
+@pytest.mark.parametrize("advice", ["works", "off_linux", "fails"])
+def test_buffers_are_faulted_in_once_per_request_and_read_back_without_it(
+        monkeypatch, advice):
+    # a buffer's owner faults it in only as its filler asks, one advice a
+    # step; the device holds, copies and reads it with no advice of its
+    # own, and the bytes are the same when the advice is missing or
+    # raises; a failed advice is not retried
+    calls = []
+
+    class RecordingMap(mmap.mmap):
+        def madvise(self, *args):
+            calls.append(args)
+            if advice == "fails":
+                raise OSError(22, "Invalid argument")
+
+    monkeypatch.setattr(memory, "POPULATE_WRITE",
+                        None if advice == "off_linux" else 23)
+    populator = memory.Populator()
+    buf = RecordingMap(-1, 16 * KIB, flags=mmap.MAP_PRIVATE)
+    assert calls == []                         # mapping faults nothing in
+    for start in range(0, 16 * KIB, 4 * KIB):
+        populator.populate(buf, start, 4 * KIB)
+        buf[start:start + 4 * KIB] = bytes([1 + start // KIB]) * 4 * KIB
+    want = bytes(buf)
+    dev = small_device()
+    addr = dev.append(0, buf)
+    moved = dev.copy(addr + 4 * KIB, 8 * KIB, 1)  # part of an append: a copy
+    copied = dev.append(1, b"z" * 4 * KIB)
+    assert dev.read(addr, 16 * KIB) == want
+    assert dev.read(moved, 8 * KIB) == want[4 * KIB:12 * KIB]
+    assert dev.read(copied, 4 * KIB) == b"z" * 4 * KIB
+    assert calls == {"works": STEPS, "off_linux": [],
+                     "fails": STEPS[:1]}[advice]
 
 
 # --- deallocation -----------------------------------------------------------------
