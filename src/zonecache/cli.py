@@ -14,8 +14,8 @@ import sys
 from dataclasses import replace
 
 from . import errors
-from .harness import (_SCHEME_KEYS, check_item_size, check_scheme,
-                      parse_config_file, render_csv, run)
+from .harness import (_SCHEME_KEYS, check_scheme, parse_config_file,
+                      render_csv, run)
 from .workload import PRESET_GET_RATIOS, generate, preset_spec, write_trace
 from .zstorage import compute_min_op
 
@@ -75,9 +75,9 @@ def _sweep_apply(config, param, value):
         raise errors.InvalidConfig(f"bad value for {param}: {e}")
     scheme = replace(config.scheme, **{param: parsed})
     check_scheme(scheme, [param])
-    if config.workload is not None:
-        check_item_size(config.workload, scheme)
-    return replace(config, scheme=scheme)
+    point = replace(config, scheme=scheme)
+    point.validate()
+    return point
 
 
 def _cmd_sweep(args) -> int:

@@ -13,6 +13,9 @@ bandwidth channels, 1000 MiB/s for writes and 3000 MiB/s for reads, the
 same for every scheme: all writes (foreground flushes plus GC migrations)
 share the write budget, all reads share the read budget, and elapsed time
 per interval is whichever channel is busier.
+
+A run's input has one check, `ExperimentConfig.validate`, made before
+any op: at config load, for each sweep point, and by `run`.
 """
 
 import os
@@ -31,6 +34,8 @@ CSV_HEADER = ("interval,ops,hits,misses,hit_ratio,cache_bytes,device_bytes,"
 
 @dataclass
 class ExperimentConfig:
+    """One run's input. `validate` is its one check (InvalidConfig): one op
+    source, whose items all fit the scheme's region, and `interval_ops`."""
     scheme: SchemeSpec
     workload: WorkloadSpec = None
     trace_path: str = None
@@ -44,6 +49,22 @@ class ExperimentConfig:
             raise errors.InvalidConfig("interval_ops must be >= 1")
         if (self.workload is None) == (self.trace_path is None):
             raise errors.InvalidConfig("exactly one of workload or trace required")
+        region = default_region_size(self.scheme)
+        if self.workload is not None:
+            self.workload.validate()
+            if self.workload.size_max > region:
+                raise errors.InvalidConfig(
+                    f"size_max {self.workload.size_max} exceeds region size {region}")
+            return
+        try:
+            ops = replay(self.trace_path)
+        except OSError:
+            raise errors.InvalidConfig(f"trace file not found: {self.trace_path}")
+        for index, op in enumerate(ops):  # a get's size is an earlier set's
+            if op.kind is OpKind.SET and op.size > region:
+                raise errors.InvalidConfig(
+                    f"op {index} (set {op.key}): {op.size} bytes exceeds region "
+                    f"size {region}")
 
 
 @dataclass
@@ -161,22 +182,14 @@ def run(config: ExperimentConfig) -> MetricsReport:
     """Execute one experiment and return (and optionally write) its report."""
     config.validate()
     engine = build(config.scheme)
-    if config.trace_path is not None:
-        ops = replay(config.trace_path)
-        region = engine.cache.region_size
-        for index, op in enumerate(ops):  # a get's size is an earlier set's
-            if op.kind is OpKind.SET and op.size > region:
-                raise errors.InvalidConfig(
-                    f"op {index} ({op.kind.value} {op.key}): {op.size} bytes "
-                    f"exceeds region size {region}")
-    else:
-        ops = generate(config.workload)
+    # an iterator: a list would restart at every islice
+    ops = iter(replay(config.trace_path) if config.trace_path is not None
+               else generate(config.workload))
     driver = _Driver(engine, config.verify_hits)
 
     rows = []
     last = EngineMetrics()
     sim_seconds = stable_seconds = 0.0
-    ops = iter(ops)  # a list would restart at every islice
     while True:
         start = driver.op_index
         for op in islice(ops, config.interval_ops):
@@ -304,11 +317,8 @@ def config_from_values(values, base_dir=".") -> ExperimentConfig:
                 f"config names both a trace and a synthetic workload "
                 f"({', '.join(clash)}); pick one")
         trace = os.path.join(base_dir, trace) if not os.path.isabs(trace) else trace
-        if not os.path.exists(trace):
-            raise errors.InvalidConfig(f"trace file not found: {trace}")
     else:
         workload = _workload_from_values(values, cache_bytes)
-        check_item_size(workload, scheme)
 
     config = ExperimentConfig(
         scheme=scheme, workload=workload, trace_path=trace,
@@ -331,14 +341,6 @@ def check_scheme(scheme: SchemeSpec, keys) -> int:
     return cache.capacity_regions * cache.region_size
 
 
-def check_item_size(workload: WorkloadSpec, scheme: SchemeSpec):
-    """Refuse a generated workload whose items can exceed a region."""
-    region = default_region_size(scheme)
-    if workload.size_max > region:
-        raise errors.InvalidConfig(
-            f"size_max {workload.size_max} exceeds region size {region}")
-
-
 def _workload_from_values(values, cache_bytes: int) -> WorkloadSpec:
     preset = values.get("preset")
     if preset is None and ("get_ratio" not in values
@@ -352,9 +354,7 @@ def _workload_from_values(values, cache_bytes: int) -> WorkloadSpec:
     else:
         spec = WorkloadSpec(name="custom", get_ratio=values["get_ratio"],
                             key_space=values["key_space"], op_count=100_000)
-    spec = replace(spec, **overrides)
-    spec.validate()
-    return spec
+    return replace(spec, **overrides)
 
 
 def parse_config_file(path) -> ExperimentConfig:

@@ -14,7 +14,7 @@ operation boundaries and is where background reclamation runs, which keeps
 every run single-threaded and reproducible.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from . import errors
 from .ftl import PageMappedFtl
@@ -84,7 +84,6 @@ class EngineMetrics:
     evicted_regions: int = 0
     dropped_regions: int = 0
     zone_resets: int = 0
-    gc_log: list = field(default_factory=list)
 
 
 def default_region_size(spec) -> int:
@@ -185,8 +184,7 @@ class _ZnsEngine(_Engine):
             gc_migrated_bytes=self.store.migrated_bytes,
             gc_cycles=len(self.store.gc_log),
             empty_zones=len(self.store.empty_zones),
-            zone_resets=counters.total_resets,
-            gc_log=list(self.store.gc_log))
+            zone_resets=counters.total_resets)
 
 
 class _FtlRegionStore:

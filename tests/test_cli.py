@@ -222,6 +222,24 @@ def test_traced_item_larger_than_a_region_exits_3(tmp_path, capsys,
     assert built == []
 
 
+def test_sweep_checks_every_traced_point_before_the_first_runs(tmp_path,
+                                                               capsys):
+    # the 12 KiB set fits the first point's 16 KiB regions but not the
+    # second's 8 KiB ones: the sweep exits before any point writes a CSV
+    (tmp_path / "t.trace").write_text("set a 12288\nget a\n")
+    conf = tmp_path / "exp.conf"
+    conf.write_text(TINY_CONF.replace("get_ratio = 0.5\nkey_space = 30\n"
+                                      "size_min = 2kib\nsize_max = 16kib\n"
+                                      "op_count = 400\nseed = 3\n",
+                                      "trace = t.trace\n"))
+    prefix = tmp_path / "sw"
+    assert main(["sweep", "--config", str(conf), "--param", "region_size",
+                 "--values", "16kib,8kib", "--out-prefix", str(prefix)]) == 3
+    assert capsys.readouterr().err == (
+        "config error: op 0 (set a): 12288 bytes exceeds region size 8192\n")
+    assert list(tmp_path.glob("sw_*")) == []
+
+
 def test_malformed_trace_exits_3(tmp_path, capsys):
     # a bad trace line is invalid input like a bad config key
     (tmp_path / "bad.trace").write_text("set a 1024\nset b twelve\n")

@@ -254,6 +254,28 @@ def test_traced_item_larger_than_a_region_is_refused_before_the_first_op(
     assert str(exc.value) == "op 1 (set b): 32768 bytes exceeds region size 16384"
 
 
+def test_run_refuses_a_missing_trace_as_a_config_error(tmp_path):
+    missing = tmp_path / "gone.trace"
+    with pytest.raises(errors.InvalidConfig) as exc:
+        run(ExperimentConfig(scheme=tiny_spec("zns-middle-lru"),
+                             trace_path=str(missing)))
+    assert str(exc.value) == f"trace file not found: {missing}"
+
+
+def test_validate_refuses_an_oversize_traced_set_without_an_engine(
+        tmp_path, monkeypatch):
+    trace = tmp_path / "big.trace"
+    trace.write_text("set a 1024\nget a\nset b 32768\n")  # 16 KiB regions
+    built = []
+    monkeypatch.setattr(harness, "build", built.append)
+    config = ExperimentConfig(scheme=tiny_spec("zns-middle-lru"),
+                              trace_path=str(trace))
+    with pytest.raises(errors.InvalidConfig) as exc:
+        config.validate()
+    assert str(exc.value) == "op 2 (set b): 32768 bytes exceeds region size 16384"
+    assert built == []
+
+
 def test_config_requires_one_op_source():
     with pytest.raises(errors.InvalidConfig):
         ExperimentConfig(scheme=tiny_spec("zcachelib")).validate()
