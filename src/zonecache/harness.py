@@ -35,7 +35,9 @@ CSV_HEADER = ("interval,ops,hits,misses,hit_ratio,cache_bytes,device_bytes,"
 @dataclass
 class ExperimentConfig:
     """One run's input. `validate` is its one check (InvalidConfig): one op
-    source, whose items all fit the scheme's region, and `interval_ops`."""
+    source, whose items all fit the scheme's region, and `interval_ops`.
+    It returns the ops a trace parsed to, which `run` replays without
+    parsing the file again, or None for a generated workload."""
     scheme: SchemeSpec
     workload: WorkloadSpec = None
     trace_path: str = None
@@ -55,7 +57,7 @@ class ExperimentConfig:
             if self.workload.size_max > region:
                 raise errors.InvalidConfig(
                     f"size_max {self.workload.size_max} exceeds region size {region}")
-            return
+            return None
         try:
             ops = replay(self.trace_path)
         except OSError:
@@ -65,6 +67,7 @@ class ExperimentConfig:
                 raise errors.InvalidConfig(
                     f"op {index} (set {op.key}): {op.size} bytes exceeds region "
                     f"size {region}")
+        return ops
 
 
 @dataclass
@@ -180,10 +183,10 @@ class _Driver:
 
 def run(config: ExperimentConfig) -> MetricsReport:
     """Execute one experiment and return (and optionally write) its report."""
-    config.validate()
+    trace_ops = config.validate()
     engine = build(config.scheme)
     # an iterator: a list would restart at every islice
-    ops = iter(replay(config.trace_path) if config.trace_path is not None
+    ops = iter(trace_ops if trace_ops is not None
                else generate(config.workload))
     driver = _Driver(engine, config.verify_hits)
 

@@ -2,9 +2,11 @@
 
 Key popularity follows a bounded zipf distribution sampled with a
 cumulative-weight table, so identical specs always produce identical op
-streams regardless of platform. Object sizes are log-uniform and derived
-from a keyed hash, which keeps every key's size stable across re-inserts
-and across runs.
+streams regardless of platform. The table is built in one C-level pass
+of chained iterators and holds the same floats as the plain sum
+`accumulate(1.0 / (r + 1) ** alpha for r in range(n))`. Object sizes are
+log-uniform and derived from a keyed hash, which keeps every key's size
+stable across re-inserts and across runs.
 """
 
 import bisect
@@ -13,7 +15,8 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from hashlib import blake2b
-from itertools import accumulate
+from itertools import accumulate, repeat
+from operator import truediv
 
 from . import errors
 
@@ -127,11 +130,17 @@ def matches_value(key: str, data: bytes) -> bool:
 
 
 class ZipfSampler:
-    """Bounded zipf(alpha) over ranks 0..n-1 via an inverse-CDF table."""
+    """Bounded zipf(alpha) over ranks 0..n-1 via an inverse-CDF table.
+
+    The table is built in one C-level pass, with no Python frame per rank,
+    and holds the same floats as `accumulate(1.0 / (r + 1) ** alpha for r
+    in range(n))`. At alpha 1 the weights are the ranks themselves, since
+    `x ** 1.0 == x` exactly; every other alpha raises each rank to it."""
 
     def __init__(self, n, alpha):
-        self._cumulative = list(accumulate(
-            1.0 / (r + 1) ** alpha for r in range(n)))
+        ranks = range(1, n + 1)
+        weights = ranks if alpha == 1 else map(pow, ranks, repeat(alpha))
+        self._cumulative = list(accumulate(map(truediv, repeat(1.0), weights)))
         self._total = self._cumulative[-1] if n else 0.0
 
     def sample(self, u: float) -> int:
@@ -166,13 +175,17 @@ def replay(path):
     One op per line: `set <key> <size_bytes>` or `get <key>`; `#` starts a
     comment line. A get carries the size of its key's latest earlier set,
     or None if there was none. Raises InvalidConfig naming the offending
-    line.
+    line, also one whose bytes are not UTF-8.
     """
     ops = []
     sizes = {}
-    with open(path) as fh:
+    with open(path, "rb") as fh:  # decoded line by line, to name the line
         for number, raw in enumerate(fh, start=1):
-            line = raw.strip()
+            try:
+                line = raw.decode().strip()
+            except UnicodeDecodeError as e:
+                raise errors.InvalidConfig(
+                    f"line {number}: not UTF-8: {e.reason} at byte {e.start}")
             if not line or line.startswith("#"):
                 continue
             fields = line.split(" ")

@@ -252,6 +252,43 @@ def test_malformed_trace_exits_3(tmp_path, capsys):
     assert "config error: line 2: bad size 'twelve'" in capsys.readouterr().err
 
 
+def _trace_conf(tmp_path, trace_bytes):
+    (tmp_path / "t.trace").write_bytes(trace_bytes)
+    conf = tmp_path / "exp.conf"
+    conf.write_text(TINY_CONF.replace("get_ratio = 0.5\nkey_space = 30\n"
+                                      "size_min = 2kib\nsize_max = 16kib\n"
+                                      "op_count = 400\nseed = 3\n",
+                                      "trace = t.trace\n"))
+    return conf
+
+
+def test_run_parses_its_trace_once_past_load(tmp_path, capsys, monkeypatch):
+    # config load parses the trace to check it; run replays the ops its own
+    # check parsed, so the file is read twice in all, not three times
+    conf = _trace_conf(tmp_path, b"set a 1024\nget a\n")
+    calls = []
+    replay_file = harness.replay
+    monkeypatch.setattr(harness, "replay",
+                        lambda path: calls.append(path) or replay_file(path))
+    assert main(["run", "--config", str(conf)]) == 0
+    assert len(calls) == 2
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[1].startswith("1,2,1,0,")  # both ops ran: one set, one hit
+
+
+@pytest.mark.parametrize("trace_bytes,line", [
+    (b"set a \xff\xfe 12\n", 1),
+    (b"set a 1024\nget a\nset \xffb 12\n", 3),
+])
+def test_trace_not_utf8_exits_3(tmp_path, capsys, trace_bytes, line):
+    # bytes that are not UTF-8 are a bad trace line like any other,
+    # reported by the number of the line that holds them
+    conf = _trace_conf(tmp_path, trace_bytes)
+    assert main(["run", "--config", str(conf)]) == 3
+    assert capsys.readouterr().err.startswith(
+        f"config error: line {line}: not UTF-8")
+
+
 def test_trace_plus_synthetic_keys_exits_3(tmp_path, capsys):
     (tmp_path / "t.trace").write_text("set a 1024\nget a\n")
     conf = tmp_path / "exp.conf"

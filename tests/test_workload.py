@@ -8,6 +8,7 @@ import math
 import random
 import statistics
 from collections import Counter
+from itertools import accumulate
 
 import pytest
 
@@ -116,6 +117,18 @@ def test_zipf_sampler_matches_hand_cdf():
         edge += w
     assert sampler.sample(0.0) == 0
     assert sampler.sample(0.999999) == 4
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 0.8, 1.0, 1, 1.2, 3.0])
+@pytest.mark.parametrize("n", [1, 2, 5, 1000, 112202])
+def test_zipf_table_holds_the_reference_floats(n, alpha):
+    # the table is built by chained C iterators, with the ranks themselves
+    # as weights at alpha 1; it must hold, as a list, exactly the floats
+    # of the plain per-rank sum, so every op stream stays the same
+    reference = list(accumulate(1.0 / (r + 1) ** alpha for r in range(n)))
+    table = ZipfSampler(n, alpha)._cumulative
+    assert type(table) is list
+    assert table == reference
 
 
 def test_zipf_rank_frequency_slope_near_minus_one():
