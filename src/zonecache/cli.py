@@ -68,14 +68,15 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _sweep_apply(config, param, value):
+def _sweep_apply(config, param, value, out_prefix):
     try:
         parsed = _SCHEME_KEYS[param](value)
     except ValueError as e:
         raise errors.InvalidConfig(f"bad value for {param}: {e}")
     scheme = replace(config.scheme, **{param: parsed})
     check_scheme(scheme, [param])
-    point = replace(config, scheme=scheme)
+    point = replace(config, scheme=scheme,
+                    output_path=f"{out_prefix}_{param}_{value}.csv")
     point.validate()
     return point
 
@@ -85,11 +86,11 @@ def _cmd_sweep(args) -> int:
     raw_values = [v for v in (s.strip() for s in args.values.split(",")) if v]
     if not raw_values:
         raise errors.InvalidConfig("--values must list at least one value")
-    points = [_sweep_apply(base, args.param, value) for value in raw_values]
-    for value, point in zip(raw_values, points):
-        out = f"{args.out_prefix}_{args.param}_{value}.csv"
-        run(replace(point, output_path=out))
-        print(f"wrote {out}")
+    points = [_sweep_apply(base, args.param, value, args.out_prefix)
+              for value in raw_values]
+    for point in points:
+        run(point)
+        print(f"wrote {point.output_path}")
     return 0
 
 

@@ -14,6 +14,10 @@ same for every scheme: all writes (foreground flushes plus GC migrations)
 share the write budget, all reads share the read budget, and elapsed time
 per interval is whichever channel is busier.
 
+`run` is `validate`, `build`, `generate` (or a trace's ops), `drive` and
+the CSV write; `drive(engine, ops, config)`, the one op loop, also takes
+an engine or an op stream that a caller brings (a model, a sweep script).
+
 A run's input has one check, `ExperimentConfig.validate`, made before
 any op: at config load, for each sweep point, and by `run`.
 """
@@ -25,8 +29,8 @@ from itertools import islice
 from . import errors
 from .schemes import (MIB, UNREAD_KEYS, EngineMetrics, SchemeSpec, build,
                       default_region_size, wa_factor)
-from .workload import (CacheOp, OpKind, WorkloadSpec, generate,
-                       matches_value, preset_spec, replay, value_bytes)
+from .workload import (OpKind, WorkloadSpec, generate, matches_value,
+                       preset_spec, replay, value_bytes)
 
 CSV_HEADER = ("interval,ops,hits,misses,hit_ratio,cache_bytes,device_bytes,"
               "wa_cum,gc_migrated_bytes,empty_zones,stage")
@@ -35,9 +39,10 @@ CSV_HEADER = ("interval,ops,hits,misses,hit_ratio,cache_bytes,device_bytes,"
 @dataclass
 class ExperimentConfig:
     """One run's input. `validate` is its one check (InvalidConfig): one op
-    source, whose items all fit the scheme's region, and `interval_ops`.
-    It returns the ops a trace parsed to, which `run` replays without
-    parsing the file again, or None for a generated workload."""
+    source, whose items all fit the scheme's region, `interval_ops`, and
+    an output path whose directory exists. It returns the ops a trace
+    parsed to, which `run` replays without parsing the file again, or None
+    for a generated workload."""
     scheme: SchemeSpec
     workload: WorkloadSpec = None
     trace_path: str = None
@@ -49,6 +54,10 @@ class ExperimentConfig:
     def validate(self):
         if self.interval_ops < 1:
             raise errors.InvalidConfig("interval_ops must be >= 1")
+        folder = os.path.dirname(self.output_path or "")
+        if folder and not os.path.isdir(folder):
+            raise errors.InvalidConfig(
+                f"output directory not found: {folder}")
         if (self.workload is None) == (self.trace_path is None):
             raise errors.InvalidConfig("exactly one of workload or trace required")
         region = default_region_size(self.scheme)
@@ -138,66 +147,48 @@ def _interval_seconds(written, read) -> float:
     return max(written / WRITE_BANDWIDTH, read / READ_BANDWIDTH)
 
 
-class _Driver:
-    """Pushes one op stream through an engine, interval by interval."""
-
-    def __init__(self, engine, verify_hits=False):
-        self.engine = engine
-        self.verify_hits = verify_hits
-        self.stage = "filling"
-        self.first_eviction_op = None
-        self.first_gc_op = None
-        self.corrupt_hits = 0
-        self.op_index = 0
-
-    def _apply(self, op: CacheOp):
-        engine = self.engine
-        if op.kind is OpKind.SET:
-            engine.insert(op.key, value_bytes(op.key, op.size))
-        else:
-            data = engine.lookup(op.key)
-            if data is None:
-                if op.size is not None:  # cache-fill after a miss
-                    engine.insert(op.key, value_bytes(op.key, op.size))
-            elif self.verify_hits and not (
-                    (op.size is None or len(data) == op.size)
-                    and matches_value(op.key, data)):
-                self.corrupt_hits += 1
-
-    def step(self, op: CacheOp):
-        try:
-            self._apply(op)
-            self.engine.tick_gc()
-        except errors.SimError as e:
-            raise errors.ExperimentError(
-                f"op {self.op_index} ({op.kind.value} {op.key}): {e}",
-                self.op_index) from e
-        if self.stage == "filling" and self.engine.eviction_events > 0:
-            self.stage = "evicting"
-            self.first_eviction_op = self.op_index
-        if self.stage == "evicting" and self.engine.gc_events > 0:
-            self.stage = "stable"
-            self.first_gc_op = self.op_index
-        self.op_index += 1
-
-
-def run(config: ExperimentConfig) -> MetricsReport:
-    """Execute one experiment and return (and optionally write) its report."""
-    trace_ops = config.validate()
-    engine = build(config.scheme)
-    # an iterator: a list would restart at every islice
-    ops = iter(trace_ops if trace_ops is not None
-               else generate(config.workload))
-    driver = _Driver(engine, config.verify_hits)
-
+def drive(engine, ops, config: ExperimentConfig) -> MetricsReport:
+    """Push an op stream through an engine, interval by interval, and
+    report it. A get that misses fills the cache when its op carries a
+    size; `engine.tick_gc` runs once after every op. Reads
+    `interval_ops`, `timing_enabled` and `verify_hits` from `config`."""
+    ops = iter(ops)  # a list would restart at every islice
+    insert, lookup, tick_gc = engine.insert, engine.lookup, engine.tick_gc
+    verify_hits = config.verify_hits
+    stage = "filling"
+    first_eviction_op = first_gc_op = None
+    corrupt_hits = index = 0
     rows = []
     last = EngineMetrics()
     sim_seconds = stable_seconds = 0.0
     while True:
-        start = driver.op_index
+        start = index
         for op in islice(ops, config.interval_ops):
-            driver.step(op)
-        if driver.op_index == start:
+            try:
+                if op.kind is OpKind.SET:
+                    insert(op.key, value_bytes(op.key, op.size))
+                else:
+                    data = lookup(op.key)
+                    if data is None:
+                        if op.size is not None:  # cache-fill after a miss
+                            insert(op.key, value_bytes(op.key, op.size))
+                    elif verify_hits and not (
+                            (op.size is None or len(data) == op.size)
+                            and matches_value(op.key, data)):
+                        corrupt_hits += 1
+                tick_gc()
+            except errors.SimError as e:
+                raise errors.ExperimentError(
+                    f"op {index} ({op.kind.value} {op.key}): {e}",
+                    index) from e
+            if stage == "filling" and engine.eviction_events > 0:
+                stage = "evicting"
+                first_eviction_op = index
+            if stage == "evicting" and engine.gc_events > 0:
+                stage = "stable"
+                first_gc_op = index
+            index += 1
+        if index == start:
             break
         m = engine.metrics()
         delta = _interval_seconds(
@@ -207,13 +198,13 @@ def run(config: ExperimentConfig) -> MetricsReport:
         hits, misses = m.hits - last.hits, m.misses - last.misses
         lookups = hits + misses
         rows.append(IntervalRow(
-            interval=len(rows) + 1, ops=driver.op_index - start, hits=hits,
+            interval=len(rows) + 1, ops=index - start, hits=hits,
             misses=misses, hit_ratio=hits / lookups if lookups else 0.0,
             cache_bytes=m.cache_bytes_written,
             device_bytes=m.device_bytes_written, wa_cum=wa_factor(m),
             gc_migrated_bytes=m.gc_migrated_bytes,
-            empty_zones=m.empty_zones, stage=driver.stage))
-        if driver.stage == "stable":
+            empty_zones=m.empty_zones, stage=stage))
+        if stage == "stable":
             stable_seconds += delta
         last = m
 
@@ -229,10 +220,17 @@ def run(config: ExperimentConfig) -> MetricsReport:
         stable_hit_ratio=stable_hits / stable_lookups if stable_lookups else None,
         final_wa=wa_factor(final),
         total_sim_seconds=sim_seconds,
-        first_eviction_op=driver.first_eviction_op,
-        first_gc_op=driver.first_gc_op)
-    report = MetricsReport(rows=rows, summary=summary, final_metrics=final,
-                           corrupt_hits=driver.corrupt_hits, engine=engine)
+        first_eviction_op=first_eviction_op, first_gc_op=first_gc_op)
+    return MetricsReport(rows=rows, summary=summary, final_metrics=final,
+                         corrupt_hits=corrupt_hits, engine=engine)
+
+
+def run(config: ExperimentConfig) -> MetricsReport:
+    """Execute one experiment and return (and optionally write) its report."""
+    trace_ops = config.validate()
+    engine = build(config.scheme)
+    report = drive(engine, trace_ops if trace_ops is not None
+                   else generate(config.workload), config)
     if config.output_path:
         with open(config.output_path, "w") as fh:
             fh.write(render_csv(report))

@@ -443,7 +443,8 @@ class SchemeModel:
 
     def __init__(self, name, zones=8, zone_cap=32 * 1024, region=16 * 1024,
                  capacity=7, min_w=2, w_low=25.0, w_high=50.0,
-                 vop_ratio=1.0, page=4096, ppb=2, reorder=True):
+                 vop_ratio=1.0, page=4096, ppb=2, reorder=True,
+                 op_ratio=0.07):
         self.name = name
         self.kind = ("reg" if name.startswith("reg") else
                      "drop" if name == "zcachelib" else "migrate")
@@ -452,7 +453,7 @@ class SchemeModel:
             min_w = 1
         if self.kind == "reg":
             ftl = FtlModel(page, ppb, zones * zone_cap // (page * ppb),
-                           0.07, trigger=2)
+                           op_ratio, trigger=2)
             self.ftl = ftl
             self.store = FtlStoreModel(ftl, region)
         else:
@@ -470,13 +471,15 @@ class SchemeModel:
                 self.cache.insert(key, size)
         else:
             self.cache.insert(key, size)
-        if self.kind == "drop":
-            if self.store.gc_needed():
-                self.store.gc(self.cache.zdrop)
-        elif self.kind == "migrate":
-            if self.store.gc_needed():
-                self.store.gc(lambda v: "migrate")
+        self.tick_gc()
         return hit
+
+    def tick_gc(self):
+        """Background cleaning at an op boundary; the FTL cleans inline."""
+        if self.kind == "reg" or not self.store.gc_needed():
+            return
+        self.store.gc(self.cache.zdrop if self.kind == "drop"
+                      else lambda v: "migrate")
 
     def run(self, script):
         hits = []

@@ -52,6 +52,31 @@ def test_run_writes_output_file(conf, tmp_path, capsys):
     assert out.read_text().startswith(CSV_HEADER)
 
 
+def never_generate(spec):
+    raise AssertionError("an op stream was generated")
+
+
+def test_run_output_in_a_missing_directory_exits_3_before_any_op(
+        conf, tmp_path, capsys, monkeypatch):
+    out = tmp_path / "gone" / "run.csv"
+    conf.write_text(TINY_CONF + f"output = {out}\n")
+    monkeypatch.setattr(harness, "generate", never_generate)
+    assert main(["run", "--config", str(conf)]) == 3
+    assert capsys.readouterr().err == (
+        f"config error: output directory not found: {out.parent}\n")
+
+
+def test_sweep_output_in_a_missing_directory_exits_3_before_any_point(
+        conf, tmp_path, capsys, monkeypatch):
+    # every point is checked with its output path set, before the first runs
+    prefix = tmp_path / "gone" / "sw"
+    monkeypatch.setattr(harness, "generate", never_generate)
+    assert main(["sweep", "--config", str(conf), "--param", "min_write_zones",
+                 "--values", "1,2", "--out-prefix", str(prefix)]) == 3
+    assert capsys.readouterr().err == (
+        f"config error: output directory not found: {prefix.parent}\n")
+
+
 def test_run_missing_config_exits_3(tmp_path, capsys):
     missing = tmp_path / "nope.conf"
     assert main(["run", "--config", str(missing)]) == 3

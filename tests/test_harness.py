@@ -12,12 +12,13 @@ import pytest
 
 from helpers import KIB, MIB, tiny_spec
 from zonecache import errors, harness
-from zonecache.harness import (CSV_HEADER, ExperimentConfig, _Driver,
-                               _SCHEME_KEYS, _WORKLOAD_KEYS, _interval_seconds,
-                               check_scheme, parse_config_file,
-                               parse_config_text, parse_size, render_csv, run)
+from zonecache.harness import (CSV_HEADER, ExperimentConfig, _SCHEME_KEYS,
+                               _WORKLOAD_KEYS, _interval_seconds, check_scheme,
+                               drive, parse_config_file, parse_config_text,
+                               parse_size, render_csv, run)
 from zonecache.schemes import SCHEME_NAMES, build
-from zonecache.workload import CacheOp, OpKind, WorkloadSpec, value_bytes
+from zonecache.workload import (CacheOp, OpKind, WorkloadSpec, generate,
+                                value_bytes)
 
 STAGE_ORDER = {"filling": 0, "evicting": 1, "stable": 2}
 
@@ -178,11 +179,9 @@ def test_verify_hits_flags_corrupted_payloads():
     real_lookup = engine.lookup
     engine.lookup = lambda key: (lambda d: None if d is None else
                                  bytes([d[0] ^ 0xFF]) + d[1:])(real_lookup(key))
-    driver = _Driver(engine, verify_hits=True)
-    from zonecache.workload import CacheOp, OpKind
-    driver.step(CacheOp(OpKind.SET, "a", 4096))
-    driver.step(CacheOp(OpKind.GET, "a"))
-    assert driver.corrupt_hits == 1
+    ops = [CacheOp(OpKind.SET, "a", 4096), CacheOp(OpKind.GET, "a")]
+    report = drive(engine, ops, tiny_config(verify_hits=True))
+    assert report.corrupt_hits == 1
 
 
 def test_verify_hits_flags_truncated_payloads():
@@ -192,12 +191,12 @@ def test_verify_hits_flags_truncated_payloads():
     real_lookup = engine.lookup
     engine.lookup = lambda key: (lambda d: None if d is None else d[:-1])(
         real_lookup(key))
-    driver = _Driver(engine, verify_hits=True)
-    driver.step(CacheOp(OpKind.SET, "a", 4096))
-    driver.step(CacheOp(OpKind.GET, "a", 4096))
-    assert driver.corrupt_hits == 1
-    driver.step(CacheOp(OpKind.GET, "a"))  # size unknown: pattern only
-    assert driver.corrupt_hits == 1
+    config = tiny_config(verify_hits=True)
+    report = drive(engine, [CacheOp(OpKind.SET, "a", 4096),
+                            CacheOp(OpKind.GET, "a", 4096)], config)
+    assert report.corrupt_hits == 1
+    # size unknown: pattern only
+    assert drive(engine, [CacheOp(OpKind.GET, "a")], config).corrupt_hits == 0
 
 
 def test_verify_hits_builds_payloads_for_inserts_only(monkeypatch):
@@ -208,22 +207,19 @@ def test_verify_hits_builds_payloads_for_inserts_only(monkeypatch):
         built.append(key)
         return value_bytes(key, size)
 
-    def counting_build(spec):
-        engine = build(spec)
-        real_insert = engine.insert
+    config = tiny_config(ops=2000, verify_hits=True)
+    engine = build(config.scheme)
+    real_insert = engine.insert
 
-        def insert(key, value):
-            inserted.append(key)
-            real_insert(key, value)
-        engine.insert = insert
-        return engine
+    def insert(key, value):
+        inserted.append(key)
+        real_insert(key, value)
+    engine.insert = insert
 
     monkeypatch.setattr(harness, "value_bytes", counting_value_bytes)
-    monkeypatch.setattr(harness, "build", counting_build)
-    config = tiny_config(ops=2000, verify_hits=True)
-    report = run(config)
+    report = drive(engine, generate(config.workload), config)
     m = report.final_metrics
-    sets = sum(op.kind is OpKind.SET for op in harness.generate(config.workload))
+    sets = sum(op.kind is OpKind.SET for op in generate(config.workload))
     assert report.corrupt_hits == 0 and m.hits > 0
     assert built == inserted
     assert len(built) == sets + m.misses  # sets plus fills; no hit builds one
@@ -274,6 +270,15 @@ def test_validate_refuses_an_oversize_traced_set_without_an_engine(
         config.validate()
     assert str(exc.value) == "op 2 (set b): 32768 bytes exceeds region size 16384"
     assert built == []
+
+
+def test_validate_refuses_an_output_path_in_a_missing_directory(tmp_path):
+    config = tiny_config(output_path=str(tmp_path / "gone" / "run.csv"))
+    with pytest.raises(errors.InvalidConfig) as exc:
+        config.validate()
+    assert str(exc.value) == f"output directory not found: {tmp_path / 'gone'}"
+    replace(config, output_path=str(tmp_path / "run.csv")).validate()
+    replace(config, output_path="run.csv").validate()  # the working directory
 
 
 def test_config_requires_one_op_source():

@@ -2,6 +2,12 @@
 simulator by name: harness entry points, each layer's methods and the GC
 drop filter. A rename in `src/` that breaks `perfbench/run.py --trace 1`
 fails here instead, on a short run of every scheme.
+
+The untraced benchmark (`perfbench/child.py`) wraps `harness.build` to
+stamp each op's end in the engine's `tick_gc`, so `run` must build its
+engine through the harness module and `drive` must call `tick_gc` once
+per op; and `run` must be no more than `drive` over what `build` and
+`generate` return.
 """
 
 import sys
@@ -12,7 +18,8 @@ import pytest
 from helpers import GC_ZONES, KIB, tiny_spec
 from zonecache import SCHEME_NAMES, harness
 from zonecache.harness import ExperimentConfig, render_csv
-from zonecache.workload import WorkloadSpec
+from zonecache.schemes import build
+from zonecache.workload import WorkloadSpec, generate
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from tracer import Tracer, instrument  # noqa: E402
@@ -67,3 +74,27 @@ def test_traced_run_matches_untraced_run(name):
         assert tracer.counts["zstorage.victims"] == \
             layers["zstorage.gc_reclaimed_zones"]
         assert 0 < layers["zstorage.gc_victim_valid_ratio"] < 1
+
+
+@pytest.mark.parametrize("name", SCHEME_NAMES)
+def test_a_wrapped_tick_gc_runs_once_per_op(name, monkeypatch):
+    ticks = []
+
+    def stamped_build(spec):
+        engine = build(spec)
+        tick = engine.tick_gc
+        engine.tick_gc = lambda: ticks.append(tick())
+        return engine
+
+    monkeypatch.setattr(harness, "build", stamped_build)
+    report = harness.run(short_config(name))
+    assert len(ticks) == sum(row.ops for row in report.rows) == 600
+
+
+@pytest.mark.parametrize("name", SCHEME_NAMES)
+def test_drive_over_build_and_generate_renders_run(name):
+    config = short_config(name)
+    driven = harness.drive(build(config.scheme), generate(config.workload),
+                           config)
+    assert driven.corrupt_hits == 0
+    assert render_csv(driven) == render_csv(harness.run(config))

@@ -1,8 +1,9 @@
 """Scheme assembly tests.
 
-Tiny geometries (8 zones x 32 KiB) keep runs fast; the driver below applies
-the same miss-fill convention the experiment runner uses so hit/miss
-sequences are comparable across backends.
+Tiny geometries (8 zones x 32 KiB) keep runs fast; scripted runs go through
+the helpers' `drive`, whose miss-fill convention is the experiment
+runner's, and the golden-sized runs through `harness.drive` itself, so
+hit/miss sequences are comparable across backends.
 """
 
 import math
@@ -12,8 +13,8 @@ import pytest
 from helpers import (GC_ZONES, KIB, MIB, device_buffers, drive, make_script,
                      tiny_spec)
 from test_golden import CONFIGS as GOLDEN_CONFIGS, golden_stem
-from zonecache import SchemeSpec, build, errors, memory, wa_factor
-from zonecache.harness import ExperimentConfig, _Driver, run
+from zonecache import SchemeSpec, build, errors, harness, memory, wa_factor
+from zonecache.harness import ExperimentConfig, run
 from zonecache.schemes import _capacity_regions
 from zonecache.zcache import FAULT_STEP, Policy
 from zonecache.workload import (CacheOp, OpKind, generate, preset_spec,
@@ -127,6 +128,25 @@ def _golden_sized_run(name, **extra):
     return build(spec), generate(workload)
 
 
+def run_ops(engine, ops):
+    """Every op through `harness.drive`, hits verified; returns the report."""
+    report = harness.drive(engine, ops,
+                           ExperimentConfig(scheme=None, verify_hits=True))
+    assert report.corrupt_hits == 0
+    return report
+
+
+def after_each_op(engine, check):
+    """Calls `check()` at every op boundary: `drive` calls `tick_gc` once
+    at the end of each op."""
+    tick = engine.tick_gc
+
+    def tick_gc():
+        tick()
+        check()
+    engine.tick_gc = tick_gc
+
+
 def _tiny_run(name, seed=3, **extra):
     ops = [CacheOp(OpKind.GET if is_get else OpKind.SET, key, size)
            for is_get, key, size in make_script(seed=seed, ops=600)]
@@ -142,12 +162,14 @@ def test_open_zones_never_exceed_write_zones(name, setup):
     # zns-direct, whose regions fill a zone at once), so a device that
     # allows min_write_zones open zones never refuses an open
     engine, ops = setup(name)
-    driver = _Driver(engine)
     peak = 0
-    for op in ops:
-        driver.step(op)
+
+    def check():
+        nonlocal peak
         peak = max(peak, engine.device.open_zone_count())
         assert peak <= engine.store.min_write_zones
+    after_each_op(engine, check)
+    run_ops(engine, ops)
     assert peak == (0 if name == "zns-direct" else engine.store.min_write_zones)
 
 
@@ -170,10 +192,7 @@ def test_each_region_slot_is_faulted_in_once(name, extra, monkeypatch):
     if name.startswith("reg-"):
         extra = dict(extra, pages_per_block=256)  # as tests/golden/ has it
     engine, ops = _golden_sized_run(name, **extra)
-    driver = _Driver(engine, verify_hits=True)
-    for op in ops:
-        driver.step(op)
-    assert driver.corrupt_hits == 0
+    run_ops(engine, ops)
     capacity = engine.cache.capacity_regions
     region = engine.cache.region_size
     assert len(requests) == capacity * math.ceil(region / FAULT_STEP)
@@ -188,9 +207,7 @@ def test_device_maps_no_more_buffers_than_the_cache_has_regions(name):
     # moves them; the store never unmaps a buffer, so the count at the end
     # is the run's peak
     engine, ops = _golden_sized_run(name)
-    driver = _Driver(engine)
-    for op in ops:
-        driver.step(op)
+    run_ops(engine, ops)
     assert engine.gc_events > 0
     assert len(engine.store.buffers) <= engine.cache.capacity_regions
 
@@ -239,21 +256,22 @@ def test_device_holds_one_buffer_per_mapped_region(name, extra, setup):
     golden = setup == "golden_sized"
     engine, ops = (_golden_sized_run(name, **extra) if golden
                    else _tiny_run(name, seed=setup, **extra))
-    driver = _Driver(engine, verify_hits=True)
     region = engine.store.region_size
     last, flushed = {}, 0
-    for op in ops:
-        driver.step(op)
+
+    def check():
+        nonlocal last, flushed
         if golden and engine.cache.flushed_count == flushed:
-            continue
+            return
         flushed = engine.cache.flushed_count
         forward = engine.store.forward
         check_one_buffer_per_region(engine, [
             vaddr // region for vaddr, paddr in forward.items()
             if not golden or last.get(vaddr) != paddr])
         last = dict(forward)
+    after_each_op(engine, check)
+    run_ops(engine, ops)
     check_one_buffer_per_region(engine, [v // region for v in last])
-    assert driver.corrupt_hits == 0
     assert engine.metrics().zone_resets > 0
 
 
@@ -283,11 +301,8 @@ def test_device_holds_only_mapped_buffers_inside_gc_cycles(name):
         return zdrop_filter(vaddr)
 
     cache.zdrop_filter = checked_filter  # tick_gc reads it at each cycle
-    driver = _Driver(engine, verify_hits=True)
-    for op in ops:
-        driver.step(op)
-        check_held_buffers_are_mapped(engine)
-    assert driver.corrupt_hits == 0
+    after_each_op(engine, lambda: check_held_buffers_are_mapped(engine))
+    run_ops(engine, ops)
     assert calls and engine.metrics().gc_cycles > 0
 
 
