@@ -4,6 +4,7 @@ Distribution checks run on frozen seeds with 3-sigma bands, so they are
 deterministic; a different seed shifting a count slightly cannot flake.
 """
 
+import hashlib
 import math
 import random
 import statistics
@@ -82,6 +83,23 @@ def test_generate_is_deterministic():
 
 def test_seed_changes_the_stream():
     assert list(generate(spec_for())) != list(generate(spec_for(seed=2)))
+
+
+@pytest.mark.parametrize("kw,digest", [
+    (dict(get_ratio=0.6, key_space=20_000, op_count=60_000, seed=1009,
+          zipf_alpha=1.0),
+     "ff07333a839c3d47c7a43a6fc18eead83967d1b0dcc14b105c4f84d855e6960d"),
+    (dict(get_ratio=0.88, key_space=3_000, op_count=20_000, seed=7,
+          zipf_alpha=0.8, size_min=512, size_max=64 * KIB),
+     "8897b4dec3443804a52b313c228905c9ea7004fb70ba82bcc34169b8ad8613ce"),
+])
+def test_op_stream_is_locked(kw, digest):
+    # every (kind, key, size) of two fixed specs, against digests recorded
+    # before the generator was reshaped: any change to the stream shows
+    h = hashlib.sha256()
+    for op in generate(WorkloadSpec(name="lock", **kw)):
+        h.update(f"{op.kind.value} {op.key} {op.size}\n".encode())
+    assert h.hexdigest() == digest
 
 
 def test_sizes_stable_per_key_and_bounded():
