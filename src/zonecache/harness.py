@@ -22,6 +22,7 @@ A run's input has one check, `ExperimentConfig.validate`, made before
 any op: at config load, for each sweep point, and by `run`.
 """
 
+import gc
 import os
 from dataclasses import dataclass, replace
 from itertools import islice
@@ -151,62 +152,73 @@ def drive(engine, ops, config: ExperimentConfig) -> MetricsReport:
     """Push an op stream through an engine, interval by interval, and
     report it. A get that misses fills the cache when its op carries a
     size; `engine.tick_gc` runs once after every op. Reads
-    `interval_ops`, `timing_enabled` and `verify_hits` from `config`."""
+    `interval_ops`, `timing_enabled` and `verify_hits` from `config`.
+    Python's cyclic collector is off while the ops run, and left as it
+    was found when they end or one raises."""
     ops = iter(ops)  # a list would restart at every islice
     insert, lookup, tick_gc = engine.insert, engine.lookup, engine.tick_gc
-    verify_hits = config.verify_hits
+    verify_hits, set_ = config.verify_hits, OpKind.SET
     stage = "filling"
     first_eviction_op = first_gc_op = None
     corrupt_hits = index = 0
     rows = []
     last = EngineMetrics()
     sim_seconds = stable_seconds = 0.0
-    while True:
-        start = index
-        for op in islice(ops, config.interval_ops):
-            try:
-                if op.kind is OpKind.SET:
-                    insert(op.key, value_bytes(op.key, op.size))
-                else:
-                    data = lookup(op.key)
-                    if data is None:
-                        if op.size is not None:  # cache-fill after a miss
-                            insert(op.key, value_bytes(op.key, op.size))
-                    elif verify_hits and not (
-                            (op.size is None or len(data) == op.size)
-                            and matches_value(op.key, data)):
-                        corrupt_hits += 1
-                tick_gc()
-            except errors.SimError as e:
-                raise errors.ExperimentError(
-                    f"op {index} ({op.kind.value} {op.key}): {e}",
-                    index) from e
-            if stage == "filling" and engine.eviction_events > 0:
-                stage = "evicting"
-                first_eviction_op = index
-            if stage == "evicting" and engine.gc_events > 0:
-                stage = "stable"
-                first_gc_op = index
-            index += 1
-        if index == start:
-            break
-        m = engine.metrics()
-        delta = _interval_seconds(
-            m.device_bytes_written - last.device_bytes_written,
-            m.device_bytes_read - last.device_bytes_read)
-        sim_seconds += delta
-        hits, misses = m.hits - last.hits, m.misses - last.misses
-        lookups = hits + misses
-        rows.append(IntervalRow(
-            interval=len(rows) + 1, ops=index - start, hits=hits,
-            misses=misses, hit_ratio=hits / lookups if lookups else 0.0,
-            cache_bytes=m.cache_bytes_written,
-            device_bytes=m.device_bytes_written, wa_cum=wa_factor(m),
-            gc_migrated_bytes=m.gc_migrated_bytes,
-            empty_zones=m.empty_zones, stage=stage))
-        if stage == "stable":
-            stable_seconds += delta
-        last = m
+    # the op loop makes no reference cycles, so a collection there would
+    # only walk the long-lived heap (the index, the shared ops) and stall
+    # the op it lands on
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        while True:
+            start = index
+            for op in islice(ops, config.interval_ops):
+                try:
+                    if op.kind is set_:
+                        insert(op.key, value_bytes(op.key, op.size))
+                    else:
+                        data = lookup(op.key)
+                        if data is None:
+                            if op.size is not None:  # cache-fill after a miss
+                                insert(op.key, value_bytes(op.key, op.size))
+                        elif verify_hits and not (
+                                (op.size is None or len(data) == op.size)
+                                and matches_value(op.key, data)):
+                            corrupt_hits += 1
+                    tick_gc()
+                except errors.SimError as e:
+                    raise errors.ExperimentError(
+                        f"op {index} ({op.kind.value} {op.key}): {e}",
+                        index) from e
+                if stage == "filling" and engine.eviction_events > 0:
+                    stage = "evicting"
+                    first_eviction_op = index
+                if stage == "evicting" and engine.gc_events > 0:
+                    stage = "stable"
+                    first_gc_op = index
+                index += 1
+            if index == start:
+                break
+            m = engine.metrics()
+            delta = _interval_seconds(
+                m.device_bytes_written - last.device_bytes_written,
+                m.device_bytes_read - last.device_bytes_read)
+            sim_seconds += delta
+            hits, misses = m.hits - last.hits, m.misses - last.misses
+            lookups = hits + misses
+            rows.append(IntervalRow(
+                interval=len(rows) + 1, ops=index - start, hits=hits,
+                misses=misses, hit_ratio=hits / lookups if lookups else 0.0,
+                cache_bytes=m.cache_bytes_written,
+                device_bytes=m.device_bytes_written, wa_cum=wa_factor(m),
+                gc_migrated_bytes=m.gc_migrated_bytes,
+                empty_zones=m.empty_zones, stage=stage))
+            if stage == "stable":
+                stable_seconds += delta
+            last = m
+    finally:
+        if collecting:
+            gc.enable()
 
     final = engine.metrics()
     stable = [row for row in rows if row.stage == "stable"]
@@ -317,15 +329,16 @@ def config_from_values(values, base_dir=".") -> ExperimentConfig:
             raise errors.InvalidConfig(
                 f"config names both a trace and a synthetic workload "
                 f"({', '.join(clash)}); pick one")
-        trace = os.path.join(base_dir, trace) if not os.path.isabs(trace) else trace
+        trace = os.path.join(base_dir, trace)
     else:
         workload = _workload_from_values(values, cache_bytes)
+    output = values.get("output")  # like the trace, beside the config file
 
     config = ExperimentConfig(
         scheme=scheme, workload=workload, trace_path=trace,
         interval_ops=values.get("interval_ops", 10_000),
         timing_enabled=values.get("timing", False),
-        output_path=values.get("output"))
+        output_path=os.path.join(base_dir, output) if output else output)
     config.validate()
     return config
 

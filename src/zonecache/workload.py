@@ -28,8 +28,10 @@ class OpKind(Enum):
     SET = "set"
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, frozen=True)
 class CacheOp:
+    """One op. `generate` yields the same object for every draw of one
+    key and kind, so an op is immutable."""
     kind: OpKind
     key: str
     # a Set's value size; for a Get, the size to fill on a miss, or None
@@ -104,7 +106,7 @@ def key_size(spec: WorkloadSpec, key: str) -> int:
 
 
 def _tile(key: str) -> bytes:
-    return blake2b(str(key).encode(), digest_size=8).digest()
+    return blake2b(key.encode(), digest_size=8).digest()
 
 
 def value_bytes(key: str, size: int) -> bytearray:
@@ -124,9 +126,10 @@ def matches_value(key: str, data: bytes) -> bool:
     """`data == value_bytes(key, len(data))`, checked in place: the first
     8 bytes are the key's tile, and the rest repeats them, which is
     `data[8:] == data[:-8]`, one compare with no second copy."""
-    n = len(data)
-    return data[:8] == _tile(key)[:n] and (
-        n <= 8 or data.startswith(memoryview(data)[:n - 8], 8))
+    tile, n = _tile(key), len(data)
+    if n <= 8:
+        return data == tile[:n]
+    return data.startswith(tile) and data.startswith(memoryview(data)[:n - 8], 8)
 
 
 class ZipfSampler:
@@ -156,17 +159,25 @@ def generate(spec: WorkloadSpec):
 
 
 def _ops(spec: WorkloadSpec):
-    rng = random.Random(spec.seed)
-    sampler = ZipfSampler(spec.key_space, spec.zipf_alpha)
-    keyed = [None] * spec.key_space  # rank -> (key, key_size), built on first draw
+    draw, get_ratio = random.Random(spec.seed).random, spec.get_ratio
+    sample = ZipfSampler(spec.key_space, spec.zipf_alpha).sample
+    get, set_ = OpKind.GET, OpKind.SET
+    # rank r's get at 2r and its set at 2r + 1, each built on its first
+    # draw, from its twin's key and size once the twin is built, and
+    # yielded again at each later one
+    ops = [None] * (2 * spec.key_space)
     for _ in range(spec.op_count):
-        kind = OpKind.GET if rng.random() < spec.get_ratio else OpKind.SET
-        rank = sampler.sample(rng.random())
-        entry = keyed[rank]
-        if entry is None:
-            key = f"k{rank}"
-            entry = keyed[rank] = (key, key_size(spec, key))
-        yield CacheOp(kind, entry[0], entry[1])
+        kind = get if draw() < get_ratio else set_
+        slot = 2 * sample(draw()) + (kind is set_)
+        op = ops[slot]
+        if op is None:
+            twin = ops[slot ^ 1]
+            if twin is None:
+                key = f"k{slot // 2}"
+                op = ops[slot] = CacheOp(kind, key, key_size(spec, key))
+            else:
+                op = ops[slot] = CacheOp(kind, twin.key, twin.size)
+        yield op
 
 
 def replay(path):

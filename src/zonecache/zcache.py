@@ -55,11 +55,6 @@ class Policy(Enum):
     ZLRU = "zlru"
 
 
-def _push_head(ids, rid):
-    ids[rid] = None
-    ids.move_to_end(rid, last=False)
-
-
 class RegionCache:
     """Cache engine over a region store (zoned or FTL-backed)."""
 
@@ -100,16 +95,16 @@ class RegionCache:
 
     # -- eviction list maintenance ----------------------------------------------
 
-    def _vop_target(self) -> int:
-        if self.policy is not Policy.ZLRU:
-            return 0
-        total = len(self.main) + len(self.vop)
-        return int(self.vop_ratio * total)
-
     def _rebalance(self):
-        # single direction: demote the main tail until the split is satisfied
-        while len(self.vop) < self._vop_target() and self.main:
-            _push_head(self.vop, self.main.popitem()[0])
+        # single direction: demote the main tail until vop holds its
+        # share, vop_ratio of the listed regions; only ZLRU keeps a vop
+        if self.policy is not Policy.ZLRU:
+            return
+        main, vop, ratio = self.main, self.vop, self.vop_ratio
+        while main and len(vop) < int(ratio * (len(main) + len(vop))):
+            rid = main.popitem()[0]
+            vop[rid] = None
+            vop.move_to_end(rid, last=False)
 
     def zlru_reorder(self) -> int:
         """Sink vop regions whose zone is a likely GC victim to the vop tail.
@@ -146,7 +141,8 @@ class RegionCache:
         # buffer, and the next region is filled in its own
         self.store.write_region(self.vaddr(rid), self._buffer)
         self._buffer = None
-        _push_head(self.main, rid)
+        self.main[rid] = None
+        self.main.move_to_end(rid, last=False)
         self._rebalance()
         self.flushed_count += 1
         self._buffered = None
@@ -156,28 +152,30 @@ class RegionCache:
     # -- cache interface -------------------------------------------------------
 
     def insert(self, key, value):
-        if len(value) > self.region_size:
+        size = len(value)
+        if size > self.region_size:
             raise errors.ItemTooLarge(
-                f"{len(value)} bytes exceeds region size {self.region_size}")
+                f"{size} bytes exceeds region size {self.region_size}")
         if self._buffered is None:
             self._alloc_buffer()
-        elif self._fill + len(value) > self.region_size:
+        elif self._fill + size > self.region_size:
             self._flush()
             self._alloc_buffer()
         offset = self._fill
-        self._fill += len(value)
-        while self._faulted < self._fill:
+        fill = self._fill = offset + size
+        while self._faulted < fill:
             step = min(FAULT_STEP, self.region_size - self._faulted)
             self._fault_in(self._faulted, step)
             self._faulted += step
-        self._buffer[offset:self._fill] = value
-        old = self.index.get(key)
+        self._buffer[offset:fill] = value
+        rid, index, keys = self._buffered, self.index, self.keys
+        old = index.get(key)
         if old is not None:
             # superseded copy: it is no longer live in its old region
-            self.keys[old[0]].discard(key)
-        self.keys[self._buffered].add(key)
-        self.index[key] = (self._buffered, offset, len(value))
-        self.inserted_bytes += len(value)
+            keys[old[0]].discard(key)
+        keys[rid].add(key)
+        index[key] = (rid, offset, size)
+        self.inserted_bytes += size
 
     def lookup(self, key):
         entry = self.index.get(key)
@@ -188,14 +186,16 @@ class RegionCache:
         if rid == self._buffered:
             data = bytes(self._buffer[offset:offset + size])
         else:  # teardown unindexes a region's keys, so it is flushed
-            data = self.store.read_region(self.vaddr(rid), offset, size)
+            data = self.store.read_region(rid * self.region_size, offset, size)
             if self.policy is not Policy.FIFO:
-                if rid in self.vop:
-                    del self.vop[rid]
-                    _push_head(self.main, rid)
+                main, vop = self.main, self.vop
+                if rid in vop:
+                    del vop[rid]
+                    main[rid] = None
+                    main.move_to_end(rid, last=False)
                     self._rebalance()  # demotes main tail into vop head
                 else:
-                    self.main.move_to_end(rid, last=False)
+                    main.move_to_end(rid, last=False)
         self.hit_count += 1
         return data
 

@@ -151,9 +151,10 @@ class ZnsDevice:
         cap = self.config.zone_capacity
         if physical_address < 0 or length < 0:
             raise errors.OutOfRange("negative address or length")
-        zone_id = physical_address // cap
-        offset = physical_address % cap
-        zone = self._zone(zone_id)
+        zone_id, offset = divmod(physical_address, cap)
+        if zone_id >= self.config.zone_count:  # the address is not negative
+            raise errors.OutOfRange(f"no such zone: {zone_id}")
+        zone = self._zones[zone_id]
         if offset + length > cap:
             raise errors.CrossZoneRead(
                 f"range [{offset}, {offset + length}) spans past zone {zone_id}")
@@ -202,23 +203,26 @@ class ZnsDevice:
 
     def read(self, physical_address: int, length: int) -> bytes:
         zone, offset = self._locate(physical_address, length)
-        data = self._slice(zone, offset, length) if length else b""
+        if not length:
+            return b""
+        i = bisect.bisect_right(zone.chunk_starts, offset) - 1
+        chunk, lo = zone.chunks[i], offset - zone.chunk_starts[i]
+        if chunk is not None and lo + length <= len(chunk):
+            data = chunk[lo:lo + length]  # the range lies in one append
+        else:
+            data = self._slice(zone, offset, length)
         self.counters.total_read_bytes += length
         return data
 
     @staticmethod
     def _slice(zone, offset, length) -> bytes:
-        i = bisect.bisect_right(zone.chunk_starts, offset) - 1
-        start = zone.chunk_starts[i]
-        chunk = zone.chunks[i]
-        lo = offset - start
-        if chunk is not None and offset + length <= start + len(chunk):
-            return chunk[lo:lo + length]
-        # the range spans appends smaller than the read: join them, then cut
-        chunks = zone.chunks[i:bisect.bisect_left(zone.chunk_starts,
-                                                  offset + length)]
+        """The range's bytes, joined from the appends that hold it."""
+        starts = zone.chunk_starts
+        i = bisect.bisect_right(starts, offset) - 1
+        chunks = zone.chunks[i:bisect.bisect_left(starts, offset + length)]
         if None in chunks:
             raise errors.Unmapped(f"zone {zone.id}: {offset} +{length} is freed")
+        lo = offset - starts[i]
         return b"".join(chunks)[lo:lo + length]
 
     def deallocate(self, physical_address: int, length: int) -> bool:

@@ -52,6 +52,24 @@ def test_run_writes_output_file(conf, tmp_path, capsys):
     assert out.read_text().startswith(CSV_HEADER)
 
 
+def test_run_writes_a_relative_output_beside_the_config(
+        tmp_path, capsys, monkeypatch):
+    # the config names its trace and its output from its own directory,
+    # whatever the working directory is
+    conf_dir, elsewhere = tmp_path / "conf", tmp_path / "elsewhere"
+    conf_dir.mkdir()
+    elsewhere.mkdir()
+    (conf_dir / "t.trace").write_text("set a 1024\nget a\nget b\n")
+    conf = conf_dir / "exp.conf"
+    conf.write_text(TINY_CONF.split("get_ratio")[0]
+                    + "trace = t.trace\noutput = run.csv\n")
+    monkeypatch.chdir(elsewhere)
+    assert main(["run", "--config", str(conf)]) == 0
+    assert f"wrote {conf_dir / 'run.csv'}" in capsys.readouterr().out
+    assert (conf_dir / "run.csv").read_text().startswith(CSV_HEADER)
+    assert not list(elsewhere.iterdir())
+
+
 def never_generate(spec):
     raise AssertionError("an op stream was generated")
 

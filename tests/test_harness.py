@@ -240,6 +240,55 @@ def test_sim_errors_carry_the_op_index():
     assert str(exc.value).startswith("op 39 (set k1): ")
 
 
+@pytest.fixture
+def collector():
+    """Gives the test the cyclic collector to switch; puts it back after."""
+    was_enabled = gc.isenabled()
+    yield
+    (gc.enable if was_enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_drive_leaves_the_collector_as_it_found_it(collector, enabled):
+    (gc.enable if enabled else gc.disable)()
+    seen = []
+    config = tiny_config(ops=50, interval=10)
+    engine = build(config.scheme)
+    tick_gc = engine.tick_gc
+
+    def tick():
+        seen.append(gc.isenabled())
+        tick_gc()
+    engine.tick_gc = tick
+    drive(engine, generate(config.workload), config)
+    assert gc.isenabled() is enabled
+    assert seen == [False] * 50  # off for every op
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_drive_restores_the_collector_when_an_op_fails(collector, enabled):
+    (gc.enable if enabled else gc.disable)()
+    config = tiny_config()
+    engine = build(config.scheme)
+
+    def failing_insert(key, value):
+        raise errors.GcStalled("no room")
+    engine.insert = failing_insert
+    with pytest.raises(errors.ExperimentError):
+        drive(engine, [CacheOp(OpKind.SET, "a", 4096)], config)
+    assert gc.isenabled() is enabled
+
+
+def test_a_run_makes_no_reference_cycles(collector):
+    # the collector is off for the op loop, so a cycle made there would
+    # stay until the next collection
+    gc.disable()
+    gc.collect()
+    report = run(tiny_config(ops=2000, verify_hits=True))
+    assert report.summary.first_gc_op is not None  # GC ran, pages moved
+    assert gc.collect() == 0
+
+
 def test_traced_item_larger_than_a_region_is_refused_before_the_first_op(
         tmp_path):
     trace = tmp_path / "big.trace"

@@ -9,6 +9,7 @@ import math
 import random
 import statistics
 from collections import Counter
+from dataclasses import FrozenInstanceError
 from itertools import accumulate
 
 import pytest
@@ -100,6 +101,18 @@ def test_op_stream_is_locked(kw, digest):
     for op in generate(WorkloadSpec(name="lock", **kw)):
         h.update(f"{op.kind.value} {op.key} {op.size}\n".encode())
     assert h.hexdigest() == digest
+
+
+def test_draws_of_one_key_and_kind_share_one_immutable_op():
+    ops = list(generate(spec_for(key_space=5, op_count=200)))
+    by_draw = {}
+    for op in ops:
+        assert by_draw.setdefault((op.kind, op.key), op) is op
+    assert len(by_draw) == 10  # every rank drawn as both kinds
+    with pytest.raises(FrozenInstanceError):
+        ops[0].size = 1
+    with pytest.raises(FrozenInstanceError):
+        ops[0].key = "k9"
 
 
 def test_sizes_stable_per_key_and_bounded():
