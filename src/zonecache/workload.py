@@ -129,7 +129,8 @@ def matches_value(key: str, data: bytes) -> bool:
     tile, n = _tile(key), len(data)
     if n <= 8:
         return data == tile[:n]
-    return data.startswith(tile) and data.startswith(memoryview(data)[:n - 8], 8)
+    return data.startswith(tile) and data.startswith(
+        memoryview(data)[:n - 8], 8)
 
 
 class ZipfSampler:
