@@ -71,7 +71,7 @@ def _cmd_run(args) -> int:
 def _sweep_apply(config, param, value, out_prefix):
     try:
         parsed = _SCHEME_KEYS[param](value)
-    except ValueError as e:
+    except (ValueError, OverflowError) as e:  # OverflowError: an infinite size
         raise errors.InvalidConfig(f"bad value for {param}: {e}")
     scheme = replace(config.scheme, **{param: parsed})
     check_scheme(scheme, [param])

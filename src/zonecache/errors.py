@@ -1,4 +1,13 @@
-"""Exception taxonomy shared by all simulator layers."""
+"""Exception taxonomy shared by all simulator layers.
+
+One class per cause that a caller, the CLI or the reference model tells
+apart: the CLI exits 3 on `InvalidConfig` and 1 on every other
+`SimError`, `ExperimentError` carries the op index, `op-calc` reports
+`InfeasibleRates`, and the reference model names the four capacity
+faults (`NoWritableZone`, `DeviceBusy`, `GcStalled`, `NothingToEvict`).
+Every other broken contract between layers, a call no correct caller
+makes, is a `ContractError`; its message names the case.
+"""
 
 
 class SimError(Exception):
@@ -9,79 +18,31 @@ class InvalidConfig(SimError):
     """An invalid configuration or input value, in any layer."""
 
 
-# --- zoned device ---
-
-class ZoneFull(SimError):
-    pass
-
-
-class MaxOpenZonesExceeded(SimError):
-    pass
-
-
-class ZoneNotWritable(SimError):
-    pass
-
-
-class ReadBeyondWritePointer(SimError):
-    pass
-
-
-class CrossZoneRead(SimError):
-    pass
-
-
-# --- page-mapped FTL ---
-
-class OutOfRange(SimError):
-    pass
-
-
-class Misaligned(SimError):
-    pass
-
-
-class Unmapped(SimError):
-    pass
+class ContractError(SimError):
+    """A call that breaks a layer's contract: a write past a zone's end, a
+    read of unwritten or freed bytes, a misaligned or mis-sized region, an
+    item larger than a region, a drop filter's unknown answer."""
 
 
 class DeviceBusy(SimError):
     """No free erase blocks remain even after internal GC."""
 
 
-# --- zone-backed region store ---
-
 class NoWritableZone(SimError):
     """Empty zones exhausted and every write zone is full."""
 
 
-class SizeMismatch(SimError):
-    pass
-
-
-class UnmappedRegion(SimError):
-    pass
-
-
 class GcStalled(SimError):
-    pass
+    """GC is needed but has no victim, or makes no net progress."""
+
+
+class NothingToEvict(SimError):
+    """The cache must evict, but holds no flushed region."""
 
 
 class InfeasibleRates(SimError):
     """Requested cleaning throughput can never keep up with the write rate."""
 
-
-# --- region cache ---
-
-class ItemTooLarge(SimError):
-    pass
-
-
-class NothingToEvict(SimError):
-    pass
-
-
-# --- harness ---
 
 class ExperimentError(SimError):
     def __init__(self, message, op_index=None):

@@ -44,7 +44,7 @@ class PageMappedFtl:
     def __init__(self, pages_per_block, block_count, op_ratio=0.07):
         if pages_per_block < 1 or block_count < 1:
             raise errors.InvalidConfig("page/block geometry must be >= 1")
-        if op_ratio < 0:
+        if not op_ratio >= 0:  # NaN fails too
             raise errors.InvalidConfig("internal_op_ratio must be >= 0")
         pages = block_count * pages_per_block
         # physical space split between exported capacity and reserved OP
@@ -174,9 +174,10 @@ class PageMappedFtl:
 
     def _check_write(self, address, length):
         if address % PAGE != 0 or length % PAGE != 0:
-            raise errors.Misaligned("writes must be page-aligned in address and length")
+            raise errors.ContractError(
+                "writes must be page-aligned in address and length")
         if address < 0 or address + length > self.exported_bytes:
-            raise errors.OutOfRange("write outside exported capacity")
+            raise errors.ContractError("write outside exported capacity")
 
     def lend_buffer(self, address: int, length: int):
         """A writable view of the bytes at `address`, which reads see as it
@@ -219,13 +220,13 @@ class PageMappedFtl:
     def ftl_read(self, logical_address: int, length: int) -> bytes:
         if logical_address < 0 or length < 0 \
                 or logical_address + length > self.exported_bytes:
-            raise errors.OutOfRange("read outside exported capacity")
+            raise errors.ContractError("read outside exported capacity")
         if length == 0:
             return b""
         first = logical_address // PAGE
         ppages = self.mapping[first:(logical_address + length - 1) // PAGE + 1]
         if -1 in ppages:
-            raise errors.Unmapped(
+            raise errors.ContractError(
                 f"logical page {first + ppages.index(-1)} never written")
         self.read_bytes += length
         return bytes(self.data[logical_address:logical_address + length])

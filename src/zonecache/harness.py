@@ -308,7 +308,7 @@ def parse_config_text(text, base_dir=".") -> ExperimentConfig:
             raise errors.InvalidConfig(f"line {number}: unknown key {key!r}")
         try:
             values[key] = _CONFIG_KEYS[key](value)
-        except (ValueError, TypeError) as e:
+        except (ValueError, TypeError, OverflowError) as e:
             raise errors.InvalidConfig(f"line {number}: bad value for {key}: {e}")
     return config_from_values(values, base_dir)
 

@@ -98,7 +98,7 @@ def _capacity_regions(spec) -> int:
     region = default_region_size(spec)
     if region < 1:
         raise errors.InvalidConfig("region_size must be >= 1")
-    if spec.op_ratio < 0:
+    if not spec.op_ratio >= 0:  # NaN fails too
         raise errors.InvalidConfig("op_ratio must be >= 0")
     if spec.cache_capacity_regions is not None:
         return spec.cache_capacity_regions
@@ -114,10 +114,10 @@ class _Engine:
     """One region cache over a backend store. Subclasses build the backend
     and report its counters."""
 
-    def __init__(self, spec, store):
+    def __init__(self, spec, store, capacity_regions):
         self.store = store
         self.cache = RegionCache(
-            store, _capacity_regions(spec), spec.region_size,
+            store, capacity_regions, spec.region_size,
             _POLICY[spec.name], spec.vop_ratio, spec.reorder_enabled)
 
     def insert(self, key, value):
@@ -158,7 +158,7 @@ class _ZnsEngine(_Engine):
             min(MAX_OPEN_ZONES, spec.zone_count)))
         store = ZoneStore(self.device, spec.region_size, spec.w_low,
                           spec.w_high, 1 if direct else spec.min_write_zones)
-        super().__init__(spec, store)
+        super().__init__(spec, store, _capacity_regions(spec))
         self._checked_flushes = 0
 
     def tick_gc(self):
@@ -174,17 +174,16 @@ class _ZnsEngine(_Engine):
 
     @property
     def gc_events(self) -> int:
-        return self.device.counters.total_resets
+        return self.device.resets
 
     def _backend_metrics(self) -> dict:
-        counters = self.device.counters
         return dict(
-            device_bytes_written=counters.total_appended_bytes,
-            device_bytes_read=counters.total_read_bytes,
+            device_bytes_written=self.device.appended_bytes,
+            device_bytes_read=self.device.read_bytes,
             gc_migrated_bytes=self.store.migrated_bytes,
             gc_cycles=len(self.store.gc_log),
             empty_zones=len(self.store.empty_zones),
-            zone_resets=counters.total_resets)
+            zone_resets=self.device.resets)
 
 
 class _FtlRegionStore:
@@ -225,11 +224,12 @@ class _RegEngine(_Engine):
                 "device size must be a whole number of erase blocks")
         if spec.region_size % PAGE != 0:
             raise errors.InvalidConfig("region size must be page-aligned")
-        if (_capacity_regions(spec) * spec.region_size
-                > self.ftl.exported_bytes):
+        capacity = _capacity_regions(spec)
+        if capacity * spec.region_size > self.ftl.exported_bytes:
             raise errors.InvalidConfig(
                 "cache regions exceed the FTL's exported capacity")
-        super().__init__(spec, _FtlRegionStore(self.ftl, spec.region_size))
+        super().__init__(spec, _FtlRegionStore(self.ftl, spec.region_size),
+                         capacity)
 
     def tick_gc(self):
         pass  # internal GC is inline in the FTL write path

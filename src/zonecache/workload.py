@@ -57,7 +57,7 @@ class WorkloadSpec:
             raise errors.InvalidConfig("key_space must be >= 1")
         if self.op_count < 1:
             raise errors.InvalidConfig("op_count must be >= 1")
-        if self.zipf_alpha < 0:
+        if not self.zipf_alpha >= 0:  # NaN fails too
             raise errors.InvalidConfig("zipf_alpha must be >= 0")
         if not 1 <= self.size_min <= self.size_max:
             raise errors.InvalidConfig("need 1 <= size_min <= size_max")

@@ -154,7 +154,7 @@ class RegionCache:
     def insert(self, key, value):
         size = len(value)
         if size > self.region_size:
-            raise errors.ItemTooLarge(
+            raise errors.ContractError(
                 f"{size} bytes exceeds region size {self.region_size}")
         if self._buffered is None:
             self._alloc_buffer()

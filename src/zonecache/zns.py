@@ -26,7 +26,7 @@ operation completes before the next starts, so none locks or retries.
 """
 
 import bisect
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from . import errors
@@ -66,13 +66,6 @@ class ZoneSnapshot:
     write_pointer: int
 
 
-@dataclass
-class DeviceCounters:
-    total_appended_bytes: int = 0
-    total_read_bytes: int = 0
-    total_resets: int = 0
-
-
 class _Zone:
     __slots__ = ("id", "write_pointer", "chunks", "chunk_starts")
 
@@ -91,13 +84,15 @@ class ZnsDevice:
         config.validate()
         self.config = config
         self._zones = [_Zone(i) for i in range(config.zone_count)]
-        self.counters = DeviceCounters()
+        self.appended_bytes = 0
+        self.read_bytes = 0  # by reads and copies
+        self.resets = 0
 
     # -- helpers -----------------------------------------------------------
 
     def _zone(self, zone_id) -> _Zone:
         if not 0 <= zone_id < self.config.zone_count:
-            raise errors.OutOfRange(f"no such zone: {zone_id}")
+            raise errors.ContractError(f"no such zone: {zone_id}")
         return self._zones[zone_id]
 
     def zone_state(self, zone_id) -> ZoneState:
@@ -125,13 +120,13 @@ class ZnsDevice:
         zone = self._zone(zone_id)
         wp = zone.write_pointer
         if wp == cap:
-            raise errors.ZoneNotWritable(f"zone {zone_id} is full")
+            raise errors.ContractError(f"zone {zone_id} is full")
         if wp + length > cap:
-            raise errors.ZoneFull(
+            raise errors.ContractError(
                 f"zone {zone_id}: {length} bytes exceed remaining {cap - wp}")
         if (length and wp == 0
                 and self.open_zone_count() >= self.config.max_open_zones):
-            raise errors.MaxOpenZonesExceeded(
+            raise errors.ContractError(
                 f"opening zone {zone_id} would exceed "
                 f"{self.config.max_open_zones} open zones")
         return zone
@@ -143,23 +138,23 @@ class ZnsDevice:
         zone.chunk_starts.append(zone.write_pointer)
         zone.chunks.append(buf)
         zone.write_pointer += len(buf)
-        self.counters.total_appended_bytes += len(buf)
+        self.appended_bytes += len(buf)
         return addr
 
     def _locate(self, physical_address, length):
         """The zone and zone offset of a readable range."""
         cap = self.config.zone_capacity
         if physical_address < 0 or length < 0:
-            raise errors.OutOfRange("negative address or length")
+            raise errors.ContractError("negative address or length")
         zone_id, offset = divmod(physical_address, cap)
         if zone_id >= self.config.zone_count:  # the address is not negative
-            raise errors.OutOfRange(f"no such zone: {zone_id}")
+            raise errors.ContractError(f"no such zone: {zone_id}")
         zone = self._zones[zone_id]
         if offset + length > cap:
-            raise errors.CrossZoneRead(
+            raise errors.ContractError(
                 f"range [{offset}, {offset + length}) spans past zone {zone_id}")
         if offset + length > zone.write_pointer:
-            raise errors.ReadBeyondWritePointer(
+            raise errors.ContractError(
                 f"zone {zone_id}: read up to {offset + length} but write "
                 f"pointer is {zone.write_pointer}")
         return zone, offset
@@ -198,7 +193,7 @@ class ZnsDevice:
             buf = self._slice(src, offset, length)
         else:
             buf, src.chunks[i] = src.chunks[i], None
-        self.counters.total_read_bytes += length
+        self.read_bytes += length
         return self._hold(zone, buf)
 
     def read(self, physical_address: int, length: int) -> bytes:
@@ -211,7 +206,7 @@ class ZnsDevice:
             data = chunk[lo:lo + length]  # the range lies in one append
         else:
             data = self._slice(zone, offset, length)
-        self.counters.total_read_bytes += length
+        self.read_bytes += length
         return data
 
     @staticmethod
@@ -221,7 +216,8 @@ class ZnsDevice:
         i = bisect.bisect_right(starts, offset) - 1
         chunks = zone.chunks[i:bisect.bisect_left(starts, offset + length)]
         if None in chunks:
-            raise errors.Unmapped(f"zone {zone.id}: {offset} +{length} is freed")
+            raise errors.ContractError(
+                f"zone {zone.id}: {offset} +{length} is freed")
         lo = offset - starts[i]
         return b"".join(chunks)[lo:lo + length]
 
@@ -232,8 +228,8 @@ class ZnsDevice:
         zone, offset = self._locate(physical_address, length)
         i = self._whole(zone, offset, length)
         if i is None:
-            raise errors.Misaligned(f"zone {zone.id}: [{offset}, "
-                                    f"{offset + length}) is not one append")
+            raise errors.ContractError(f"zone {zone.id}: [{offset}, "
+                                       f"{offset + length}) is not one append")
         zone.chunks[i] = None
         return any(chunk is not None for chunk in zone.chunks)
 
@@ -243,11 +239,10 @@ class ZnsDevice:
         zone.write_pointer = 0
         zone.chunks = []
         zone.chunk_starts = []
-        self.counters.total_resets += 1
+        self.resets += 1
 
     def report(self):
-        """Point-in-time snapshot of all zones plus the device counters."""
+        """Point-in-time snapshot of all zones."""
         # perfbench/tracer.py patches this by name; ROADMAP item 6 deletes it
-        snaps = [ZoneSnapshot(z.id, self.zone_state(z.id), z.write_pointer)
-                 for z in self._zones]
-        return snaps, replace(self.counters)
+        return [ZoneSnapshot(z.id, self.zone_state(z.id), z.write_pointer)
+                for z in self._zones]

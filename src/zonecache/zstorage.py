@@ -48,8 +48,6 @@ from fractions import Fraction
 from . import errors
 from .memory import Populator
 
-MIB = 1024 * 1024
-
 
 class DropVerb(Enum):
     MIGRATE = "migrate"
@@ -75,12 +73,12 @@ def compute_min_op(t_cache, t_gc, k) -> OpPlan:
     """Smallest over-provisioning ratio at which cleaning keeps up with the
     cache write rate, given that victims carry k times the average invalid
     ratio."""
-    if t_cache <= 0 or t_gc <= 0:
+    if not (t_cache > 0 and t_gc > 0):  # NaN fails too
         raise errors.InvalidConfig("rates must be positive")
-    if k < 1:
+    if not k >= 1:
         raise errors.InvalidConfig("k must be >= 1")
     denom = k * t_gc - t_cache
-    if denom <= 0:
+    if not denom > 0:  # NaN when both sides are infinite
         raise errors.InfeasibleRates(
             f"k*t_gc ({k * t_gc}) must exceed t_cache ({t_cache})")
     r_op = t_cache / denom
@@ -198,7 +196,8 @@ class ZoneStore:
         of it, else None. Refuses an address that `forward` maps, whose
         buffer the device holds."""
         if vaddr in self.forward:
-            raise RuntimeError(f"region {vaddr} is mapped: its buffer is live")
+            raise errors.ContractError(
+                f"region {vaddr} is mapped: its buffer is live")
         buf = self.buffers.get(vaddr)
         if buf is not None:
             return buf, None
@@ -210,10 +209,10 @@ class ZoneStore:
         """Append one region and map it. The device holds the payload with
         no copy, so its writer must not change it while it is mapped."""
         if len(payload) != self.region_size:
-            raise errors.SizeMismatch(
+            raise errors.ContractError(
                 f"payload is {len(payload)} bytes, region size is {self.region_size}")
         if virtual_address % self.region_size != 0:
-            raise errors.Misaligned("virtual address must be region-aligned")
+            raise errors.ContractError("virtual address must be region-aligned")
         # data lands before metadata, and the new copy maps before the old goes
         paddr = self._place(lambda zone: self.device.append(zone, payload))
         old = self.forward.get(virtual_address)
@@ -226,7 +225,7 @@ class ZoneStore:
                     length: int = None) -> bytes:
         paddr = self.forward.get(virtual_address)
         if paddr is None:
-            raise errors.UnmappedRegion(f"virtual address {virtual_address}")
+            raise errors.ContractError(f"virtual address {virtual_address}")
         if length is None:
             length = self.region_size - offset
         return self.device.read(paddr + offset, length)
@@ -235,7 +234,7 @@ class ZoneStore:
         """Unmap the region and deallocate its bytes on the device."""
         paddr = self.forward.pop(virtual_address, None)
         if paddr is None:
-            raise errors.UnmappedRegion(f"virtual address {virtual_address}")
+            raise errors.ContractError(f"virtual address {virtual_address}")
         self._free(paddr)
 
     def _free(self, paddr):  # resets a full zone left holding no region
@@ -306,9 +305,9 @@ class ZoneStore:
                 self.device.deallocate(paddr, self.region_size)
                 stats.dropped_regions += 1
             else:
-                raise RuntimeError(f"drop filter returned {verb!r}")
+                raise errors.ContractError(f"drop filter returned {verb!r}")
         if any(p // cap == victim for p in self.forward.values()):
-            raise RuntimeError(
+            raise errors.ContractError(
                 f"zone {victim} still holds mapped regions after cleaning")
         self.device.reset(victim)
         stats.reclaimed_zones += 1

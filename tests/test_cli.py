@@ -10,6 +10,7 @@ from zonecache import harness
 from zonecache.cli import main
 from zonecache.harness import CSV_HEADER
 from zonecache.workload import replay
+from zonecache.zcache import RegionCache
 
 TINY_CONF = """\
 scheme = zns-middle-lru
@@ -227,6 +228,40 @@ def test_runtime_failure_exits_1(conf, capsys):
     assert err.startswith("error: op 39 ") and "no net progress" in err
 
 
+def test_program_fault_exits_1_with_its_op(conf, capsys, monkeypatch):
+    # a drop filter that answers None breaks the store's contract; the
+    # CLI reports it with its op like any other runtime failure. Zones
+    # of four regions, so that a GC cycle asks the filter
+    monkeypatch.setattr(RegionCache, "zdrop_filter", lambda self, vaddr: None)
+    conf.write_text(TINY_CONF.replace("zone_count = 8\n", "zone_count = 4\n")
+                    .replace("zone_capacity = 32kib\n",
+                             "zone_capacity = 64kib\n"))
+    assert main(["run", "--config", str(conf)]) == 1
+    assert capsys.readouterr().err == (
+        "error: op 20 (set k2): drop filter returned None\n")
+
+
+@pytest.mark.parametrize("old,new,argv,fragment", [
+    ("cache_capacity_regions = 7\n", "op_ratio = nan\n", ["run"],
+     "op_ratio must be >= 0"),
+    ("seed = 3\n", "seed = 3\nzipf_alpha = nan\n", ["run"],
+     "zipf_alpha must be >= 0"),
+    ("size_max = 16kib\n", "size_max = inf k\n", ["run"],
+     "bad value for size_max"),
+    ("", "", ["sweep", "--param", "zone_capacity", "--values", "inf k"],
+     "bad value for zone_capacity"),
+], ids=["op_ratio_nan", "zipf_alpha_nan", "size_inf", "sweep_size_inf"])
+def test_non_finite_value_exits_3(conf, tmp_path, capsys, monkeypatch,
+                                  old, new, argv, fragment):
+    # NaN fails every range check, and an infinite size is no size
+    monkeypatch.chdir(tmp_path)
+    conf.write_text(TINY_CONF.replace(old, new))
+    assert main(argv + ["--config", str(conf)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and fragment in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_item_larger_than_a_region_exits_3(conf, tmp_path, capsys):
     # refused while the config loads, before any op runs; so is each
     # sweep value that makes the region smaller than size_max
@@ -396,6 +431,10 @@ def test_op_calc_infeasible_exits_1(capsys):
       "--out", "t.trace"], "cache_bytes must be >= 1"),
     (["gen-trace", "--preset", "l2_wc", "--cache-bytes", "-5", "--ops", "10",
       "--out", "t.trace"], "cache_bytes must be >= 1"),
+    (["op-calc", "--t-cache", "200", "--t-gc", "600", "--k", "nan"],
+     "k must be >= 1"),
+    (["op-calc", "--t-cache", "nan", "--t-gc", "600", "--k", "6"],
+     "rates must be positive"),
 ])
 def test_bad_option_value_exits_3(tmp_path, capsys, monkeypatch, argv, fragment):
     # a command option is input like a config key: a bad value exits 3

@@ -136,15 +136,20 @@ def test_overwrite_remaps_to_new_physical_page():
 
 def test_write_alignment_and_range_checks():
     ftl = make_ftl()
-    with pytest.raises(errors.Misaligned):
+    with pytest.raises(errors.ContractError,
+                       match="writes must be page-aligned in address and length"):
         ftl.ftl_write(100, b"x" * PAGE)
-    with pytest.raises(errors.Misaligned):
+    with pytest.raises(errors.ContractError,
+                       match="writes must be page-aligned in address and length"):
         ftl.ftl_write(0, b"x" * 100)
-    with pytest.raises(errors.OutOfRange):
+    with pytest.raises(errors.ContractError,
+                       match="write outside exported capacity"):
         ftl.ftl_write(ftl.exported_bytes, b"x" * PAGE)
-    with pytest.raises(errors.OutOfRange):
+    with pytest.raises(errors.ContractError,
+                       match="read outside exported capacity"):
         ftl.ftl_read(0, ftl.exported_bytes + PAGE)
-    with pytest.raises(errors.Unmapped):
+    with pytest.raises(errors.ContractError,
+                       match="logical page 0 never written"):
         ftl.ftl_read(0, 1)
 
 
@@ -173,7 +178,8 @@ def test_unmapped_names_first_unwritten_page():
     ftl = make_ftl()
     ftl.ftl_write(0, b"x" * 2 * PAGE)
     ftl.ftl_write(3 * PAGE, b"y" * PAGE)
-    with pytest.raises(errors.Unmapped, match=r"logical page 2 never written"):
+    with pytest.raises(errors.ContractError,
+                       match=r"logical page 2 never written"):
         ftl.ftl_read(PAGE + 7, 4 * PAGE)
     assert ftl.read_bytes == 0
 
@@ -589,7 +595,8 @@ def test_view_lent_for_another_address_is_copied_not_adopted():
     assert ftl.data.stores == [(40 * PAGE, 42 * PAGE)]
     view[:] = b"w" * 2 * PAGE           # still aliases address 16, not 40
     assert ftl.ftl_read(40 * PAGE, 2 * PAGE) == b"v" * 2 * PAGE
-    with pytest.raises(errors.Unmapped):
+    with pytest.raises(errors.ContractError,
+                       match="logical page 16 never written"):
         ftl.ftl_read(16 * PAGE, PAGE)
     ftl.ftl_write(16 * PAGE, view)      # its own address still adopts it
     assert len(ftl.data.stores) == 1

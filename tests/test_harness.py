@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import KIB, MIB, tiny_spec
+from helpers import GC_ZONES, KIB, MIB, tiny_spec
 from zonecache import errors, harness
 from zonecache.harness import (CSV_HEADER, ExperimentConfig, _SCHEME_KEYS,
                                _WORKLOAD_KEYS, _interval_seconds, check_scheme,
@@ -238,6 +238,21 @@ def test_sim_errors_carry_the_op_index():
     assert isinstance(exc.value.__cause__, errors.GcStalled)
     assert exc.value.op_index == 39
     assert str(exc.value).startswith("op 39 (set k1): ")
+
+
+def test_a_program_fault_carries_the_op_index():
+    # a drop filter is code, not input: an answer other than a DropVerb
+    # breaks the store's contract, and drive wraps it with its op like
+    # any other error (GC_ZONES, so that a GC cycle asks the filter)
+    config = replace(tiny_config(),
+                     scheme=tiny_spec("zns-middle-lru", **GC_ZONES))
+    engine = build(config.scheme)
+    engine.cache.zdrop_filter = lambda vaddr: None
+    with pytest.raises(errors.ExperimentError) as exc:
+        drive(engine, generate(config.workload), config)
+    assert isinstance(exc.value.__cause__, errors.ContractError)
+    assert exc.value.op_index == 20
+    assert str(exc.value) == "op 20 (set k2): drop filter returned None"
 
 
 @pytest.fixture

@@ -109,7 +109,8 @@ def test_same_key_reinsert_supersedes():
 
 def test_oversized_item_rejected():
     cache, _ = make_cache()
-    with pytest.raises(errors.ItemTooLarge):
+    with pytest.raises(errors.ContractError,
+                       match=f"{RS + 1} bytes exceeds region size {RS}"):
         cache.insert("big", val(0, RS + 1))
 
 

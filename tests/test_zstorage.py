@@ -104,9 +104,11 @@ def test_full_write_zone_retires_to_read_group():
 
 def test_write_validation_errors():
     dev, store = make_store()
-    with pytest.raises(errors.SizeMismatch):
+    with pytest.raises(errors.ContractError,
+                       match="payload is 5 bytes, region size is 32768"):
         store.write_region(0, b"short")
-    with pytest.raises(errors.Misaligned):
+    with pytest.raises(errors.ContractError,
+                       match="virtual address must be region-aligned"):
         store.write_region(1000, payload(0))
 
 
@@ -125,7 +127,7 @@ def test_read_region_offsets_and_errors():
     assert store.read_region(0) == data
     assert store.read_region(0, offset=100, length=50) == data[100:150]
     assert store.read_region(0, offset=32 * KIB - 1) == data[-1:]
-    with pytest.raises(errors.UnmappedRegion):
+    with pytest.raises(errors.ContractError, match="virtual address 32768$"):
         store.read_region(32 * KIB)
 
 
@@ -136,7 +138,7 @@ def test_invalidate_region_clears_stats_and_rejects_double_free():
     store.invalidate_region(0)
     assert store.valid_bytes[zone] == 0
     assert store.zone_of(0) is None
-    with pytest.raises(errors.UnmappedRegion):
+    with pytest.raises(errors.ContractError, match="virtual address 0$"):
         store.invalidate_region(0)
 
 
@@ -308,7 +310,8 @@ def test_gc_unknown_drop_verb_is_a_program_fault():
     # a filter is code, not input: an answer other than a DropVerb is a bug
     dev, store = make_store()
     drain_to_trigger(store)
-    with pytest.raises(RuntimeError, match="drop filter returned None"):
+    with pytest.raises(errors.ContractError,
+                       match="drop filter returned None"):
         store.gc_cycle(lambda vaddr: None)
 
 
@@ -326,7 +329,8 @@ def test_gc_refuses_to_reset_a_victim_another_region_maps_into():
             store.forward[stray] = store.forward[vaddr]
         return DropVerb.DROP
 
-    with pytest.raises(RuntimeError) as exc:
+    with pytest.raises(errors.ContractError,
+                       match="still holds mapped regions after cleaning") as exc:
         store.gc_cycle(alias_then_drop)
     assert str(exc.value) == (
         f"zone {victims[0]} still holds mapped regions after cleaning")
@@ -390,7 +394,7 @@ def test_gc_accounting_identity():
         store.write_region(rng.choice(vaddrs), payload(step))
         if store.gc_needed():
             store.gc_cycle(migrate_all)
-    assert dev.counters.total_appended_bytes == \
+    assert dev.appended_bytes == \
         steps * store.region_size + store.migrated_bytes
 
 
@@ -421,9 +425,8 @@ def test_gc_migration_moves_buffers_that_stay_intact_after_reuse():
             for vaddr in vaddrs:
                 if vaddr not in shadow:
                     store.region_buffer(vaddr)[0][:] = b"\xee" * store.region_size
-            counters = dev.counters
-            assert counters.total_read_bytes == store.migrated_bytes + checked
-            assert counters.total_appended_bytes == \
+            assert dev.read_bytes == store.migrated_bytes + checked
+            assert dev.appended_bytes == \
                 written * store.region_size + store.migrated_bytes
             for vaddr, data in shadow.items():
                 assert store.read_region(vaddr) == data
@@ -494,9 +497,9 @@ def test_deallocated_buffers_are_reused_without_touching_live_regions():
             paddr = store.forward[vaddr]
             store.invalidate_region(vaddr)
             del shadow[vaddr]
-            with pytest.raises(errors.Unmapped):
+            with pytest.raises(errors.ContractError, match="is freed"):
                 dev.read(paddr, size)
-            with pytest.raises(errors.Unmapped):
+            with pytest.raises(errors.ContractError, match="is freed"):
                 dev.read(paddr + 100, 100)
         if store.gc_needed() and (not left or rng.random() < 0.3):
             decide, moved = migrate(stop=rng.random() < 0.5)
@@ -508,7 +511,7 @@ def test_deallocated_buffers_are_reused_without_touching_live_regions():
         for vaddr, data in shadow.items():
             assert store.read_region(vaddr) == data, f"step {step}"
         for addr in left:
-            with pytest.raises(errors.Unmapped):
+            with pytest.raises(errors.ContractError, match="is freed"):
                 dev.read(addr, size)
     assert stops > 0
     assert store.gc_log
@@ -526,7 +529,7 @@ def test_rewrite_frees_the_old_copy_at_once():
     old = store.forward[0]
     new = payload(2)
     store.write_region(0, new)
-    with pytest.raises(errors.Unmapped):
+    with pytest.raises(errors.ContractError, match="is freed"):
         dev.read(old, store.region_size)
     assert device_buffers(dev) == {id(new)}
     assert store.read_region(0) == payload(2)
@@ -535,13 +538,13 @@ def test_rewrite_frees_the_old_copy_at_once():
 def assert_reset(dev, store, zone, resets):
     assert dev.write_pointer(zone) == 0
     assert zone in store.empty_zones
-    assert dev.counters.total_resets == resets + 1
+    assert dev.resets == resets + 1
 
 
 def test_full_zone_is_reset_when_its_last_region_is_invalidated():
     dev, store = make_store(min_write=1)
     kept = fill_read_zones(store, [(0, 1), (1, 1)])
-    resets = dev.counters.total_resets
+    resets = dev.resets
     store.invalidate_region(kept[0][0])
     assert_reset(dev, store, 0, resets)
     assert store.read_zones == [1]
@@ -551,7 +554,7 @@ def test_full_zone_is_reset_when_its_last_region_is_invalidated():
 def test_full_zone_is_reset_when_its_last_region_is_rewritten_elsewhere():
     dev, store = make_store(min_write=1)
     kept = fill_read_zones(store, [(0, 1)])
-    resets = dev.counters.total_resets
+    resets = dev.resets
     store.write_region(kept[0][0], payload(9))
     assert store.zone_of(kept[0][0]) == 1
     assert_reset(dev, store, 0, resets)
@@ -564,7 +567,7 @@ def test_write_zone_emptied_of_regions_stays_in_the_rotation():
     store.invalidate_region(0)
     assert dev.write_pointer(0) == store.region_size
     assert store.groups() == ([2, 3, 4, 5, 6, 7], [0, 1], set())
-    assert dev.counters.total_resets == 0
+    assert dev.resets == 0
     assert store.write_region(32 * KIB, payload(1)) == 64 * KIB
     assert store.write_region(64 * KIB, payload(2)) == store.region_size
 
@@ -602,9 +605,9 @@ def test_stopped_victim_is_reset_when_its_last_mapped_region_goes():
     with pytest.raises(StopCleaning):
         store.gc_cycle(migrate_one)
     assert moved == [0] and store.zone_of(0) == 3
-    with pytest.raises(errors.Unmapped):
+    with pytest.raises(errors.ContractError, match="is freed"):
         dev.read(0, store.region_size)
-    resets = dev.counters.total_resets
+    resets = dev.resets
     store.invalidate_region(32 * KIB)  # the victim's last mapped region
     assert_reset(dev, store, 0, resets)
     assert store.read_region(0) == payload(0)
@@ -726,12 +729,12 @@ def test_region_buffer_refuses_a_mapped_address():
     for i in range(1, 7):
         store.write_region(i * 32 * KIB, payload(i + 1))
     store.invalidate_region(32 * KIB)
-    with pytest.raises(RuntimeError, match="region 0 is mapped"):
+    with pytest.raises(errors.ContractError, match="region 0 is mapped"):
         store.region_buffer(0)
     store.gc_cycle(lambda vaddr: DropVerb.MIGRATE if vaddr == 0
                    else DropVerb.DROP)
     assert store.zone_of(0) == 3
-    with pytest.raises(RuntimeError, match="region 0 is mapped"):
+    with pytest.raises(errors.ContractError, match="region 0 is mapped"):
         store.region_buffer(0)
     assert store.read_region(0) == payload(1)
     store.invalidate_region(0)
